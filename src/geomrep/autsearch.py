@@ -138,18 +138,11 @@ def _element_adjacency(sys: IncidenceSystem) -> list[frozenset[int]]:
 def _augmented_adjacency(sys: IncidenceSystem) -> list[frozenset[int]]:
     """Element nodes + one node per type + apex; ties each element to its type."""
     n, r = sys.size, sys.rank
-    adj: list[set[int]] = [set() for _ in range(n + r + 1)]
-    for a, b in sys.pairs.tolist():
-        adj[a].add(b)
-        adj[b].add(a)
-    for i, c in enumerate(sys.type_codes.tolist()):
-        adj[i].add(n + c)
-        adj[n + c].add(i)
     apex = n + r
-    for t in range(r):
-        adj[n + t].add(apex)
-        adj[apex].add(n + t)
-    return [frozenset(s) for s in adj]
+    adj = [sys.neighbors(i) | {n + c} for i, c in enumerate(sys.type_codes.tolist())]
+    adj += [frozenset(fiber) | {apex} for fiber in sys.fibers()]
+    adj.append(frozenset(range(n, apex)))
+    return adj
 
 
 @dataclasses.dataclass(frozen=True)
@@ -285,11 +278,13 @@ def correlation_type_action(
         return None
     pairs = sys.pairs
     if pairs.shape[0]:
-        image_pairs = g.images[pairs]
-        image_pairs.sort(axis=1)
-        order = np.lexsort((image_pairs[:, 1], image_pairs[:, 0]))
-        # image rows are distinct, so sorted equality is pair-set equality
-        if not np.array_equal(image_pairs[order], pairs.astype(np.int64)):
+        # key min*n + max per pair: the image keys are distinct (g is a
+        # bijection), and the sorted system pairs have ascending keys
+        ends = g.images[pairs]
+        lo = np.minimum(ends[:, 0], ends[:, 1])
+        hi = np.maximum(ends[:, 0], ends[:, 1])
+        keys = pairs[:, 0].astype(np.int64) * n + pairs[:, 1]
+        if not np.array_equal(np.sort(lo * n + hi), keys):
             return None
     return tmap
 

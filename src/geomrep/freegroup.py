@@ -118,17 +118,23 @@ def _trimmed(
     protected: set[int], arcs: set[tuple[int, int, int]]
 ) -> set[tuple[int, int, int]]:
     """Remove hanging trees so every unprotected vertex has degree >= 2."""
-    while True:
-        degree: dict[int, int] = {}
-        for u, _, v in arcs:
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
-        leaf = next(
-            (x for x, d in degree.items() if d == 1 and x not in protected), None
-        )
-        if leaf is None:
-            return arcs
-        arcs = {a for a in arcs if leaf not in (a[0], a[1])}
+    arcs = set(arcs)
+    incident: dict[int, list[tuple[int, int, int]]] = {}
+    for arc in arcs:
+        incident.setdefault(arc[0], []).append(arc)
+        incident.setdefault(arc[2], []).append(arc)
+    degree = {x: len(at) for x, at in incident.items()}
+    leaves = [x for x, d in degree.items() if d == 1 and x not in protected]
+    while leaves:
+        leaf = leaves.pop()
+        for arc in incident[leaf]:
+            if arc in arcs:
+                arcs.remove(arc)
+                other = arc[2] if arc[0] == leaf else arc[0]
+                degree[other] -= 1
+                if degree[other] == 1 and other not in protected:
+                    leaves.append(other)
+    return arcs
 
 
 def _canonical(

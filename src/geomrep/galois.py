@@ -176,7 +176,7 @@ class FieldElement:
 class FiniteField:
     """GF(p^k) with precomputed arithmetic tables over integer codes 0..q-1."""
 
-    __slots__ = ("p", "k", "q", "modulus", "_add", "_mul", "_inv", "_frob")
+    __slots__ = ("p", "k", "q", "modulus", "_add", "_mul", "_neg", "_inv", "_frob")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]) -> None:
         if not _is_prime(p):
@@ -202,6 +202,7 @@ class FiniteField:
                 add[a][b] = add[b][a] = s
                 mul[a][b] = mul[b][a] = m
         self._add, self._mul = add, mul
+        self._neg = [row.index(0) for row in add]
         inv = [0] * self.q
         for a in range(1, self.q):
             inv[a] = next(b for b in range(1, self.q) if mul[a][b] == 1)
@@ -227,10 +228,10 @@ class FiniteField:
         return self._add[a][b]
 
     def neg(self, a: int) -> int:
-        return next(b for b in range(self.q) if self._add[a][b] == 0) if a else 0
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self._add[a][self.neg(b)]
+        return self._add[a][self._neg[b]]
 
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]

@@ -5,10 +5,12 @@ from __future__ import annotations
 import collections
 import dataclasses
 import json
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,6 +59,11 @@ def validate_data(
     return ValidationReport.from_violations(violations)
 
 
+# json.dumps(..., indent=2) of one incidence [a, b] at its depth in to_json
+_JSON_PAIR = "    [\n      %d,\n      %d\n    ]"
+_JSON_BLOCK = 1 << 16
+
+
 class IncidenceSystem:
     """Immutable multipartite incidence system over dense element ids 0..n-1."""
 
@@ -76,14 +83,25 @@ class IncidenceSystem:
         n = codes.shape[0]
         if n and (codes.min() < 0 or codes.max() >= len(tps)):
             raise ValueError("type code out of range")
-        arr = np.asarray([[int(a), int(b)] for a, b in pairs], dtype=np.int32)
-        arr = arr.reshape(-1, 2)
+        arr = np.asarray(
+            pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64
+        )
+        if arr.ndim == 1 and arr.size == 0:
+            arr = arr.reshape(0, 2)
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise ValueError("incidences must be pairs of element ids")
         if arr.shape[0]:
             if arr.min() < 0 or arr.max() >= n:
                 raise ValueError("incidence references unknown element id")
-            if (arr[:, 0] == arr[:, 1]).any():
+            lo = np.minimum(arr[:, 0], arr[:, 1])
+            hi = np.maximum(arr[:, 0], arr[:, 1])
+            if (lo == hi).any():
                 raise ValueError("self-incidence")
-            arr = np.unique(np.sort(arr, axis=1), axis=0)
+            # one int64 key per unordered pair; sorted keys are sorted pairs
+            keys = np.sort(lo * n + hi)
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+            arr = np.stack(np.divmod(keys, n), axis=1)
+        arr = arr.astype(np.int32)
         codes.flags.writeable = False
         arr.flags.writeable = False
         object.__setattr__(self, "types", tps)
@@ -124,11 +142,12 @@ class IncidenceSystem:
 
     def _adjacency(self) -> list[frozenset[int]]:
         if self._adj is None:
-            sets: list[set[int]] = [set() for _ in range(self.size)]
-            for a, b in self.pairs.tolist():
-                sets[a].add(b)
-                sets[b].add(a)
-            object.__setattr__(self, "_adj", [frozenset(s) for s in sets])
+            ends = np.concatenate([self.pairs, self.pairs[:, ::-1]])
+            ends = ends[np.argsort(ends[:, 0])]
+            bounds = np.searchsorted(ends[:, 0], np.arange(self.size + 1)).tolist()
+            nbrs = ends[:, 1].tolist()
+            adj = [frozenset(nbrs[i:j]) for i, j in zip(bounds, bounds[1:])]
+            object.__setattr__(self, "_adj", adj)
         return self._adj
 
     def neighbors(self, x: int) -> frozenset[int]:
@@ -156,8 +175,14 @@ class IncidenceSystem:
 
     def validate(self) -> ValidationReport:
         """Report same-type incidences and empty type fibers."""
-        labels = [self.types[c] for c in self.type_codes.tolist()]
-        return validate_data(self.types, labels, self.pairs.tolist())
+        # the constructor already rejects unknown types and dangling ids
+        codes, pairs = self.type_codes, self.pairs
+        empty = np.setdiff1d(np.arange(self.rank), codes)
+        same = pairs[codes[pairs[:, 0]] == codes[pairs[:, 1]]]
+        return ValidationReport.from_violations(
+            [("empty type fiber", (t,)) for t in empty.tolist()]
+            + [("same-type incidence", (a, b)) for a, b in same.tolist()]
+        )
 
     # -- flags -------------------------------------------------------------
 
@@ -264,20 +289,7 @@ class IncidenceSystem:
         for x in xs:
             commons &= adj[x]
         keep = [x for x in sorted(commons) if int(codes[x]) not in ftypes]
-        keep_types = [t for t in range(self.rank) if t not in ftypes]
-        tmap = {t: i for i, t in enumerate(keep_types)}
-        emap = {x: i for i, x in enumerate(keep)}
-        new_pairs = [
-            [emap[a], emap[b]]
-            for a, b in self.pairs.tolist()
-            if a in emap and b in emap
-        ]
-        return IncidenceSystem(
-            types=[self.types[t] for t in keep_types],
-            type_codes=[tmap[int(codes[x])] for x in keep],
-            pairs=new_pairs,
-            source_ids=keep,
-        )
+        return self._induced(keep, [t for t in range(self.rank) if t not in ftypes])
 
     def truncation(self, typeset: Iterable[str]) -> "IncidenceSystem":
         """Subsystem of elements whose type lies in typeset; ids re-densified."""
@@ -290,21 +302,26 @@ class IncidenceSystem:
         if not want:
             raise ValueError("truncation typeset is empty")
         keep_types = [t for t in range(self.rank) if self.types[t] in want]
-        tset = set(keep_types)
-        codes = self.type_codes
-        keep = [x for x in range(self.size) if int(codes[x]) in tset]
-        tmap = {t: i for i, t in enumerate(keep_types)}
-        emap = {x: i for i, x in enumerate(keep)}
-        new_pairs = [
-            [emap[a], emap[b]]
-            for a, b in self.pairs.tolist()
-            if a in emap and b in emap
-        ]
+        keep = np.flatnonzero(np.isin(self.type_codes, keep_types))
+        return self._induced(keep, keep_types)
+
+    def _induced(
+        self, keep: Iterable[int], keep_types: list[int]
+    ) -> "IncidenceSystem":
+        """Subsystem on the ascending element ids keep, typed by keep_types."""
+        keep = np.asarray(keep, dtype=np.int64)
+        emap = np.full(self.size, -1, dtype=np.int64)
+        emap[keep] = np.arange(keep.shape[0])
+        tmap = np.full(self.rank, -1, dtype=np.int32)
+        tmap[keep_types] = np.arange(len(keep_types))
+        # emap is increasing on keep, so the kept pairs stay sorted
+        a, b = emap[self.pairs[:, 0]], emap[self.pairs[:, 1]]
+        inside = (a >= 0) & (b >= 0)
         return IncidenceSystem(
             types=[self.types[t] for t in keep_types],
-            type_codes=[tmap[int(codes[x])] for x in keep],
-            pairs=new_pairs,
-            source_ids=keep,
+            type_codes=tmap[self.type_codes[keep]],
+            pairs=np.stack([a[inside], b[inside]], axis=1),
+            source_ids=keep.tolist(),
         )
 
     def _connected(self, nodes: list[int]) -> bool:
@@ -339,23 +356,27 @@ class IncidenceSystem:
 
     def incidence_graph(self) -> nx.Graph:
         """Multipartite graph: one node per element, one edge per incidence."""
+        import networkx as nx
+
         g = nx.Graph()
         for i, c in enumerate(self.type_codes.tolist()):
             g.add_node(i, type=self.types[c])
-        g.add_edges_from((int(a), int(b)) for a, b in self.pairs)
+        g.add_edges_from(self.pairs.tolist())
         return g
 
     # -- interchange -------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
+    def _json_head(self) -> dict:
         return {
             "types": list(self.types),
             "elements": [
                 {"id": i, "type": self.types[c]}
                 for i, c in enumerate(self.type_codes.tolist())
             ],
-            "incidences": self.pairs.tolist(),
         }
+
+    def to_json_dict(self) -> dict:
+        return {**self._json_head(), "incidences": self.pairs.tolist()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "IncidenceSystem":
@@ -374,7 +395,22 @@ class IncidenceSystem:
         return cls(types=types, type_codes=codes, pairs=data["incidences"])
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        """The text of json.dumps(self.to_json_dict(), indent=2) plus a newline."""
+        head = json.dumps(self._json_head(), indent=2)[: -len("\n}")]
+        if not self.pairs.shape[0]:
+            return head + ',\n  "incidences": []\n}\n'
+        # json.dumps formats each pair as a nested list on four lines; format
+        # the pairs in blocks, without one Python list per incidence
+        pieces = [head, ',\n  "incidences": [\n']
+        for start in range(0, self.pairs.shape[0], _JSON_BLOCK):
+            block = self.pairs[start : start + _JSON_BLOCK]
+            if start:
+                pieces.append(",\n")
+            pieces.append(
+                ",\n".join([_JSON_PAIR] * block.shape[0]) % tuple(block.ravel().tolist())
+            )
+        pieces.append("\n  ]\n}\n")
+        return "".join(pieces)
 
     @classmethod
     def from_json(cls, text: str) -> "IncidenceSystem":
@@ -384,7 +420,10 @@ class IncidenceSystem:
         lines = ["graph incidence {"]
         for i, c in enumerate(self.type_codes.tolist()):
             lines.append(f'  {i} [label="{i}:{self.types[c]}"];')
-        for a, b in self.pairs.tolist():
-            lines.append(f"  {a} -- {b};")
+        if self.pairs.shape[0]:
+            edge = "  %d -- %d;"
+            lines.append(
+                "\n".join([edge] * self.pairs.shape[0]) % tuple(self.pairs.ravel().tolist())
+            )
         lines.append("}")
         return "\n".join(lines) + "\n"

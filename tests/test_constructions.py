@@ -1,5 +1,6 @@
 """Builders: polygon, graph, quadrangle, polytope, cross-ratio, and coset systems."""
 
+import hashlib
 import itertools
 import math
 
@@ -261,6 +262,13 @@ class TestCrossRatioGeometry:
         assert pgl34.lambda_codes == (2, 3)
         assert pgl34.quad_offset == 42
         assert len(pgl34.quads) == 2520
+
+    def test_gf4_serialization_digest(self, pgl34):
+        # the bytes of `geomrep build pgl --q 4`
+        text = pgl34.system.to_json()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "f783797be76d5c11beea8043d5ace2a041c675c1e0b0c5264fdab6ada1023260"
+        )
 
     def test_gf4_quads_live_on_their_lines(self, pgl34):
         space = pgl34.space

@@ -25,7 +25,7 @@ from geomrep import (
     subgroup_action,
     word_inverse,
 )
-from geomrep.freegroup import _product_words_bulk, all_reduced_words
+from geomrep.freegroup import _product_words_bulk, _trimmed, all_reduced_words
 
 letters = st.integers(-2, 2).filter(bool)
 raw_words = st.lists(letters, max_size=12)
@@ -170,6 +170,42 @@ class TestIntersections:
         for w in all_reduced_words(2, 5):
             expected = membership(w, graphs[0]) and membership(w, graphs[1])
             assert membership(w, both) == expected
+
+
+    @pytest.mark.parametrize("pair", [(0, 10), (2, 6), (4, 8), (5, 9)])
+    def test_rank_three_parabolic_pairs(self, pair):
+        # these pairs once hung or lost common generators in the trim step
+        gens, parabolics = rose_cover_generators(3)
+        h, k = (stallings_graph(parabolics[i], 3) for i in pair)
+        common = [w for i, w in enumerate(gens) if i not in pair]
+        assert intersection(h, k) == stallings_graph(common, 3)
+
+
+arcs = st.sets(
+    st.tuples(st.integers(0, 7), st.integers(1, 9), st.integers(0, 7)), max_size=14
+)
+
+
+class TestTrim:
+    @given(arcs, st.sets(st.integers(0, 7), max_size=2))
+    @settings(max_examples=200, deadline=None)
+    def test_trim_keeps_exactly_the_core(self, arcs, protected):
+        kept = _trimmed(set(protected), set(arcs))
+        assert kept <= arcs
+        degree: dict[int, int] = {}
+        for u, _, v in kept:
+            degree[u] = degree.get(u, 0) + 1
+            degree[v] = degree.get(v, 0) + 1
+        # every unprotected vertex left has degree >= 2 ...
+        assert all(d >= 2 for x, d in degree.items() if x not in protected)
+        # ... and no arc between two such vertices (or protected ones) is dropped
+        for u, _, v in arcs - kept:
+            assert u not in degree or v not in degree
+
+    def test_letter_equal_to_a_leaf_id(self):
+        # a cycle 0-1-2-0 plus a leaf 3 hanging off 0, on letters 1..3
+        arcs = {(0, 3, 1), (1, 1, 2), (2, 2, 0), (0, 1, 3)}
+        assert _trimmed({0}, arcs) == {(0, 3, 1), (1, 1, 2), (2, 2, 0)}
 
 
 class TestProductMembership:

@@ -1,15 +1,20 @@
 """Flag, residue, truncation, and serialization behavior of incidence systems."""
 
 import itertools
+import json
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomrep import (
     IncidenceSystem,
+    Permutation,
+    brute_force_automorphisms,
     complete_graph_geometry,
+    correlation_type_action,
     dihedral_geometry,
     gq22,
     validate_data,
@@ -376,3 +381,157 @@ class TestInterchange:
         assert g.number_of_nodes() == sys.size
         assert g.number_of_edges() == sys.pairs.shape[0]
         assert g.nodes[0]["type"] == sys.types[0]
+
+
+@st.composite
+def raw_data(draw):
+    """Types, codes and incidences as a caller may pass them: any orientation,
+    repeats, same-type pairs and empty type fibers allowed."""
+    rank = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 7))
+    codes = draw(st.lists(st.integers(0, rank - 1), min_size=n, max_size=n))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1]
+    )
+    pairs = draw(st.lists(pair, max_size=15))
+    return [f"t{i}" for i in range(rank)], codes, pairs
+
+
+def reference_induced(sys, keep, keep_types):
+    """List-based subsystem on the ascending ids keep, typed by keep_types."""
+    tmap = {t: i for i, t in enumerate(keep_types)}
+    emap = {x: i for i, x in enumerate(keep)}
+    pairs = [
+        [emap[a], emap[b]] for a, b in sys.pairs.tolist() if a in emap and b in emap
+    ]
+    codes = [tmap[int(sys.type_codes[x])] for x in keep]
+    return [sys.types[t] for t in keep_types], codes, pairs, list(keep)
+
+
+def assert_same_subsystem(got, want):
+    types, codes, pairs, source_ids = want
+    assert got.types == tuple(types)
+    assert got.type_codes.tolist() == codes
+    assert got.pairs.tolist() == pairs
+    assert list(got.source_ids) == source_ids
+
+
+class TestArrayCore:
+    """The array-based core against list-based references."""
+
+    @given(raw_data())
+    @settings(max_examples=60, deadline=None)
+    def test_constructor_input_forms_agree(self, data):
+        types, codes, pairs = data
+        from_list = IncidenceSystem(types, codes, [list(p) for p in pairs])
+        from_gen = IncidenceSystem(types, codes, (tuple(p) for p in pairs))
+        from_array = IncidenceSystem(
+            types, codes, np.asarray(pairs, dtype=np.int32).reshape(-1, 2)
+        )
+        want = sorted({(min(p), max(p)) for p in pairs})
+        for sys in (from_list, from_gen, from_array):
+            assert [tuple(p) for p in sys.pairs.tolist()] == want
+            assert sys.pairs.dtype == np.int32
+            assert sys.pairs.shape == (len(want), 2)
+            assert not sys.pairs.flags.writeable
+
+    def test_caller_array_is_not_frozen(self):
+        pairs = np.array([[1, 0]], dtype=np.int32)
+        IncidenceSystem(["a", "b"], [0, 1], pairs)
+        assert pairs.flags.writeable
+        assert pairs.tolist() == [[1, 0]]
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    @pytest.mark.parametrize(
+        "types,codes,pairs,message",
+        [
+            (["a", "a"], [0, 1], [], "duplicate type label"),
+            (["a"], [0, 1], [], "type code out of range"),
+            (["a", "b"], [0, 1], [[0, 2]], "incidence references unknown element id"),
+            (["a", "b"], [0, 1], [[-1, 0]], "incidence references unknown element id"),
+            (["a", "b"], [0, 1], [[1, 1]], "self-incidence"),
+        ],
+    )
+    def test_constructor_error_messages(self, types, codes, pairs, message, as_array):
+        if as_array:
+            pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        with pytest.raises(ValueError) as err:
+            IncidenceSystem(types, codes, pairs)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("pairs", [[[0, 1, 2]], [[], []], [0, 1]])
+    def test_rejects_rows_that_are_not_pairs(self, pairs):
+        with pytest.raises(ValueError, match="pairs of element ids"):
+            IncidenceSystem(["a", "b"], [0, 1, 0], pairs)
+
+    @given(small_systems(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_truncation_matches_reference(self, sys, data):
+        labels = data.draw(st.sets(st.sampled_from(sys.types), min_size=1))
+        keep_types = [t for t in range(sys.rank) if sys.types[t] in labels]
+        keep = [x for x in range(sys.size) if int(sys.type_codes[x]) in keep_types]
+        assert_same_subsystem(
+            sys.truncation(labels), reference_induced(sys, keep, keep_types)
+        )
+
+    @given(small_systems())
+    @settings(max_examples=40, deadline=None)
+    def test_residue_matches_reference(self, sys):
+        for flag in brute_flags(sys):
+            ftypes = {int(sys.type_codes[x]) for x in flag}
+            keep = [
+                x
+                for x in range(sys.size)
+                if int(sys.type_codes[x]) not in ftypes
+                and all(x in sys.neighbors(y) for y in flag)
+            ]
+            keep_types = [t for t in range(sys.rank) if t not in ftypes]
+            assert_same_subsystem(
+                sys.residue(flag), reference_induced(sys, keep, keep_types)
+            )
+
+    @given(raw_data())
+    @settings(max_examples=60, deadline=None)
+    def test_validate_matches_validate_data(self, data):
+        types, codes, pairs = data
+        sys = IncidenceSystem(types, codes, pairs)
+        labels = [types[c] for c in codes]
+        assert sys.validate() == validate_data(types, labels, sys.pairs.tolist())
+
+    @given(raw_data())
+    @settings(max_examples=60, deadline=None)
+    def test_to_json_matches_json_dumps(self, data):
+        sys = IncidenceSystem(*data)
+        assert sys.to_json() == json.dumps(sys.to_json_dict(), indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "sys",
+        [
+            IncidenceSystem([], [], []),
+            IncidenceSystem(["a", "b"], [0, 1, 1], []),
+            # more pairs than one formatting block of to_json
+            IncidenceSystem(
+                ["a", "b"],
+                [0] * 300 + [1] * 300,
+                [[a, b] for a in range(300) for b in range(300, 600)],
+            ),
+        ],
+        ids=["empty", "no-incidence", "two-blocks"],
+    )
+    def test_to_json_matches_json_dumps_edge_cases(self, sys):
+        assert sys.to_json() == json.dumps(sys.to_json_dict(), indent=2) + "\n"
+
+    @given(small_systems())
+    @settings(max_examples=25, deadline=None)
+    def test_correlation_type_action_matches_brute_force(self, sys):
+        if sys.size > 6:
+            sys = sys.truncation(sys.types[:1])
+        correlations = {
+            tuple(g.to_list()) for g in brute_force_automorphisms(sys)
+        }
+        codes = sys.type_codes.tolist()
+        for images in itertools.permutations(range(sys.size)):
+            tmap = correlation_type_action(sys, Permutation(images))
+            assert (tmap is not None) == (images in correlations)
+            if tmap is not None:
+                assert all(tmap[codes[x]] == codes[y] for x, y in enumerate(images))
