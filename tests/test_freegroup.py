@@ -181,13 +181,13 @@ class TestIntersections:
         assert intersection(h, k) == stallings_graph(common, 3)
 
 
-arcs = st.sets(
+arc_sets = st.sets(
     st.tuples(st.integers(0, 7), st.integers(1, 9), st.integers(0, 7)), max_size=14
 )
 
 
 class TestTrim:
-    @given(arcs, st.sets(st.integers(0, 7), max_size=2))
+    @given(arc_sets, st.sets(st.integers(0, 7), max_size=2))
     @settings(max_examples=200, deadline=None)
     def test_trim_keeps_exactly_the_core(self, arcs, protected):
         kept = _trimmed(set(protected), set(arcs))
