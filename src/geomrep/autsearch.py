@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
-from typing import Iterable
 
 import numpy as np
 
@@ -16,133 +15,252 @@ from .perms import GroupFingerprint, PermGroup, Permutation
 _SEARCH_WARN = 600
 
 Cells = list[list[int]]
+# One refinement event: (splitter start, touched cell start, the cell's
+# (neighbour count, vertices with that count) pairs in ascending count)
+Event = tuple[int, int, tuple[tuple[int, int], ...]]
 
 
-def _refine(adj: list[frozenset[int]], cells: Cells) -> Cells:
-    """Equitable refinement of an ordered partition; split order is canonical."""
-    cells = [sorted(c) for c in cells if c]
-    changed = True
-    while changed:
-        changed = False
-        idx: dict[int, int] = {}
-        for ci, cell in enumerate(cells):
-            for v in cell:
-                idx[v] = ci
-        new_cells: Cells = []
+class _Partition:
+    """Ordered partition of 0..N-1: the vertex list ``lab`` cut into cells.
+
+    A cell is named by its start, the position of its first vertex in ``lab``;
+    ``size[start]`` is its length and ``cellof[v]`` the start of v's cell.
+    Refinement only splits cells, so a start names the same cell for good.
+    """
+
+    __slots__ = ("lab", "cellof", "size")
+
+    def __init__(self, lab: list[int], cellof: list[int], size: list[int]):
+        self.lab = lab
+        self.cellof = cellof
+        self.size = size
+
+    def individualized(self, t: int, v: int) -> "_Partition":
+        """Copy with v split off as a singleton at the front of cell t."""
+        lab, cellof, size = self.lab[:], self.cellof[:], self.size[:]
+        k = size[t]
+        i = lab.index(v, t, t + k)
+        lab[t], lab[i] = v, lab[t]
+        size[t], size[t + 1] = 1, k - 1
+        for u in lab[t + 1 : t + k]:
+            cellof[u] = t + 1
+        return _Partition(lab, cellof, size)
+
+    def target(self) -> int | None:
+        """Start of the first largest non-singleton cell, or None if discrete."""
+        best, best_size = None, 1
+        i, n = 0, len(self.lab)
+        while i < n:
+            k = self.size[i]
+            if k > best_size:
+                best, best_size = i, k
+            i += k
+        return best
+
+
+class _Engine:
+    """Individualization-refinement search on one vertex-colored graph.
+
+    The first path (individualize the first vertex of the first largest cell
+    until the partition is discrete) is the reference.  Every other node is
+    refined against the trace of the first-path node at its level and dropped
+    at the first event that differs.  A leaf whose trace equals the first
+    leaf's gives a candidate map, which is checked against the adjacency.
+    """
+
+    def __init__(self, adj: list[list[int]], cells: Cells):
+        self.adj = adj
+        self.nbrs = [frozenset(a) for a in adj]
+        self.nodes = 0  # refinements done: a deterministic measure of the search
+        self._count = [0] * len(adj)
+        lab: list[int] = []
+        cellof = [0] * len(adj)
+        size = [0] * len(adj)
+        starts = []
         for cell in cells:
-            if len(cell) == 1:
-                new_cells.append(cell)
+            if not cell:
                 continue
-            sig: dict[tuple[int, ...], list[int]] = {}
+            start = len(lab)
+            starts.append(start)
+            size[start] = len(cell)
             for v in cell:
-                counts = [0] * len(cells)
-                for u in adj[v]:
-                    counts[idx[u]] += 1
-                sig.setdefault(tuple(counts), []).append(v)
-            if len(sig) == 1:
-                new_cells.append(cell)
-            else:
-                changed = True
-                for key in sorted(sig):
-                    new_cells.append(sorted(sig[key]))
-        cells = new_cells
-    return cells
+                cellof[v] = start
+            lab.extend(cell)
+        self.root = _Partition(lab, cellof, size)
+        self.root_trace = self._refine(self.root, starts)
+        # the first path: (node, target start, trace of its first child) per level
+        self.path: list[tuple[_Partition, int, list[Event]]] = []
+        node, t = self.root, self.root.target()
+        while t is not None:
+            child = node.individualized(t, node.lab[t])
+            self.path.append((node, t, self._refine(child, [t])))
+            node, t = child, child.target()
+        self.leaf = node
 
+    def _refine(
+        self, p: _Partition, queue: list[int], ref: list[Event] | None = None
+    ) -> list[Event] | None:
+        """Refine p to equitable in place; the trace, or None on leaving ref."""
+        self.nodes += 1
+        adj, count = self.adj, self._count
+        lab, cellof, size = p.lab, p.cellof, p.size
+        queued = set(queue)
+        trace: list[Event] = []
+        while queued:
+            s = min(queued)
+            queued.remove(s)
+            touched = []
+            for w in lab[s : s + size[s]]:
+                for u in adj[w]:
+                    if not count[u]:
+                        touched.append(u)
+                    count[u] += 1
+            by_cell: dict[int, list[int]] = {}
+            for u in touched:
+                c = cellof[u]
+                if c in by_cell:
+                    by_cell[c].append(u)
+                else:
+                    by_cell[c] = [u]
+            for c in sorted(by_cell):
+                k = size[c]
+                groups: dict[int, list[int]] = {}
+                for u in by_cell[c]:
+                    n = count[u]
+                    if n in groups:
+                        groups[n].append(u)
+                    else:
+                        groups[n] = [u]
+                if len(by_cell[c]) < k:
+                    groups[0] = [x for x in lab[c : c + k] if not count[x]]
+                keys = sorted(groups)
+                event = (s, c, tuple((n, len(groups[n])) for n in keys))
+                if ref is not None and (
+                    len(trace) == len(ref) or ref[len(trace)] != event
+                ):
+                    for u in touched:
+                        count[u] = 0
+                    return None
+                trace.append(event)
+                if len(keys) == 1:
+                    continue
+                # fragments in ascending count order; all are queued, except
+                # the first largest when the cell was not queued already
+                pos = c
+                frags = []
+                for n in keys:
+                    part = groups[n]
+                    lab[pos : pos + len(part)] = part
+                    size[pos] = len(part)
+                    if pos != c:
+                        for u in part:
+                            cellof[u] = pos
+                    frags.append(pos)
+                    pos += len(part)
+                if c not in queued:
+                    frags.remove(max(frags, key=lambda f: (size[f], -f)))
+                queued.update(frags)
+            for u in touched:
+                count[u] = 0
+        if ref is not None and len(trace) != len(ref):
+            return None
+        return trace
 
-def _target_cell(cells: Cells) -> int | None:
-    """Index of the smallest non-singleton cell (first on ties), or None."""
-    best = None
-    for i, cell in enumerate(cells):
-        if len(cell) > 1 and (best is None or len(cell) < len(cells[best])):
-            best = i
-    return best
+    def match(self, ref: "_Engine") -> list[int] | None:
+        """A map from ref's vertices to ours with the trace of ref's first leaf.
 
+        None if there is none; the root traces must already agree.
+        """
+        return self._search(self.root, 0, ref)
 
-def _individualize(cells: Cells, target: int, v: int) -> Cells:
-    rest = [u for u in cells[target] if u != v]
-    return cells[:target] + [[v], rest] + cells[target + 1 :]
-
-
-def _find_iso(
-    adj_a: list[frozenset[int]],
-    cells_a: Cells,
-    adj_b: list[frozenset[int]],
-    cells_b: Cells,
-) -> dict[int, int] | None:
-    """One cell-order-respecting isomorphism between two colored graphs, or None."""
-    cells_a = _refine(adj_a, cells_a)
-    cells_b = _refine(adj_b, cells_b)
-    if [len(c) for c in cells_a] != [len(c) for c in cells_b]:
+    def _search(self, node: _Partition, level: int, ref: "_Engine") -> list[int] | None:
+        if level == len(ref.path):
+            return ref._leaf_map(ref.leaf.lab, node.lab, self)
+        t = ref.path[level][1]
+        for v in node.lab[t : t + node.size[t]]:
+            found = self._try(node, t, v, level, ref)
+            if found is not None:
+                return found
         return None
-    target = _target_cell(cells_a)
-    if target is None:
-        mapping = {ca[0]: cb[0] for ca, cb in zip(cells_a, cells_b)}
-        for v, image in mapping.items():
-            if {mapping[u] for u in adj_a[v]} != adj_b[image]:
+
+    def _try(
+        self, node: _Partition, t: int, v: int, level: int, ref: "_Engine"
+    ) -> list[int] | None:
+        """_search below the child of node that individualizes v in cell t."""
+        child = node.individualized(t, v)
+        if self._refine(child, [t], ref.path[level][2]) is None:
+            return None
+        return self._search(child, level + 1, ref)
+
+    def _leaf_map(
+        self, lab: list[int], other_lab: list[int], other: "_Engine"
+    ) -> list[int] | None:
+        """lab[i] -> other_lab[i] if that maps our adjacency onto other's, else None."""
+        image = [0] * len(lab)
+        for v, w in zip(lab, other_lab):
+            image[v] = w
+        nbrs = other.nbrs
+        for v, around in enumerate(self.adj):
+            if nbrs[image[v]] != {image[u] for u in around}:
                 return None
-        return mapping
-    v = cells_a[target][0]
-    for u in cells_b[target]:
-        found = _find_iso(
-            adj_a,
-            _individualize(cells_a, target, v),
-            adj_b,
-            _individualize(cells_b, target, u),
-        )
-        if found is not None:
-            return found
-    return None
+        return image
+
+    def automorphisms(self) -> list[list[int]]:
+        """Generators of the color-preserving automorphism group, as image lists.
+
+        Bottom-up over the first path: at each level, every vertex of the
+        target cell outside the orbit of the first-path choice under the
+        generators found so far (all of which fix the path above) is tried.
+        """
+        gens: list[list[int]] = []
+        for level in reversed(range(len(self.path))):
+            node, t, _ = self.path[level]
+            v0 = node.lab[t]
+            orbit = _closure(v0, gens)
+            for u in node.lab[t + 1 : t + node.size[t]]:
+                if u in orbit:
+                    continue
+                found = self._try(node, t, u, level, self)
+                if found is not None:
+                    gens.append(found)
+                    orbit = _closure(v0, gens)
+        return gens
 
 
-def _closure(seed: int, gens: list[Permutation]) -> set[int]:
+def _closure(seed: int, gens: list[list[int]]) -> set[int]:
     orbit = {seed}
     frontier = [seed]
     while frontier:
         x = frontier.pop()
         for g in gens:
-            y = g(x)
+            y = g[x]
             if y not in orbit:
                 orbit.add(y)
                 frontier.append(y)
     return orbit
 
 
-def _aut_gens(adj: list[frozenset[int]], cells: Cells, degree: int) -> list[Permutation]:
-    """Generators of the colored-graph automorphism group fixing each cell setwise."""
-    cells = _refine(adj, cells)
-    target = _target_cell(cells)
-    if target is None:
-        return []
-    v0 = cells[target][0]
-    gens = _aut_gens(adj, _individualize(cells, target, v0), degree)
-    orbit = _closure(v0, gens)
-    for u in cells[target][1:]:
-        if u in orbit:
-            continue
-        mapping = _find_iso(
-            adj,
-            _individualize(cells, target, v0),
-            adj,
-            _individualize(cells, target, u),
-        )
-        if mapping is not None:
-            gens.append(Permutation([mapping[i] for i in range(degree)]))
-            orbit = _closure(v0, gens)
-    return gens
+def _element_adjacency(sys: IncidenceSystem) -> list[list[int]]:
+    return [sorted(sys.neighbors(x)) for x in range(sys.size)]
 
 
-def _element_adjacency(sys: IncidenceSystem) -> list[frozenset[int]]:
-    return [sys.neighbors(x) for x in range(sys.size)]
-
-
-def _augmented_adjacency(sys: IncidenceSystem) -> list[frozenset[int]]:
+def _augmented_adjacency(sys: IncidenceSystem) -> list[list[int]]:
     """Element nodes + one node per type + apex; ties each element to its type."""
     n, r = sys.size, sys.rank
     apex = n + r
-    adj = [sys.neighbors(i) | {n + c} for i, c in enumerate(sys.type_codes.tolist())]
-    adj += [frozenset(fiber) | {apex} for fiber in sys.fibers()]
-    adj.append(frozenset(range(n, apex)))
+    codes = sys.type_codes.tolist()
+    adj = [nbrs + [n + c] for nbrs, c in zip(_element_adjacency(sys), codes)]
+    adj += [fiber + [apex] for fiber in sys.fibers()]
+    adj.append(list(range(n, apex)))
     return adj
+
+
+def _augmented_engine(sys: IncidenceSystem) -> _Engine:
+    """Engine on the augmented graph: elements, type nodes and apex colored apart."""
+    n, r = sys.size, sys.rank
+    return _Engine(
+        _augmented_adjacency(sys), [list(range(n)), list(range(n, n + r)), [n + r]]
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -156,6 +274,9 @@ class AutResult:
     type_action: PermGroup
     out_order: int
     types: tuple[str, ...]
+    # refinements the search made; 0 when no search produced the result.
+    # Not part of the result's value: kept out of comparisons and reports.
+    search_nodes: int = dataclasses.field(default=0, compare=False)
 
     def __post_init__(self) -> None:
         if self.aut_order != self.aut_i_order * self.out_order:
@@ -177,17 +298,15 @@ class AutResult:
 
 def correlation_group(sys: IncidenceSystem) -> AutResult:
     """Full correlation group Aut via augmented-graph search; kernel is Aut_I."""
-    n, r = sys.size, sys.rank
+    n = sys.size
     if n > _SEARCH_WARN:
         warnings.warn(
             f"raw correlation search on {n} elements may be slow; "
             "consider a restriction-extension pipeline",
             stacklevel=2,
         )
-    adj = _augmented_adjacency(sys)
-    cells = [list(range(n)), list(range(n, n + r)), [n + r]]
-    gens = _aut_gens(adj, cells, n + r + 1)
-    elem_gens = [g.restricted(range(n)) for g in gens]
+    engine = _augmented_engine(sys)
+    elem_gens = [Permutation(g[:n]) for g in engine.automorphisms()]
     group = PermGroup(n, elem_gens)
     action = group.induced_action(sys.fibers())
     return AutResult(
@@ -198,13 +317,14 @@ def correlation_group(sys: IncidenceSystem) -> AutResult:
         type_action=action.image,
         out_order=action.image.order(),
         types=sys.types,
+        search_nodes=engine.nodes,
     )
 
 
 def type_preserving_group(sys: IncidenceSystem) -> PermGroup:
     """Aut_I directly: search with each type fiber its own fixed color."""
-    gens = _aut_gens(_element_adjacency(sys), sys.fibers(), sys.size)
-    return PermGroup(sys.size, gens)
+    engine = _Engine(_element_adjacency(sys), sys.fibers())
+    return PermGroup(sys.size, [Permutation(g) for g in engine.automorphisms()])
 
 
 def brute_force_automorphisms(
@@ -302,14 +422,11 @@ def find_isomorphism(
         return None
     if sys_a.pairs.shape[0] != sys_b.pairs.shape[0]:
         return None
-    cells_a = [list(range(na)), list(range(na, na + ra)), [na + ra]]
-    cells_b = [list(range(na)), list(range(na, na + ra)), [na + ra]]
-    mapping = _find_iso(
-        _augmented_adjacency(sys_a), cells_a, _augmented_adjacency(sys_b), cells_b
-    )
-    if mapping is None:
+    engine_a, engine_b = _augmented_engine(sys_a), _augmented_engine(sys_b)
+    if engine_a.root_trace != engine_b.root_trace:
         return None
-    return [mapping[i] for i in range(na)]
+    mapping = engine_b.match(engine_a)
+    return None if mapping is None else mapping[:na]
 
 
 @dataclasses.dataclass(frozen=True)

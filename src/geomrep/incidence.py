@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import gc
 import json
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -414,7 +415,16 @@ class IncidenceSystem:
 
     @classmethod
     def from_json(cls, text: str) -> "IncidenceSystem":
-        return cls.from_json_dict(json.loads(text))
+        # json.loads makes one small list per incidence; none can be part of a
+        # cycle, so the cyclic collector's passes over them are wasted work
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            data = json.loads(text)
+        finally:
+            if enabled:
+                gc.enable()
+        return cls.from_json_dict(data)
 
     def to_dot(self) -> str:
         lines = ["graph incidence {"]

@@ -10,6 +10,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+# image bytes of the identity, per degree
+_IDENTITY_KEYS: dict[int, bytes] = {}
+
 
 class Permutation:
     """A bijection of {0..degree-1}; (a * b) applies a first, then b."""
@@ -32,6 +35,15 @@ class Permutation:
         self._key = arr.tobytes()
 
     @classmethod
+    def _from_bijection(cls, arr: np.ndarray) -> "Permutation":
+        """Wrap a fresh int64 image array already known to be a bijection."""
+        perm = cls.__new__(cls)
+        arr.setflags(write=False)
+        perm.images = arr
+        perm._key = arr.tobytes()
+        return perm
+
+    @classmethod
     def identity(cls, degree: int) -> "Permutation":
         return cls(np.arange(degree, dtype=np.int64))
 
@@ -50,7 +62,10 @@ class Permutation:
 
     @property
     def is_identity(self) -> bool:
-        return bool((self.images == np.arange(self.degree)).all())
+        n = len(self.images)
+        if n not in _IDENTITY_KEYS:
+            _IDENTITY_KEYS[n] = np.arange(n, dtype=np.int64).tobytes()
+        return self._key == _IDENTITY_KEYS[n]
 
     def __call__(self, point: int) -> int:
         return int(self.images[point])
@@ -58,12 +73,13 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        return Permutation(other.images[self.images])
+        # a composition of bijections is one: no re-validation
+        return Permutation._from_bijection(other.images[self.images])
 
     def inverse(self) -> "Permutation":
         inv = np.empty(self.degree, dtype=np.int64)
         inv[self.images] = np.arange(self.degree)
-        return Permutation(inv)
+        return Permutation._from_bijection(inv)
 
     def order(self) -> int:
         return math.lcm(*[len(c) for c in self.cycles()])

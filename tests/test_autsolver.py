@@ -1,9 +1,16 @@
 """Correlation-group search, brute-force agreement, and verdict reporting."""
 
+import itertools
+import random
+
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomrep import (
     IncidenceSystem,
+    autsearch,
     PermGroup,
     Permutation,
     brute_force_automorphisms,
@@ -14,6 +21,9 @@ from geomrep import (
     dihedral_geometry,
     find_isomorphism,
     gq22,
+    make_field,
+    pgl_cross_ratio_geometry,
+    projective_space,
     type_preserving_group,
     verify_representation,
 )
@@ -29,6 +39,88 @@ def relabel(sys: IncidenceSystem, perm: list[int]) -> IncidenceSystem:
         type_codes=[int(sys.type_codes[inverse[y]]) for y in range(sys.size)],
         pairs=[[perm[a], perm[b]] for a, b in sys.pairs.tolist()],
     )
+
+
+@st.composite
+def random_systems(draw, max_size=8):
+    """Systems of up to max_size elements, with no empty type fiber."""
+    rank = draw(st.integers(1, 3))
+    n = draw(st.integers(rank, max_size))
+    codes = list(range(rank)) + draw(
+        st.lists(st.integers(0, rank - 1), min_size=n - rank, max_size=n - rank)
+    )
+    cross = [
+        (a, b) for a in range(n) for b in range(a + 1, n) if codes[a] != codes[b]
+    ]
+    pairs = draw(st.lists(st.sampled_from(cross), max_size=16)) if cross else []
+    return IncidenceSystem([f"t{i}" for i in range(rank)], codes, pairs)
+
+
+def switched(sys: IncidenceSystem, rng: random.Random, rounds: int) -> IncidenceSystem:
+    """Copy with pairs (a, b), (c, d) of matching types rewired to (a, d), (c, b).
+
+    Keeps every element's type and degree, so the copy has the same profile
+    and may or may not be isomorphic to sys.
+    """
+    codes = sys.type_codes.tolist()
+    pairs = {tuple(p) for p in sys.pairs.tolist()}
+    for _ in range(rounds):
+        if len(pairs) < 2:
+            break
+        (a, b), (c, d) = rng.sample(sorted(pairs), 2)
+        if rng.random() < 0.5:
+            c, d = d, c
+        new = {(min(a, d), max(a, d)), (min(c, b), max(c, b))}
+        if (
+            codes[a] == codes[c]
+            and codes[b] == codes[d]
+            and len(new) == 2
+            and not new & pairs
+            and all(x != y for x, y in new)
+        ):
+            pairs -= {(min(a, b), max(a, b)), (min(c, d), max(c, d))}
+            pairs |= new
+    return IncidenceSystem(sys.types, codes, sorted(pairs))
+
+
+def typed_graph(sys: IncidenceSystem) -> nx.Graph:
+    """Incidence graph plus one node per type joined to its fiber."""
+    g = nx.Graph()
+    g.add_nodes_from(range(sys.size), kind="element")
+    g.add_nodes_from((("type", t) for t in range(sys.rank)), kind="type")
+    g.add_edges_from(map(tuple, sys.pairs.tolist()))
+    g.add_edges_from((x, ("type", c)) for x, c in enumerate(sys.type_codes.tolist()))
+    return g
+
+
+def is_isomorphism(a: IncidenceSystem, b: IncidenceSystem, mapping: list[int]) -> bool:
+    if sorted(mapping) != list(range(b.size)):
+        return False
+    image_pairs = {
+        (min(mapping[x], mapping[y]), max(mapping[x], mapping[y]))
+        for x, y in a.pairs.tolist()
+    }
+    type_map = {(int(a.type_codes[x]), int(b.type_codes[mapping[x]])) for x in range(a.size)}
+    return (
+        image_pairs == {tuple(p) for p in b.pairs.tolist()}
+        and len(type_map) == len({s for s, _ in type_map}) == len({t for _, t in type_map})
+    )
+
+
+def subspace_system(d: int, p: int, k: int) -> IncidenceSystem:
+    """All proper subspaces of PG(d, p^k), typed by dimension, incident by containment."""
+    space = projective_space(make_field(p, k), d)
+    point_sets = [[frozenset(space.points_in(s)) for s in layer] for layer in space.layers]
+    offsets = list(itertools.accumulate([0] + [len(layer) for layer in point_sets]))
+    codes = [m for m, layer in enumerate(point_sets) for _ in layer]
+    pairs = [
+        (offsets[i] + x, offsets[j] + y)
+        for i, j in itertools.combinations(range(d), 2)
+        for x, small in enumerate(point_sets[i])
+        for y, big in enumerate(point_sets[j])
+        if small <= big
+    ]
+    return IncidenceSystem([str(m) for m in range(d)], codes, pairs)
 
 
 class TestSearchAgainstBruteForce:
@@ -58,6 +150,19 @@ class TestSearchAgainstBruteForce:
             if correlation_type_action(sys, g) == list(range(sys.rank))
         )
         assert res.aut_i_order == type_preserving
+
+    @given(random_systems())
+    @settings(max_examples=60, deadline=None)
+    def test_random_systems(self, sys):
+        res = correlation_group(sys)
+        brute = brute_force_automorphisms(sys)
+        # the generators lie in the group of all correlations, and the group
+        # they generate has its order: so the two element sets are equal
+        assert set(res.correlation_gens) <= set(brute)
+        assert res.aut_order == len(brute)
+        codes = sys.type_codes.tolist()
+        kernel = [g for g in brute if all(codes[g(x)] == c for x, c in enumerate(codes))]
+        assert res.aut_i_order == len(kernel) == type_preserving_group(sys).order()
 
     def test_direct_kernel_search_agrees(self):
         for sys in (dihedral_geometry(5), gq22(), complete_graph_geometry(4)):
@@ -190,6 +295,100 @@ class TestIsomorphism:
         )
         assert find_isomorphism(cycle8, two_cycles) is None
         assert find_isomorphism(cycle8, cycle8) is not None
+
+
+class TestIsomorphismAgainstVF2:
+    @given(random_systems(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_relabelled_copy(self, sys, rng):
+        perm = list(range(sys.size))
+        rng.shuffle(perm)
+        other = relabel(sys, perm)
+        mapping = find_isomorphism(sys, other)
+        assert mapping is not None and is_isomorphism(sys, other, mapping)
+
+    @given(random_systems(), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_same_profile_pairs(self, sys, rng):
+        other = switched(sys, rng, rounds=4)
+        expected = nx.is_isomorphic(
+            typed_graph(sys),
+            typed_graph(other),
+            node_match=lambda x, y: x["kind"] == y["kind"],
+        )
+        mapping = find_isomorphism(sys, other)
+        assert (mapping is not None) == expected
+        if mapping is not None:
+            assert is_isomorphism(sys, other, mapping)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_switched_planes(self, seed):
+        rng = random.Random(seed)
+        plane = subspace_system(2, 2, 1)
+        other = switched(plane, rng, rounds=3)
+        perm = list(range(plane.size))
+        rng.shuffle(perm)
+        copy = relabel(plane, perm)
+        assert find_isomorphism(plane, copy) is not None
+        same = nx.is_isomorphic(typed_graph(plane), typed_graph(other))
+        assert (find_isomorphism(plane, other) is not None) == same
+
+
+class TestClosedFormOrders:
+    # |PΓL(d+1, q)| times 2 for the duality
+    @pytest.mark.parametrize(
+        "d,p,k,aut",
+        [(2, 7, 1, 11_261_376), (2, 2, 3, 98_896_896), (3, 3, 1, 24_261_120)],
+    )
+    def test_projective_spaces(self, d, p, k, aut):
+        res = correlation_group(subspace_system(d, p, k))
+        assert (res.aut_order, res.aut_i_order, res.out_order) == (aut, aut // 2, 2)
+
+
+class TestSearchNodes:
+    def test_plane_search_is_small_and_repeatable(self):
+        plane = pgl_cross_ratio_geometry(3, make_field(5, 1)).system
+        for seed in range(3):
+            perm = list(range(plane.size))
+            random.Random(seed).shuffle(perm)
+            copy = relabel(plane, perm)
+            first, second = correlation_group(copy), correlation_group(copy)
+            assert first.aut_order == 744_000
+            assert 0 < first.search_nodes <= 100
+            assert second.search_nodes == first.search_nodes
+            assert second.correlation_gens == first.correlation_gens
+
+    def test_equal_traces_give_correlations(self, monkeypatch):
+        # the adjacency check at a leaf whose trace equals the first leaf's
+        # is a safety net: the full trace should already imply the map works
+        rejected = []
+        leaf_map = autsearch._Engine._leaf_map
+
+        def spy(self, *args):
+            image = leaf_map(self, *args)
+            if image is None:
+                rejected.append(args)
+            return image
+
+        monkeypatch.setattr(autsearch._Engine, "_leaf_map", spy)
+        systems = [subspace_system(2, p, k) for p, k in ((2, 1), (3, 1), (2, 2), (5, 1))]
+        systems += [dihedral_geometry(8), complete_graph_geometry(5), gq22(), cube_geometry()]
+        for seed, sys in enumerate(systems):
+            perm = list(range(sys.size))
+            random.Random(seed).shuffle(perm)
+            copy = relabel(sys, perm)
+            correlation_group(copy)
+            type_preserving_group(copy)
+            assert find_isomorphism(sys, copy) is not None
+        assert rejected == []
+
+    def test_search_nodes_not_reported(self):
+        res = correlation_group(dihedral_geometry(5))
+        assert res.search_nodes > 0
+        assert "search_nodes" not in res.to_json_dict()
+        assert "search_nodes" not in verify_representation(
+            dihedral_geometry(5), 10, 20, result=res
+        ).to_json_dict()
 
 
 class TestVerification:
