@@ -15,8 +15,9 @@ from .perms import GroupFingerprint, PermGroup, Permutation
 _SEARCH_WARN = 600
 
 Cells = list[list[int]]
-# One refinement event: (splitter start, touched cell start, the cell's
-# (neighbour count, vertices with that count) pairs in ascending count)
+# One refinement event: (splitter start, touched cell start, and for each
+# count of neighbours in the splitter, ascending, the number of the cell's
+# vertices with that count)
 Event = tuple[int, int, tuple[tuple[int, int], ...]]
 
 
