@@ -172,26 +172,35 @@ class _Engine:
 
         None if there is none; the root traces must already agree.
         """
-        return self._search(self.root, 0, ref)
+        if not ref.path:
+            return ref._leaf_map(ref.leaf.lab, self.root.lab, self)
+        t = ref.path[0][1]
+        return self._search(self.root, 0, ref, self.root.lab[t : t + self.root.size[t]])
 
-    def _search(self, node: _Partition, level: int, ref: "_Engine") -> list[int] | None:
-        if level == len(ref.path):
-            return ref._leaf_map(ref.leaf.lab, node.lab, self)
-        t = ref.path[level][1]
-        for v in node.lab[t : t + node.size[t]]:
-            found = self._try(node, t, v, level, ref)
-            if found is not None:
-                return found
-        return None
-
-    def _try(
-        self, node: _Partition, t: int, v: int, level: int, ref: "_Engine"
+    def _search(
+        self, node: _Partition, level: int, ref: "_Engine", choices: list[int]
     ) -> list[int] | None:
-        """_search below the child of node that individualizes v in cell t."""
-        child = node.individualized(t, v)
-        if self._refine(child, [t], ref.path[level][2]) is None:
-            return None
-        return self._search(child, level + 1, ref)
+        """Depth-first below the children of node (at ref's level) that
+        individualize one of choices, for a leaf that ref's first leaf maps to."""
+        stack = [(node, level, iter(choices))]
+        while stack:
+            node, level, todo = stack[-1]
+            v = next(todo, None)
+            if v is None:
+                stack.pop()
+                continue
+            t = ref.path[level][1]
+            child = node.individualized(t, v)
+            if self._refine(child, [t], ref.path[level][2]) is None:
+                continue
+            if level + 1 == len(ref.path):
+                found = ref._leaf_map(ref.leaf.lab, child.lab, self)
+                if found is not None:
+                    return found
+                continue
+            t = ref.path[level + 1][1]
+            stack.append((child, level + 1, iter(child.lab[t : t + child.size[t]])))
+        return None
 
     def _leaf_map(
         self, lab: list[int], other_lab: list[int], other: "_Engine"
@@ -221,7 +230,7 @@ class _Engine:
             for u in node.lab[t + 1 : t + node.size[t]]:
                 if u in orbit:
                     continue
-                found = self._try(node, t, u, level, self)
+                found = self._search(node, level, self, [u])
                 if found is not None:
                     gens.append(found)
                     orbit = _closure(v0, gens)

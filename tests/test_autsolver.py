@@ -278,6 +278,13 @@ class TestIsomorphism:
                 max(mapping[a], mapping[b]),
             ) in {tuple(p) for p in other.pairs.tolist()}
 
+    def test_deep_search_tree(self):
+        # 1200 interchangeable elements: the first path is 1200 levels deep
+        sys = IncidenceSystem(["a", "b"], [0] * 1200 + [1], [])
+        other = relabel(sys, list(range(sys.size))[::-1])
+        mapping = find_isomorphism(sys, other)
+        assert mapping is not None and is_isomorphism(sys, other, mapping)
+
     def test_size_mismatch(self):
         assert find_isomorphism(dihedral_geometry(3), dihedral_geometry(4)) is None
 
