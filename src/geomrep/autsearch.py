@@ -308,6 +308,11 @@ class AutResult:
 
 def correlation_group(sys: IncidenceSystem) -> AutResult:
     """Full correlation group Aut via augmented-graph search; kernel is Aut_I."""
+    empty = [repr(sys.types[t]) for t in sys.empty_types()]
+    if empty:
+        raise ValueError(
+            f"empty type fiber: no element has type {', '.join(empty)}"
+        )
     n = sys.size
     if n > _SEARCH_WARN:
         warnings.warn(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import itertools
@@ -74,13 +75,20 @@ class StallingsGraph:
         return len(self.arcs) - self.size + 1
 
 
-@functools.lru_cache(maxsize=None)
-def _transitions(graph: StallingsGraph) -> dict[tuple[int, int], int]:
-    trans: dict[tuple[int, int], int] = {}
-    for u, letter, v in graph.arcs:
-        trans[(u, letter)] = v
-        trans[(v, -letter)] = u
+def _adjacency(
+    arcs: Iterable[tuple[int, int, int]],
+) -> collections.defaultdict[int, dict[int, int]]:
+    """Signed-letter -> target map of every vertex of a folded arc set."""
+    trans: collections.defaultdict[int, dict[int, int]] = collections.defaultdict(dict)
+    for u, letter, v in arcs:
+        trans[u][letter] = v
+        trans[v][-letter] = u
     return trans
+
+
+@functools.lru_cache(maxsize=None)
+def _transitions(graph: StallingsGraph) -> collections.defaultdict[int, dict[int, int]]:
+    return _adjacency(graph.arcs)
 
 
 def _letters(alphabet: int) -> list[int]:
@@ -88,30 +96,42 @@ def _letters(alphabet: int) -> list[int]:
 
 
 def _folded(
-    marks: list[int], arcs: set[tuple[int, int, int]]
-) -> tuple[list[int], set[tuple[int, int, int]]]:
-    """Merge targets of equally labeled arcs until no vertex branches on a letter."""
-    while True:
-        seen: dict[tuple[int, int, int], int] = {}
-        merge = None
-        for (u, letter, v) in arcs:
-            for key, tgt in (((u, letter, 0), v), ((v, letter, 1), u)):
-                if key in seen:
-                    if seen[key] != tgt:
-                        merge = (seen[key], tgt)
-                        break
-                else:
-                    seen[key] = tgt
-            if merge:
+    base: int, arcs: Iterable[tuple[int, int, int]]
+) -> tuple[int, set[tuple[int, int, int]]]:
+    """Union-find fold of signed arcs; returns the basepoint's class and the arcs.
+
+    Each class root keeps one signed-letter -> target map. When a letter
+    already leads elsewhere, the two targets are united and the arcs of the
+    dropped root (the one with fewer arcs) go back on the worklist, so no
+    step rescans the whole arc set.
+    """
+    parent: dict[int, int] = {}
+    out: collections.defaultdict[int, dict[int, int]] = collections.defaultdict(dict)
+    work = list(arcs)
+
+    def find(x: int) -> int:
+        root = x
+        while root in parent:
+            root = parent[root]
+        while x != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    while work:
+        u, letter, v = work.pop()
+        u, v = find(u), find(v)
+        for x, a, y in ((u, letter, v), (v, -letter, u)):
+            z = find(out[x].setdefault(a, y))
+            if z != y:
+                if len(out[z]) < len(out[y]):
+                    z, y = y, z
+                parent[y] = z
+                work.extend((z, b, t) for b, t in out.pop(y).items())
                 break
-        if merge is None:
-            return marks, arcs
-        keep, drop = min(merge), max(merge)
-        marks = [keep if m == drop else m for m in marks]
-        arcs = {
-            (keep if a == drop else a, letter, keep if b == drop else b)
-            for (a, letter, b) in arcs
-        }
+    folded = {
+        (x, a, find(y)) for x, step in out.items() for a, y in step.items() if a > 0
+    }
+    return find(base), folded
 
 
 def _trimmed(
@@ -137,49 +157,37 @@ def _trimmed(
     return arcs
 
 
+def _spanning_tree(
+    trans: dict[int, dict[int, int]], base: int, alphabet: int
+) -> dict[int, tuple[int, int] | None]:
+    """BFS in letter order: each vertex -> (parent, letter), in visiting order."""
+    tree: dict[int, tuple[int, int] | None] = {base: None}
+    queue = [base]
+    letters = _letters(alphabet)
+    for x in queue:
+        step = trans[x]
+        for letter in letters:
+            y = step.get(letter)
+            if y is not None and y not in tree:
+                tree[y] = (x, letter)
+                queue.append(y)
+    return tree
+
+
 def _canonical(
     base: int,
     arcs: set[tuple[int, int, int]],
     alphabet: int,
 ) -> StallingsGraph:
     """BFS renumbering from the basepoint; a normal form for folded graphs."""
-    trans: dict[tuple[int, int], int] = {}
-    for u, letter, v in arcs:
-        trans[(u, letter)] = v
-        trans[(v, -letter)] = u
-    order = {base: 0}
-    queue = [base]
-    letters = _letters(alphabet)
-    while queue:
-        x = queue.pop(0)
-        for letter in letters:
-            y = trans.get((x, letter))
-            if y is not None and y not in order:
-                order[y] = len(order)
-                queue.append(y)
+    tree = _spanning_tree(_adjacency(arcs), base, alphabet)
+    order = {x: i for i, x in enumerate(tree)}
     new_arcs = sorted(
         (order[u], letter, order[v])
         for (u, letter, v) in arcs
         if u in order and v in order
     )
     return StallingsGraph(alphabet=alphabet, size=len(order), arcs=tuple(new_arcs))
-
-
-def _wedge_arcs(
-    generators: Iterable[Word], start: int
-) -> tuple[set[tuple[int, int, int]], int]:
-    arcs: set[tuple[int, int, int]] = set()
-    fresh = start
-    for word in generators:
-        word = reduce_word(word)
-        prev = 0
-        for j, letter in enumerate(word):
-            nxt = 0 if j == len(word) - 1 else fresh
-            if nxt != 0:
-                fresh += 1
-            arcs.add((prev, letter, nxt) if letter > 0 else (nxt, -letter, prev))
-            prev = nxt
-    return arcs, fresh
 
 
 def stallings_graph(
@@ -189,151 +197,123 @@ def stallings_graph(
     generators = [reduce_word(w) for w in generators]
     if alphabet is None:
         alphabet = max((abs(l) for w in generators for l in w), default=1)
-    arcs, _ = _wedge_arcs(generators, 1)
-    (base,), arcs = _folded([0], arcs)
-    arcs = _trimmed({base}, arcs)
-    return _canonical(base, arcs, alphabet)
+    arcs: list[tuple[int, int, int]] = []
+    fresh = 1
+    for word in generators:
+        path = [0, *range(fresh, fresh + len(word) - 1), 0]
+        fresh += len(path) - 2
+        arcs.extend(zip(path, word, path[1:]))
+    return _core(arcs, alphabet)
+
+
+def _join(graphs: Iterable[StallingsGraph], alphabet: int) -> StallingsGraph:
+    """Graph of the subgroup generated by the given ones: their wedge at vertex 0."""
+    arcs: list[tuple[int, int, int]] = []
+    offset = 0
+    for graph in graphs:
+        arcs.extend(
+            (u and u + offset, letter, v and v + offset) for u, letter, v in graph.arcs
+        )
+        offset += graph.size
+    return _core(arcs, alphabet)
+
+
+def _core(arcs: list[tuple[int, int, int]], alphabet: int) -> StallingsGraph:
+    """Fold signed arcs around basepoint 0, trim to the core, renumber."""
+    base, folded = _folded(0, arcs)
+    return _canonical(base, _trimmed({base}, folded), alphabet)
+
+
+def _trace(trans: dict[int, dict[int, int]], word: Iterable[int]) -> list[int]:
+    """Vertices visited reading the word from the basepoint, up to a missing arc."""
+    states = [0]
+    for letter in word:
+        nxt = trans[states[-1]].get(letter)
+        if nxt is None:
+            break
+        states.append(nxt)
+    return states
 
 
 def membership(word: Iterable[int], graph: StallingsGraph) -> bool:
     """True iff the word traces a basepoint-to-basepoint path."""
-    trans = _transitions(graph)
-    state = 0
-    for letter in reduce_word(word):
-        nxt = trans.get((state, letter))
-        if nxt is None:
-            return False
-        state = nxt
-    return state == 0
+    w = reduce_word(word)
+    states = _trace(_transitions(graph), w)
+    return len(states) > len(w) and states[-1] == 0
+
+
+def _fiber_walk(
+    h: StallingsGraph, k: StallingsGraph
+) -> tuple[dict[tuple[int, int], int], set[tuple[int, int, int]]]:
+    """Pair BFS of the fiber product from both basepoints: pair index and arcs."""
+    th, tk = _transitions(h), _transitions(k)
+    index = {(0, 0): 0}
+    queue = [(0, 0)]
+    arcs: set[tuple[int, int, int]] = set()
+    for a, b in queue:
+        src = index[(a, b)]
+        step = tk[b]
+        for letter, a2 in th[a].items():
+            b2 = step.get(letter)
+            if b2 is None:
+                continue
+            pair = (a2, b2)
+            if pair not in index:
+                index[pair] = len(index)
+                queue.append(pair)
+            if letter > 0:
+                arcs.add((src, letter, index[pair]))
+    return index, arcs
+
+
+@functools.lru_cache(maxsize=None)
+def _fiber_reach(h: StallingsGraph, k: StallingsGraph) -> frozenset[tuple[int, int]]:
+    """Pairs jointly reachable from both basepoints by a common word."""
+    return frozenset(_fiber_walk(h, k)[0])
 
 
 def intersection(h: StallingsGraph, k: StallingsGraph) -> StallingsGraph:
     """Basepoint component of the fiber product; represents H intersect K."""
-    th, tk = _transitions(h), _transitions(k)
-    alphabet = max(h.alphabet, k.alphabet)
-    letters = _letters(alphabet)
-    index = {(0, 0): 0}
-    queue = [(0, 0)]
-    arcs: set[tuple[int, int, int]] = set()
-    while queue:
-        a, b = queue.pop(0)
-        src = index[(a, b)]
-        for letter in letters:
-            a2 = th.get((a, letter))
-            b2 = tk.get((b, letter))
-            if a2 is None or b2 is None:
-                continue
-            state = (a2, b2)
-            if state not in index:
-                index[state] = len(index)
-                queue.append(state)
-            dst = index[state]
-            arcs.add((src, letter, dst) if letter > 0 else (dst, -letter, src))
-    arcs = _trimmed({0}, arcs)
-    return _canonical(0, arcs, alphabet)
+    _, arcs = _fiber_walk(h, k)
+    return _canonical(0, _trimmed({0}, arcs), max(h.alphabet, k.alphabet))
 
 
 def graph_basis(graph: StallingsGraph) -> list[Word]:
     """Free basis from a BFS spanning tree; one word per non-tree arc."""
-    trans = _transitions(graph)
-    letters = _letters(graph.alphabet)
-    path: dict[int, Word] = {0: ()}
-    queue = [0]
-    tree: set[tuple[int, int, int]] = set()
-    while queue:
-        x = queue.pop(0)
-        for letter in letters:
-            y = trans.get((x, letter))
-            if y is not None and y not in path:
-                path[y] = path[x] + (letter,)
-                tree.add((x, letter, y) if letter > 0 else (y, -letter, x))
-                queue.append(y)
+    tree = _spanning_tree(_transitions(graph), 0, graph.alphabet)
+    path: dict[int, Word] = {}
+    for y, step in tree.items():
+        path[y] = () if step is None else path[step[0]] + (step[1],)
     return [
         concat(path[u], (letter,), word_inverse(path[v]))
         for (u, letter, v) in graph.arcs
-        if (u, letter, v) not in tree
+        if tree[v] != (u, letter) and tree[u] != (v, -letter)
     ]
 
 
 def product_membership(
     word: Iterable[int], h: StallingsGraph, k: StallingsGraph
 ) -> bool:
-    """True iff word is in H*K: tail-extend H by the word and fiber-product with K."""
-    w = reduce_word(word)
-    alphabet = max(h.alphabet, k.alphabet, max((abs(l) for l in w), default=1))
-    arcs = set(h.arcs)
-    fresh = h.size
-    prev = 0
-    for letter in w:
-        arcs.add((prev, letter, fresh) if letter > 0 else (fresh, -letter, prev))
-        prev = fresh
-        fresh += 1
-    (base, tail_end), arcs = _folded([0, prev], arcs)
-    trans: dict[tuple[int, int], int] = {}
-    for u, letter, v in arcs:
-        trans[(u, letter)] = v
-        trans[(v, -letter)] = u
-    tk = _transitions(k)
-    letters = _letters(alphabet)
-    start = (base, 0)
-    seen = {start}
-    queue = [start]
-    while queue:
-        a, b = queue.pop(0)
-        if (a, b) == (tail_end, 0):
-            return True
-        for letter in letters:
-            a2 = trans.get((a, letter))
-            b2 = tk.get((b, letter))
-            if a2 is None or b2 is None:
-                continue
-            if (a2, b2) not in seen:
-                seen.add((a2, b2))
-                queue.append((a2, b2))
-    return (tail_end, 0) in seen
-
-
-@functools.lru_cache(maxsize=None)
-def _fiber_reach(h: StallingsGraph, k: StallingsGraph) -> frozenset[tuple[int, int]]:
-    """Pairs jointly reachable from both basepoints by a common word."""
-    th, tk = _transitions(h), _transitions(k)
-    letters = _letters(max(h.alphabet, k.alphabet))
-    seen = {(0, 0)}
-    queue = [(0, 0)]
-    while queue:
-        a, b = queue.pop(0)
-        for letter in letters:
-            a2 = th.get((a, letter))
-            b2 = tk.get((b, letter))
-            if a2 is None or b2 is None or (a2, b2) in seen:
-                continue
-            seen.add((a2, b2))
-            queue.append((a2, b2))
-    return frozenset(seen)
+    """True iff word is in H*K."""
+    return _product_words_bulk(h, k, [reduce_word(word)])[0]
 
 
 def _product_words_bulk(
     h: StallingsGraph, k: StallingsGraph, words: Sequence[Word]
 ) -> list[bool]:
-    """Batch product membership: split each word and consult the joint-reach set."""
+    """Product membership of reduced words: w = uv with u read in H from the
+    basepoint, v read backwards in K to it, and the two ends jointly reachable."""
     reach = _fiber_reach(h, k)
     th, tk = _transitions(h), _transitions(k)
     out = []
     for w in words:
+        prefix = _trace(th, w)
+        suffix = _trace(tk, [-letter for letter in reversed(w)])
         m = len(w)
-        prefix: list[int | None] = [0]
-        for letter in w:
-            prefix.append(None if prefix[-1] is None else th.get((prefix[-1], letter)))
-        suffix: list[int | None] = [None] * m + [0]
-        for i in range(m - 1, -1, -1):
-            if suffix[i + 1] is not None:
-                suffix[i] = tk.get((suffix[i + 1], -w[i]))
         out.append(
             any(
-                prefix[i] is not None
-                and suffix[i] is not None
-                and (prefix[i], suffix[i]) in reach
-                for i in range(m + 1)
+                (prefix[i], suffix[m - i]) in reach
+                for i in range(max(0, m + 1 - len(suffix)), len(prefix))
             )
         )
     return out
@@ -420,6 +400,16 @@ def rose_cover_generators(n: int) -> tuple[list[Word], list[list[Word]]]:
     return gens, parabolics
 
 
+def _family_graphs(
+    family: Sequence[Sequence[Word]],
+) -> tuple[int, list[StallingsGraph]]:
+    """Common alphabet of the family and each member's graph over it."""
+    alphabet = max(
+        (abs(l) for gens in family for w in gens for l in w), default=1
+    )
+    return alphabet, [stallings_graph(gens, alphabet) for gens in family]
+
+
 def subgroup_action(
     automorphisms: Sequence[FreeAutomorphism],
     family: Sequence[Sequence[Word]],
@@ -427,20 +417,9 @@ def subgroup_action(
     """Permutation group induced on the family; errors carry a witness word."""
     if not family:
         raise ValueError("family is empty")
-    alphabet = max(
-        (abs(l) for gens in family for w in gens for l in w), default=1
-    )
-    graphs = [stallings_graph(gens, alphabet) for gens in family]
-
-    def same_subgroup(
-        gens_a: Sequence[Word], graph_a: StallingsGraph, graph_b: StallingsGraph
-    ) -> bool:
-        return all(membership(w, graph_b) for w in gens_a) and all(
-            membership(w, graph_a) for w in graph_basis(graph_b)
-        )
-
+    alphabet, graphs = _family_graphs(family)
     for a, b in itertools.combinations(range(len(family)), 2):
-        if same_subgroup(family[a], graphs[a], graphs[b]):
+        if graphs[a] == graphs[b]:
             raise ValueError(f"family members {a} and {b} are the same subgroup")
     perms = []
     for phi in automorphisms:
@@ -448,21 +427,13 @@ def subgroup_action(
         for fi, gens in enumerate(family):
             image_gens = [phi.apply(w) for w in gens]
             image_graph = stallings_graph(image_gens, alphabet)
-            target = next(
-                (
-                    gj
-                    for gj in range(len(family))
-                    if same_subgroup(image_gens, image_graph, graphs[gj])
-                ),
-                None,
-            )
-            if target is None:
+            if image_graph not in graphs:
                 witness = format_word(image_gens[0])
                 raise ValueError(
                     f"image of family member {fi} matches no family member "
                     f"(witness word {witness})"
                 )
-            images.append(target)
+            images.append(graphs.index(image_graph))
         perms.append(Permutation(images))
     return PermGroup(len(family), perms)
 
@@ -491,14 +462,8 @@ def bounded_ft_check(
         raise ValueError("i must lie outside J")
     if length_bound > 10:
         raise ValueError("length bound must be <= 10")
-    alphabet = max(
-        (abs(l) for gens in family for w in gens for l in w), default=1
-    )
-    graphs = [stallings_graph(gens, alphabet) for gens in family]
-    ambient = stallings_graph(
-        [w for gens in family for w in gens], alphabet
-    )
-    g_j = ambient
+    alphabet, graphs = _family_graphs(family)
+    g_j = stallings_graph(itertools.chain.from_iterable(family), alphabet)
     for j in j_set:
         g_j = intersection(g_j, graphs[j])
     words = all_reduced_words(alphabet, length_bound)
@@ -533,12 +498,10 @@ class RcExactReport:
 def rc_check_exact(family: Sequence[Sequence[Word]]) -> RcExactReport:
     """Verify residual connectedness subgroup identities by Stallings arithmetic."""
     r = len(family)
-    alphabet = max(
-        (abs(l) for gens in family for w in gens for l in w), default=1
-    )
-    graphs = [stallings_graph(gens, alphabet) for gens in family]
-    ambient = stallings_graph([w for gens in family for w in gens], alphabet)
-    cache: dict[tuple[int, ...], StallingsGraph] = {(): ambient}
+    alphabet, graphs = _family_graphs(family)
+    cache: dict[tuple[int, ...], StallingsGraph] = {
+        (): stallings_graph(itertools.chain.from_iterable(family), alphabet)
+    }
 
     def subgroup(j_set: tuple[int, ...]) -> StallingsGraph:
         if j_set not in cache:
@@ -551,15 +514,9 @@ def rc_check_exact(family: Sequence[Sequence[Word]]) -> RcExactReport:
     for size in range(r - 1):
         for j_set in itertools.combinations(range(r), size):
             checked += 1
-            target = subgroup(j_set)
-            joined: list[Word] = []
-            for i in range(r):
-                if i not in j_set:
-                    joined.extend(graph_basis(subgroup(tuple(sorted((*j_set, i))))))
-            generated = stallings_graph(joined, alphabet)
-            agree = all(
-                membership(w, generated) for w in graph_basis(target)
-            ) and all(membership(w, target) for w in graph_basis(generated))
-            if not agree:
+            above = [
+                subgroup(tuple(sorted((*j_set, i)))) for i in range(r) if i not in j_set
+            ]
+            if _join(above, alphabet) != subgroup(j_set):
                 failures.append(j_set)
     return RcExactReport(ok=not failures, checked=checked, failures=tuple(failures))

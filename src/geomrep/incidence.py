@@ -138,6 +138,10 @@ class IncidenceSystem:
             out[c].append(i)
         return out
 
+    def empty_types(self) -> list[int]:
+        """Codes of the types that no element has, in typeset order."""
+        return np.setdiff1d(np.arange(self.rank), self.type_codes).tolist()
+
     def fiber(self, type_label: str) -> list[int]:
         return self.fibers()[self.types.index(type_label)]
 
@@ -178,10 +182,9 @@ class IncidenceSystem:
         """Report same-type incidences and empty type fibers."""
         # the constructor already rejects unknown types and dangling ids
         codes, pairs = self.type_codes, self.pairs
-        empty = np.setdiff1d(np.arange(self.rank), codes)
         same = pairs[codes[pairs[:, 0]] == codes[pairs[:, 1]]]
         return ValidationReport.from_violations(
-            [("empty type fiber", (t,)) for t in empty.tolist()]
+            [("empty type fiber", (t,)) for t in self.empty_types()]
             + [("same-type incidence", (a, b)) for a, b in same.tolist()]
         )
 

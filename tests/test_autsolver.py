@@ -437,3 +437,17 @@ class TestBruteForceGuard:
     def test_bound_override(self):
         with pytest.raises(ValueError, match="exceeds bound"):
             brute_force_automorphisms(dihedral_geometry(3), element_bound=5)
+
+
+class TestEmptyTypeFiber:
+    def test_correlation_group_names_the_empty_type(self):
+        sys = IncidenceSystem(["a", "b"], [0, 0], [])
+        assert ("empty type fiber", (1,)) in sys.validate().violations
+        assert sys.empty_types() == [1]
+        with pytest.raises(ValueError, match="empty type fiber: no element has type 'b'"):
+            correlation_group(sys)
+
+    def test_every_empty_type_is_named(self):
+        sys = IncidenceSystem(["a", "b", "c"], [1, 1], [])
+        with pytest.raises(ValueError, match="no element has type 'a', 'c'$"):
+            correlation_group(sys)

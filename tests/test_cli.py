@@ -110,7 +110,6 @@ class TestCheck:
             "version",
             "command",
             "seed",
-            "threads",
             "input_digest",
             "checks",
             "timings",
@@ -118,7 +117,6 @@ class TestCheck:
         assert report["tool"] == "geomrep"
         assert report["command"] == "check"
         assert report["seed"] == 0
-        assert report["threads"] == 1
         assert report["input_digest"].startswith("sha256:")
         assert report["timings"] is None
         assert report["checks"] == [
@@ -189,6 +187,19 @@ class TestAut:
         assert result["aut_order"] == "8"
         assert result["aut_i_order"] == "4"
         assert result["out_order"] == "2"
+
+    def test_empty_type_fiber_is_a_usage_error(self, capsys, tmp_path):
+        data = {
+            "types": ["a", "b"],
+            "elements": [{"id": 0, "type": "a"}, {"id": 1, "type": "a"}],
+            "incidences": [],
+        }
+        path = tmp_path / "empty_fiber.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "aut", str(path))
+        assert code == 2
+        assert out == ""
+        assert "empty type fiber: no element has type 'b'" in err
 
 
 class TestVerify:
@@ -267,6 +278,23 @@ class TestFree:
         check = json.loads(out)["checks"][0]
         assert check["pairs_checked"] == 32
         assert check["counterexamples"] == []
+
+    def test_all_checks_include_exact_rc_at_rank_three(self, capsys):
+        code, out, _ = run(
+            capsys, "free", "rose", "--n", "3", "--check", "all", "--length-bound", "2"
+        )
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert [c["name"] for c in checks] == [
+            "rank",
+            "intersections",
+            "action",
+            "ft",
+            "rc",
+        ]
+        assert all(c["ok"] for c in checks)
+        assert checks[4]["checked"] == 4083
+        assert checks[4]["failures"] == []
 
     def test_unknown_check(self, capsys):
         code, _, err = run(capsys, "free", "rose", "--check", "sparkle")

@@ -25,10 +25,25 @@ from geomrep import (
     subgroup_action,
     word_inverse,
 )
-from geomrep.freegroup import _product_words_bulk, _trimmed, all_reduced_words
+from geomrep.freegroup import (
+    _canonical,
+    _folded,
+    _product_words_bulk,
+    _trimmed,
+    all_reduced_words,
+)
 
 letters = st.integers(-2, 2).filter(bool)
 raw_words = st.lists(letters, max_size=12)
+generator_lists = st.lists(
+    st.lists(st.integers(-3, 3).filter(bool), max_size=8).map(reduce_word),
+    min_size=1,
+    max_size=5,
+)
+signed_arcs = st.lists(
+    st.tuples(st.integers(0, 7), st.integers(-3, 3).filter(bool), st.integers(0, 7)),
+    max_size=16,
+)
 
 
 @pytest.fixture(scope="module")
@@ -208,21 +223,78 @@ class TestTrim:
         assert _trimmed({0}, arcs) == {(0, 3, 1), (1, 1, 2), (2, 2, 0)}
 
 
+def _is_folded(arcs) -> bool:
+    """No vertex has two arcs with the same letter in the same direction."""
+    arcs = list(arcs)
+    heads = {(u, letter) for u, letter, _ in arcs}
+    tails = {(v, letter) for _, letter, v in arcs}
+    return len(heads) == len(tails) == len(arcs)
+
+
+class TestFold:
+    @given(generator_lists, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_invariant_under_reordering_and_nielsen_moves(self, gens, data):
+        graph = stallings_graph(gens, 3)
+        assert stallings_graph(data.draw(st.permutations(gens)), 3) == graph
+        if len(gens) >= 2:
+            i, j = data.draw(st.permutations(range(len(gens))))[:2]
+            moved = list(gens)
+            moved[i] = concat(gens[i], gens[j])
+            assert stallings_graph(moved, 3) == graph
+
+    @given(generator_lists)
+    @settings(max_examples=200, deadline=None)
+    def test_result_is_folded_and_accepts_generators(self, gens):
+        graph = stallings_graph(gens, 3)
+        assert _is_folded(graph.arcs)
+        assert all(letter > 0 for _, letter, _ in graph.arcs)
+        for w in gens:
+            assert membership(w, graph)
+            assert membership(word_inverse(w), graph)
+
+    @given(signed_arcs, st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_fold_of_any_arc_list_is_confluent(self, arcs, rng):
+        base, folded = _folded(0, arcs)
+        assert _is_folded(folded)
+        # the same arcs in another order, some written backwards, fold alike
+        shuffled = [
+            (v, -letter, u) if rng.random() < 0.5 else (u, letter, v)
+            for u, letter, v in arcs
+        ]
+        rng.shuffle(shuffled)
+        base2, folded2 = _folded(0, shuffled)
+        assert _canonical(base, folded, 3) == _canonical(base2, folded2, 3)
+
+
 class TestProductMembership:
-    def test_against_split_oracle(self):
-        h = stallings_graph([(1, 1), (2,)], 2)
-        k = stallings_graph([(2, 2), (1,)], 2)
+    @pytest.mark.parametrize(
+        "h_gens, k_gens, counts",
+        [
+            ([(1, 1), (2,)], [(2, 2), (1,)], (171, 171, 473)),
+            (*rose_cover_generators(2)[1][0:2], None),
+            (*rose_cover_generators(2)[1][2:4], None),
+        ],
+        ids=["powers", "parabolics01", "parabolics23"],
+    )
+    def test_against_split_oracle(self, h_gens, k_gens, counts):
+        # the three product pairs of acceptance criterion 9, against the
+        # brute-force split search
+        h = stallings_graph(h_gens, 2)
+        k = stallings_graph(k_gens, 2)
         words = all_reduced_words(2, 6)
         in_h = [w for w in words if membership(w, h)]
         in_k = [w for w in words if membership(w, k)]
-        assert (len(in_h), len(in_k)) == (171, 171)
         products = {
             p
             for u in in_h
             for v in in_k
             if len(p := concat(u, v)) <= 6
         }
-        assert len(products) == 473
+        if counts is not None:
+            assert (len(in_h), len(in_k), len(products)) == counts
+        assert _product_words_bulk(h, k, words) == [w in products for w in words]
         for w in words:
             assert product_membership(w, h, k) == (w in products)
 
@@ -239,13 +311,6 @@ class TestProductMembership:
         _, _, graphs = rose2
         # x1 lies in neither parabolic product H.K for H = K complements
         assert not product_membership((1,), graphs[0], graphs[1])
-
-    def test_bulk_agrees_with_single(self, rose2):
-        _, _, graphs = rose2
-        words = all_reduced_words(2, 5)
-        for h, k in [(graphs[0], graphs[1]), (graphs[2], graphs[3])]:
-            bulk = _product_words_bulk(h, k, words)
-            assert bulk == [product_membership(w, h, k) for w in words]
 
 
 class TestAutomorphisms:
@@ -374,3 +439,9 @@ class TestRcExact:
         assert not report.ok
         assert report.checked == 4
         assert report.failures == ((0,), (2,))
+
+    def test_rank_three_family_passes(self):
+        report = rc_check_exact(rose_cover_generators(3)[1])
+        assert report.ok
+        assert report.checked == 4083
+        assert report.failures == ()
