@@ -622,11 +622,32 @@ def _check_spec(spec: CosetGeometrySpec) -> None:
                 raise ValueError(f"subgroup {i} is not contained in the group")
 
 
-def _subgroup_sets(spec: CosetGeometrySpec) -> list[frozenset[Permutation]]:
-    return [
-        frozenset(sub.enumerate_elements(bound=_GROUP_GUARD))
-        for sub in spec.subgroups
-    ]
+def _coset_labels(spec: CosetGeometrySpec) -> tuple[list[Permutation], np.ndarray]:
+    """The sorted elements of G and labels[i, z], the number of the coset G_i z.
+
+    Cosets are numbered in order of their least element. The identity is the
+    least element of G, so G_i itself is the coset labelled 0.
+    """
+    _check_spec(spec)
+    elements = spec.group.enumerate_elements(bound=_GROUP_GUARD)
+    index = {g: k for k, g in enumerate(elements)}
+    labels = np.full((len(spec.subgroups), len(elements)), -1, dtype=np.int64)
+    for label, sub in zip(labels, spec.subgroups):
+        members = sub.enumerate_elements(bound=_GROUP_GUARD)
+        count = 0
+        for k, x in enumerate(elements):
+            if label[k] < 0:
+                label[[index[h * x] for h in members]] = count
+                count += 1
+    return elements, labels
+
+
+def _cosets_meeting(label: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    """hit[k, c] is True when coset c of one type meets the element set parts[k]."""
+    hit = np.zeros((len(parts), int(label.max()) + 1), dtype=bool)
+    rows, cols = np.nonzero(parts)
+    hit[rows, label[cols]] = True
+    return hit
 
 
 @dataclasses.dataclass(frozen=True)
@@ -640,78 +661,31 @@ class CosetGeometry:
 
 
 def coset_geometry(spec: CosetGeometrySpec) -> CosetGeometry:
-    """All cosets G_i g with nonempty-intersection incidence (deduplicated)."""
-    _check_spec(spec)
-    group = spec.group
-    gens = list(group.generators) or [Permutation.identity(group.degree)]
-    per_type: list[list[frozenset[Permutation]]] = []
-    for sub_set in _subgroup_sets(spec):
-        start = frozenset(sub_set)
-        seen = {start}
-        queue = [start]
-        while queue:
-            coset = queue.pop(0)
-            for g in gens:
-                image = frozenset(h * g for h in coset)
-                if image not in seen:
-                    seen.add(image)
-                    queue.append(image)
-        per_type.append(sorted(seen, key=min))
-    cosets: list[frozenset[Permutation]] = []
-    codes: list[int] = []
-    # equal subgroups give equal coset sets, so the lookup must be per type
-    lookups: list[dict[frozenset[Permutation], int]] = []
-    for i, group_cosets in enumerate(per_type):
-        lookups.append({c: len(cosets) + j for j, c in enumerate(group_cosets)})
-        cosets.extend(group_cosets)
-        codes.extend([i] * len(group_cosets))
-    pairs = []
-    for a, b in itertools.combinations(range(len(cosets)), 2):
-        if codes[a] != codes[b] and not cosets[a].isdisjoint(cosets[b]):
-            pairs.append([a, b])
-    system = IncidenceSystem(spec.type_labels(), codes, pairs)
+    """All cosets G_i x; two of different types are incident when they share an element."""
+    elements, labels = _coset_labels(spec)
+    sizes = labels.max(axis=1) + 1
+    # ids[i, z] is the element id of the type-i coset that contains element z
+    ids = labels + (np.cumsum(sizes) - sizes)[:, None]
+    pairs = [np.stack([a, b], axis=1) for a, b in itertools.combinations(ids, 2)]
+    codes = np.repeat(np.arange(len(sizes)), sizes)
+    system = IncidenceSystem(spec.type_labels(), codes, np.concatenate(pairs) if pairs else [])
+    members: list[list[int]] = [[] for _ in codes]
+    for row in ids.tolist():
+        for z, x in enumerate(row):
+            members[x].append(z)
+    reps = [elements[m[0]] for m in members]
+    index = {g: k for k, g in enumerate(elements)}
+    # right multiplication by g maps the coset of rep to the coset of rep * g
     action_gens = [
-        Permutation(
-            [
-                lookups[codes[x]][frozenset(h * g for h in cosets[x])]
-                for x in range(len(cosets))
-            ]
-        )
-        for g in group.generators
+        Permutation([ids[t, index[rep * g]] for t, rep in zip(codes.tolist(), reps)])
+        for g in spec.group.generators
     ]
-    action = PermGroup(len(cosets), action_gens)
     return CosetGeometry(
         system=system,
-        action=action,
-        cosets=tuple(cosets),
-        reps=tuple(min(c) for c in cosets),
+        action=PermGroup(len(reps), action_gens),
+        cosets=tuple(frozenset(elements[z] for z in m) for m in members),
+        reps=tuple(reps),
     )
-
-
-def _product_set(
-    a: frozenset[Permutation], b: frozenset[Permutation]
-) -> frozenset[Permutation]:
-    out: set[Permutation] = set()
-    for x in a:
-        if x in out:
-            continue
-        out.update(x * y for y in b)
-    return frozenset(out)
-
-
-def _mulclose(seed: frozenset[Permutation]) -> frozenset[Permutation]:
-    elems = set(seed)
-    frontier = list(seed)
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for s in seed:
-                y = x * s
-                if y not in elems:
-                    elems.add(y)
-                    fresh.append(y)
-        frontier = fresh
-    return frozenset(elems)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -724,39 +698,27 @@ class FtReport:
 
 
 def check_ft_condition(spec: CosetGeometrySpec) -> FtReport:
-    """Compare G_J G_i with the intersection of the G_j G_i for every J and i not in J."""
-    _check_spec(spec)
-    subgroup_sets = _subgroup_sets(spec)
-    all_elems = frozenset(spec.group.enumerate_elements(bound=_GROUP_GUARD))
-    r = len(subgroup_sets)
+    """Compare G_J G_i with the intersection of the G_j G_i for every J and i not in J.
 
-    def intersection(j_set: tuple[int, ...]) -> frozenset[Permutation]:
-        out = all_elems
-        for j in j_set:
-            out = out & subgroup_sets[j]
-        return out
-
-    pair_products: dict[tuple[int, int], frozenset[Permutation]] = {}
-
-    def product(j: int, i: int) -> frozenset[Permutation]:
-        if (j, i) not in pair_products:
-            pair_products[(j, i)] = _product_set(subgroup_sets[j], subgroup_sets[i])
-        return pair_products[(j, i)]
-
+    Both sides are unions of left cosets of G_i. Their inverses G_i G_J and
+    G_i G_j are the unions of the cosets G_i x that meet G_J and G_j, so the
+    sides agree exactly when those sets of coset labels do.
+    """
+    _, labels = _coset_labels(spec)
+    r = len(labels)
+    subgroups = labels == 0
+    meets = [_cosets_meeting(label, subgroups) for label in labels]
     failures = []
     checked = 0
     for size in range(r + 1):
         for j_set in itertools.combinations(range(r), size):
-            g_j = intersection(j_set)
+            g_j = subgroups[list(j_set)].all(axis=0)
             for i in range(r):
                 if i in j_set:
                     continue
                 checked += 1
-                lhs = _product_set(g_j, subgroup_sets[i])
-                rhs = all_elems
-                for j in j_set:
-                    rhs = rhs & product(j, i)
-                if lhs != rhs:
+                lhs = _cosets_meeting(labels[i], g_j[None])[0]
+                if not np.array_equal(lhs, meets[i][list(j_set)].all(axis=0)):
                     failures.append((j_set, i))
     return FtReport(ok=not failures, failures=tuple(failures), checked=checked)
 
@@ -771,29 +733,29 @@ class RcReport:
 
 
 def check_rc_condition(spec: CosetGeometrySpec) -> RcReport:
-    """Verify G_J = <G_{J+i} : i outside J> whenever at least two types are outside J."""
-    _check_spec(spec)
-    subgroup_sets = _subgroup_sets(spec)
-    all_elems = frozenset(spec.group.enumerate_elements(bound=_GROUP_GUARD))
-    r = len(subgroup_sets)
+    """Verify G_J = <G_{J+i} : i outside J> whenever at least two types are outside J.
 
-    def intersection(j_set: tuple[int, ...]) -> frozenset[Permutation]:
-        out = all_elems
-        for j in j_set:
-            out = out & subgroup_sets[j]
-        return out
-
+    Every G_{J+i} lies in G_J, so the two are equal exactly when their orders are.
+    """
+    elements, labels = _coset_labels(spec)
+    r = len(labels)
+    subgroups = labels == 0
+    degree = spec.group.degree
     failures = []
     checked = 0
     for size in range(r - 1):
         for j_set in itertools.combinations(range(r), size):
             checked += 1
-            target = intersection(j_set)
-            seed: set[Permutation] = set()
-            for i in range(r):
-                if i not in j_set:
-                    seed |= intersection(tuple(sorted((*j_set, i))))
-            if _mulclose(frozenset(seed)) != target:
+            g_j = subgroups[list(j_set)].all(axis=0)
+            outside = [i for i in range(r) if i not in j_set]
+            # an element the group lacks at least doubles its order when added
+            gens: list[Permutation] = []
+            generated = PermGroup(degree, gens)
+            for z in np.flatnonzero(g_j & subgroups[outside].any(axis=0)):
+                if not generated.contains(elements[z]):
+                    gens.append(elements[z])
+                    generated = PermGroup(degree, gens)
+            if generated.order() != np.count_nonzero(g_j):
                 failures.append(j_set)
     return RcReport(ok=not failures, failures=tuple(failures), checked=checked)
 

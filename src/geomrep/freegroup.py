@@ -182,11 +182,7 @@ def _canonical(
     """BFS renumbering from the basepoint; a normal form for folded graphs."""
     tree = _spanning_tree(_adjacency(arcs), base, alphabet)
     order = {x: i for i, x in enumerate(tree)}
-    new_arcs = sorted(
-        (order[u], letter, order[v])
-        for (u, letter, v) in arcs
-        if u in order and v in order
-    )
+    new_arcs = sorted((order[u], letter, order[v]) for (u, letter, v) in arcs)
     return StallingsGraph(alphabet=alphabet, size=len(order), arcs=tuple(new_arcs))
 
 
@@ -195,8 +191,11 @@ def stallings_graph(
 ) -> StallingsGraph:
     """Wedge of generator loops, folded to confluence and trimmed to the core."""
     generators = [reduce_word(w) for w in generators]
+    used = max((abs(l) for w in generators for l in w), default=1)
     if alphabet is None:
-        alphabet = max((abs(l) for w in generators for l in w), default=1)
+        alphabet = used
+    elif used > alphabet:
+        raise ValueError(f"letter x{used} is beyond the alphabet x1..x{alphabet}")
     arcs: list[tuple[int, int, int]] = []
     fresh = 1
     for word in generators:
@@ -401,12 +400,10 @@ def rose_cover_generators(n: int) -> tuple[list[Word], list[list[Word]]]:
 
 
 def _family_graphs(
-    family: Sequence[Sequence[Word]],
+    family: Sequence[Sequence[Word]], least: int = 1
 ) -> tuple[int, list[StallingsGraph]]:
-    """Common alphabet of the family and each member's graph over it."""
-    alphabet = max(
-        (abs(l) for gens in family for w in gens for l in w), default=1
-    )
+    """Common alphabet of the family, of at least `least` letters, and each member's graph over it."""
+    alphabet = max([least, *(abs(l) for gens in family for w in gens for l in w)])
     return alphabet, [stallings_graph(gens, alphabet) for gens in family]
 
 
@@ -417,7 +414,9 @@ def subgroup_action(
     """Permutation group induced on the family; errors carry a witness word."""
     if not family:
         raise ValueError("family is empty")
-    alphabet, graphs = _family_graphs(family)
+    # images under a rank-n automorphism may use any of the n letters
+    rank = max((phi.rank for phi in automorphisms), default=1)
+    alphabet, graphs = _family_graphs(family, rank)
     for a, b in itertools.combinations(range(len(family)), 2):
         if graphs[a] == graphs[b]:
             raise ValueError(f"family members {a} and {b} are the same subgroup")

@@ -20,9 +20,13 @@ class Permutation:
     __slots__ = ("images", "_key")
 
     def __init__(self, images: Sequence[int] | np.ndarray):
-        arr = np.array(images, dtype=np.int64)
+        arr = np.array(images)
         if arr.ndim != 1:
             raise ValueError("images must be a flat sequence")
+        # an empty list parses as float; anything else must be integer, not bool
+        if arr.size and arr.dtype.kind not in "iu":
+            raise ValueError("images must be integers")
+        arr = arr.astype(np.int64, copy=False)
         n = arr.shape[0]
         seen = np.zeros(n, dtype=bool)
         if n and (arr.min() < 0 or arr.max() >= n):
@@ -111,7 +115,7 @@ class Permutation:
             raise ValueError("point list is not invariant") from None
 
     def to_list(self) -> list[int]:
-        return [int(x) for x in self.images]
+        return self.images.tolist()
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self._key == other._key
@@ -321,7 +325,7 @@ class PermGroup:
             for u in reversed(pick):
                 g = g * u
             elements.append(g)
-        elements.sort()
+        elements.sort(key=Permutation.to_list)
         return elements
 
     def fingerprint(self, bound: int = 10000) -> GroupFingerprint:

@@ -73,6 +73,18 @@ class TestBuild:
         assert code == 2
         assert "error:" in err
 
+    def test_coset_non_integer_generator(self, capsys, tmp_path):
+        spec = tmp_path / "floats.json"
+        spec.write_text(json.dumps({
+            "degree": 3,
+            "generators": [[1.5, 0.2, 2.9]],
+            "subgroups": [{"label": "a", "generators": []}],
+        }))
+        code, out, err = run(capsys, "build", "coset", "--group-file", str(spec))
+        assert code == 2
+        assert out == ""
+        assert "images must be integers" in err
+
     def test_coset_missing_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "build", "coset", "--group-file", str(tmp_path / "absent.json")

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import random
 
 import networkx as nx
 import pytest
@@ -466,3 +467,152 @@ class TestCosetGeometries:
     def test_rc_requires_report_fields(self):
         rc = check_rc_condition(tetrahedron_spec())
         assert rc.failures == ()
+
+
+# -- brute-force reference for the coset layer -----------------------------------
+# The definitions as element sets of image tuples: cosets G_i x collected by
+# right multiplication, incidence by set intersection, G_J G_i as a product set,
+# and <G_{J+i}> closed under repeated products.
+
+
+def _compose(a: tuple, b: tuple) -> tuple:
+    """a first, then b, as Permutation's product."""
+    return tuple(b[x] for x in a)
+
+
+def _closure(degree: int, gens) -> frozenset:
+    identity = tuple(range(degree))
+    elems, frontier = {identity}, [identity]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for g in gens:
+                y = _compose(x, g)
+                if y not in elems:
+                    elems.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    return frozenset(elems)
+
+
+def _products(a: frozenset, b: frozenset) -> frozenset:
+    return frozenset(_compose(x, y) for x in a for y in b)
+
+
+class CosetReference:
+    def __init__(self, spec: CosetGeometrySpec):
+        degree = spec.group.degree
+        tuples = [[tuple(g.to_list()) for g in grp.generators] for grp in (spec.group, *spec.subgroups)]
+        self.group_gens = tuples[0]
+        self.group = _closure(degree, tuples[0])
+        self.subgroups = [_closure(degree, gens) for gens in tuples[1:]]
+        self.cosets, self.codes = [], []
+        for t, sub in enumerate(self.subgroups):
+            found = {frozenset(_compose(h, x) for h in sub) for x in self.group}
+            self.cosets += sorted(found, key=min)
+            self.codes += [t] * len(found)
+        self.r = len(self.subgroups)
+        self.degree = degree
+
+    def pairs(self) -> list[list[int]]:
+        return [
+            [a, b]
+            for a, b in itertools.combinations(range(len(self.cosets)), 2)
+            if self.codes[a] != self.codes[b] and self.cosets[a] & self.cosets[b]
+        ]
+
+    def action(self) -> list[list[int]]:
+        """Right multiplication by each group generator, without identities and repeats."""
+        lookup = {(t, c): k for k, (t, c) in enumerate(zip(self.codes, self.cosets))}
+        out = []
+        for g in self.group_gens:
+            image = [
+                lookup[(t, frozenset(_compose(x, g) for x in c))]
+                for t, c in zip(self.codes, self.cosets)
+            ]
+            if image != sorted(image) and image not in out:
+                out.append(image)
+        return out
+
+    def meet(self, j_set) -> frozenset:
+        return self.group.intersection(*(self.subgroups[j] for j in j_set))
+
+    def ft_failures(self) -> list:
+        return [
+            (j_set, i)
+            for size in range(self.r + 1)
+            for j_set in itertools.combinations(range(self.r), size)
+            for i in range(self.r)
+            if i not in j_set
+            and _products(self.meet(j_set), self.subgroups[i])
+            != self.group.intersection(
+                *(_products(self.subgroups[j], self.subgroups[i]) for j in j_set)
+            )
+        ]
+
+    def rc_failures(self) -> list:
+        failures = []
+        for size in range(self.r - 1):
+            for j_set in itertools.combinations(range(self.r), size):
+                seed = set()
+                for i in range(self.r):
+                    if i not in j_set:
+                        seed |= self.meet((*j_set, i))
+                if _closure(self.degree, seed) != self.meet(j_set):
+                    failures.append(j_set)
+        return failures
+
+
+def _symmetric(n: int) -> PermGroup:
+    return PermGroup(n, [Permutation.from_cycles(n, [(0, 1)]),
+                         Permutation.from_cycles(n, [tuple(range(n))])])
+
+
+def random_coset_specs() -> list[tuple[str, CosetGeometrySpec]]:
+    """Seeded specs over S4, A5, S5 and S6 with small random subgroups."""
+    a5 = PermGroup(5, [Permutation.from_cycles(5, [(0, 1, 2)]),
+                       Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])])
+    groups = [("S4", _symmetric(4)), ("A5", a5), ("S5", _symmetric(5)), ("S6", _symmetric(6))]
+    rng = random.Random(2013)
+    specs = []
+    for name, group in groups:
+        elements = group.enumerate_elements()
+        drawn = 0
+        while drawn < 8:
+            subgroups = []
+            for _ in range(rng.choice((2, 3, 4))):
+                gens = [rng.choice(elements) for _ in range(rng.choice((1, 2)))]
+                subgroups.append(PermGroup(group.degree, gens))
+            if max(sub.order() for sub in subgroups) > 24:
+                continue
+            specs.append((f"{name}#{drawn}", CosetGeometrySpec(group, tuple(subgroups))))
+            drawn += 1
+    return specs
+
+
+RANDOM_COSET_SPECS = random_coset_specs()
+
+
+class TestCosetsAgainstReference:
+    @pytest.mark.parametrize("name,spec", RANDOM_COSET_SPECS, ids=[n for n, _ in RANDOM_COSET_SPECS])
+    def test_geometry_and_conditions(self, name, spec):
+        ref = CosetReference(spec)
+        cg = coset_geometry(spec)
+        assert cg.system.type_codes.tolist() == ref.codes
+        assert cg.system.pairs.tolist() == ref.pairs()
+        assert [frozenset(tuple(g.to_list()) for g in c) for c in cg.cosets] == ref.cosets
+        assert [tuple(g.to_list()) for g in cg.reps] == [min(c) for c in ref.cosets]
+        assert [g.to_list() for g in cg.action.generators] == ref.action()
+        r = len(spec.subgroups)
+        ft = check_ft_condition(spec)
+        assert list(ft.failures) == ref.ft_failures()
+        assert (ft.ok, ft.checked) == (not ft.failures, r * 2 ** (r - 1))
+        rc = check_rc_condition(spec)
+        assert list(rc.failures) == ref.rc_failures()
+        assert (rc.ok, rc.checked) == (not rc.failures, sum(math.comb(r, k) for k in range(r - 1)))
+
+    def test_family_has_failing_specs(self):
+        ft = [check_ft_condition(spec).ok for _, spec in RANDOM_COSET_SPECS]
+        rc = [check_rc_condition(spec).ok for _, spec in RANDOM_COSET_SPECS]
+        # 8 of the 32 fail FT and 22 fail RC
+        assert ft.count(False) >= 2 and rc.count(False) >= 2

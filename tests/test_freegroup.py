@@ -114,6 +114,18 @@ class TestStallingsGraphs:
     def test_alphabet_distinguishes_ambient_rank(self):
         assert stallings_graph([(1,)], 2) != stallings_graph([(1,)], 1)
 
+    def test_letters_beyond_alphabet_rejected(self):
+        with pytest.raises(ValueError, match=r"letter x2 is beyond the alphabet x1..x1"):
+            stallings_graph([(2, 1, -2)], 1)
+        with pytest.raises(ValueError, match="beyond the alphabet"):
+            stallings_graph([(1,), (3,)], 2)
+        # a word that reduces away uses no letter
+        assert stallings_graph([(2, -2)], 1) == stallings_graph([], 1)
+
+    def test_automorphism_images_beyond_rank_rejected(self):
+        with pytest.raises(ValueError, match="beyond the alphabet"):
+            FreeAutomorphism(1, ((2,),))
+
     def test_normal_form_ignores_presentation(self):
         rng = random.Random(1)
         pool = all_reduced_words(2, 4)[1:]
@@ -231,6 +243,19 @@ def _is_folded(arcs) -> bool:
     return len(heads) == len(tails) == len(arcs)
 
 
+def _base_component(base, arcs) -> set:
+    """The arcs of the connected component that holds the basepoint."""
+    reached, frontier = {base}, [base]
+    while frontier:
+        x = frontier.pop()
+        for u, _, v in arcs:
+            for a, b in ((u, v), (v, u)):
+                if a == x and b not in reached:
+                    reached.add(b)
+                    frontier.append(b)
+    return {arc for arc in arcs if arc[0] in reached}
+
+
 class TestFold:
     @given(generator_lists, st.data())
     @settings(max_examples=200, deadline=None)
@@ -265,7 +290,9 @@ class TestFold:
         ]
         rng.shuffle(shuffled)
         base2, folded2 = _folded(0, shuffled)
-        assert _canonical(base, folded, 3) == _canonical(base2, folded2, 3)
+        assert _canonical(base, _base_component(base, folded), 3) == _canonical(
+            base2, _base_component(base2, folded2), 3
+        )
 
 
 class TestProductMembership:
@@ -378,6 +405,15 @@ class TestSubgroupAction:
         doubled = [parabolics[0], list(reversed(parabolics[0]))]
         with pytest.raises(ValueError, match="are the same subgroup"):
             subgroup_action(k_group(2), doubled)
+
+    def test_family_alphabet_grows_to_the_automorphism_rank(self):
+        # the family uses only x1, but the rank-2 images leave <x1>
+        conjugate = FreeAutomorphism(2, ((2, 1, -2), (2,)))
+        with pytest.raises(ValueError, match=r"matches no family member \(witness word x2 x1 x2\^-1\)"):
+            subgroup_action([conjugate], [[(1,)], []])
+        invert = FreeAutomorphism(2, ((-1,), (2,)))
+        action = subgroup_action([invert], [[(1,)], [(1, 1)]])
+        assert action.order() == 1
 
     def test_unclosed_family_reports_witness(self, rose2):
         _, parabolics, _ = rose2

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +50,17 @@ class TestPermutation:
     def test_invalid_images(self):
         with pytest.raises(ValueError):
             Permutation([0, 0, 1])
+
+    @pytest.mark.parametrize(
+        "images", [[1.5, 0.2, 2.9], [1.0, 0.0], [True, False], ["1", "0"], [1, None]]
+    )
+    def test_non_integer_images_rejected(self, images):
+        with pytest.raises(ValueError, match="images must be integers"):
+            Permutation(images)
+
+    def test_empty_images(self):
+        e = Permutation([])
+        assert e.degree == 0 and e.is_identity and e.to_list() == []
 
     def test_restricted(self):
         g = c(5, (0, 1), (2, 3, 4))
@@ -100,7 +112,9 @@ class TestPermGroup:
 
     def test_contains_matches_enumeration(self):
         grp = PermGroup(4, [c(4, (0, 1, 2, 3))])
-        elems = set(grp.enumerate_elements())
+        listed = grp.enumerate_elements()
+        assert listed == sorted(listed, key=Permutation.to_list)
+        elems = set(listed)
         assert len(elems) == grp.order() == 4
         for images in itertools.permutations(range(4)):
             g = Permutation(list(images))
@@ -249,3 +263,30 @@ class TestActions:
         grp = PermGroup(6, [c(6, (0, 1, 2)), c(6, (3, 4, 5)), c(6, (0, 3), (1, 4), (2, 5))])
         action = grp.induced_action([[0, 1, 2], [3, 4, 5]])
         assert grp.order() == action.image.order() * action.kernel.order()
+
+
+class TestAgainstSympy:
+    def test_order_and_contains_match_sympy(self):
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        rng = random.Random(9)
+        mismatches = []
+        for trial in range(300):
+            degree = rng.randint(1, 9)
+            gens = [rng.sample(range(degree), degree) for _ in range(rng.randint(0, 3))]
+            grp = PermGroup(degree, [Permutation(g) for g in gens])
+            oracle = combinatorics.PermutationGroup(
+                [combinatorics.Permutation(g) for g in gens or [list(range(degree))]]
+            )
+            if grp.order() != oracle.order():
+                mismatches.append((trial, "order"))
+            # random permutations, and products of generators that always belong
+            probes = [rng.sample(range(degree), degree) for _ in range(3)]
+            if gens:
+                product = Permutation.identity(degree)
+                for _ in range(4):
+                    product = product * Permutation(rng.choice(gens))
+                probes.append(product.to_list())
+            for p in probes:
+                if grp.contains(Permutation(p)) != oracle.contains(combinatorics.Permutation(p)):
+                    mismatches.append((trial, p))
+        assert mismatches == []
