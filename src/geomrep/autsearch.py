@@ -215,14 +215,19 @@ class _Engine:
                 return None
         return image
 
-    def automorphisms(self) -> list[list[int]]:
-        """Generators of the color-preserving automorphism group, as image lists.
+    def automorphisms(self) -> tuple[list[list[int]], int]:
+        """Generators of the color-preserving automorphism group, as image
+        lists, and the group's order.
 
         Bottom-up over the first path: at each level, every vertex of the
         target cell outside the orbit of the first-path choice under the
         generators found so far (all of which fix the path above) is tried.
+        So the final orbit at a level is the orbit of the stabilizer of the
+        path above, and the order is the product of those orbit sizes: only
+        the identity fixes the whole path, whose leaf is discrete.
         """
         gens: list[list[int]] = []
+        order = 1
         for level in reversed(range(len(self.path))):
             node, t, _ = self.path[level]
             v0 = node.lab[t]
@@ -234,7 +239,8 @@ class _Engine:
                 if found is not None:
                     gens.append(found)
                     orbit = _closure(v0, gens)
-        return gens
+            order *= len(orbit)
+        return gens, order
 
 
 def _closure(seed: int, gens: list[list[int]]) -> set[int]:
@@ -273,6 +279,11 @@ def _augmented_engine(sys: IncidenceSystem) -> _Engine:
     )
 
 
+def _kernel_engine(sys: IncidenceSystem) -> _Engine:
+    """Engine on the element graph with each type fiber its own color: Aut_I."""
+    return _Engine(_element_adjacency(sys), sys.fibers())
+
+
 @dataclasses.dataclass(frozen=True)
 class AutResult:
     """Correlation group of an incidence system and its type-preserving kernel."""
@@ -284,8 +295,9 @@ class AutResult:
     type_action: PermGroup
     out_order: int
     types: tuple[str, ...]
-    # refinements the search made; 0 when no search produced the result.
-    # Not part of the result's value: kept out of comparisons and reports.
+    # refinements made by the two searches (augmented graph and type-colored
+    # kernel); 0 when no search produced the result.  Not part of the
+    # result's value: kept out of comparisons and reports.
     search_nodes: int = dataclasses.field(default=0, compare=False)
 
     def __post_init__(self) -> None:
@@ -307,7 +319,12 @@ class AutResult:
 
 
 def correlation_group(sys: IncidenceSystem) -> AutResult:
-    """Full correlation group Aut via augmented-graph search; kernel is Aut_I."""
+    """Full correlation group Aut via augmented-graph search; kernel is Aut_I.
+
+    Aut and its kernel Aut_I each come from their own search, with orders
+    read off the search tree; only the action on types, a group of degree
+    rank, is built as a ``PermGroup``.
+    """
     empty = [repr(sys.types[t]) for t in sys.empty_types()]
     if empty:
         raise ValueError(
@@ -320,26 +337,29 @@ def correlation_group(sys: IncidenceSystem) -> AutResult:
             "consider a restriction-extension pipeline",
             stacklevel=2,
         )
-    engine = _augmented_engine(sys)
-    elem_gens = [Permutation(g[:n]) for g in engine.automorphisms()]
-    group = PermGroup(n, elem_gens)
-    action = group.induced_action(sys.fibers())
+    engine, kernel = _augmented_engine(sys), _kernel_engine(sys)
+    gens, aut_order = engine.automorphisms()
+    kernel_gens, aut_i_order = kernel.automorphisms()
+    # the images of the type nodes n..n+r-1 give the action on types
+    type_action = PermGroup(
+        sys.rank, [Permutation([t - n for t in g[n : n + sys.rank]]) for g in gens]
+    )
     return AutResult(
-        correlation_gens=tuple(elem_gens),
-        aut_order=group.order(),
-        type_preserving_gens=tuple(action.kernel.generators),
-        aut_i_order=action.kernel.order(),
-        type_action=action.image,
-        out_order=action.image.order(),
+        correlation_gens=tuple(Permutation(g[:n]) for g in gens),
+        aut_order=aut_order,
+        type_preserving_gens=tuple(Permutation(g) for g in kernel_gens),
+        aut_i_order=aut_i_order,
+        type_action=type_action,
+        out_order=type_action.order(),
         types=sys.types,
-        search_nodes=engine.nodes,
+        search_nodes=engine.nodes + kernel.nodes,
     )
 
 
 def type_preserving_group(sys: IncidenceSystem) -> PermGroup:
     """Aut_I directly: search with each type fiber its own fixed color."""
-    engine = _Engine(_element_adjacency(sys), sys.fibers())
-    return PermGroup(sys.size, [Permutation(g) for g in engine.automorphisms()])
+    gens, _ = _kernel_engine(sys).automorphisms()
+    return PermGroup(sys.size, [Permutation(g) for g in gens])
 
 
 def brute_force_automorphisms(

@@ -8,6 +8,7 @@ import json
 import math
 import sys
 import time
+from typing import Iterable
 
 from . import __version__
 from .autsearch import correlation_group, correlation_type_action, verify_representation
@@ -43,8 +44,11 @@ _EXIT_OK, _EXIT_MISMATCH, _EXIT_USAGE = 0, 1, 2
 _CONSTRUCTIONS = ("dihedral", "complete", "gq22", "cube", "hemidodeca", "pgl", "coset")
 
 
-def _digest(data: bytes) -> str:
-    return "sha256:" + hashlib.sha256(data).hexdigest()
+def _digest(blocks: Iterable[bytes]) -> str:
+    digest = hashlib.sha256()
+    for block in blocks:
+        digest.update(block)
+    return "sha256:" + digest.hexdigest()
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -189,7 +193,7 @@ def run_check(args: argparse.Namespace) -> int:
             raise ValueError(f"unknown property: {name}")
     checks = [{"property": name, "value": bool(known[name]())} for name in names]
     report = _report(
-        args, "check", _digest(raw), checks, time.perf_counter() - started
+        args, "check", _digest([raw]), checks, time.perf_counter() - started
     )
     _emit_json(report, args.out)
     return _EXIT_OK if all(c["value"] for c in checks) else _EXIT_MISMATCH
@@ -202,7 +206,7 @@ def run_aut(args: argparse.Namespace) -> int:
     report = _report(
         args,
         "aut",
-        _digest(raw),
+        _digest([raw]),
         [result.to_json_dict()],
         time.perf_counter() - started,
     )
@@ -245,7 +249,7 @@ def run_verify(args: argparse.Namespace) -> int:
     payload = _report(
         args,
         "verify",
-        _digest(system.to_json().encode("utf-8")),
+        _digest(block.encode("utf-8") for block in system.json_blocks()),
         [report.to_json_dict()] + extra_checks,
         time.perf_counter() - started,
     )
@@ -350,7 +354,7 @@ def _free_checks(args: argparse.Namespace) -> list[dict]:
 def run_free(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     checks = _free_checks(args)
-    digest = _digest(f"rose n={args.n}".encode("utf-8"))
+    digest = _digest([f"rose n={args.n}".encode("utf-8")])
     report = _report(args, "free", digest, checks, time.perf_counter() - started)
     _emit_json(report, args.out)
     return _EXIT_OK if all(c["ok"] for c in checks) else _EXIT_MISMATCH

@@ -9,12 +9,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .autsearch import (
-    AutResult,
-    correlation_group,
-    correlation_type_action,
-    type_preserving_group,
-)
+from .autsearch import AutResult, correlation_group, correlation_type_action
 from .galois import (
     FiniteField,
     ProjectiveSpace,
@@ -558,9 +553,8 @@ def pgl_aut_via_extension(geom: PglGeometry) -> PglAutReport:
         )
     trunc = geom.system.truncation(geom.subspace_labels)
     trunc_aut = correlation_group(trunc)
-    preserving = type_preserving_group(trunc)
     ext_gens = []
-    for g in preserving.generators:
+    for g in trunc_aut.type_preserving_gens:
         e = extend_truncation_correlation(geom, g)
         if e is None:
             raise RuntimeError("type-preserving truncation correlation failed to extend")

@@ -400,21 +400,23 @@ class IncidenceSystem:
 
     def to_json(self) -> str:
         """The text of json.dumps(self.to_json_dict(), indent=2) plus a newline."""
+        return "".join(self.json_blocks())
+
+    def json_blocks(self) -> Iterator[str]:
+        """The text of ``to_json`` in consecutive pieces, never built whole."""
         head = json.dumps(self._json_head(), indent=2)[: -len("\n}")]
         if not self.pairs.shape[0]:
-            return head + ',\n  "incidences": []\n}\n'
+            yield head + ',\n  "incidences": []\n}\n'
+            return
         # json.dumps formats each pair as a nested list on four lines; format
         # the pairs in blocks, without one Python list per incidence
-        pieces = [head, ',\n  "incidences": [\n']
+        yield head + ',\n  "incidences": [\n'
         for start in range(0, self.pairs.shape[0], _JSON_BLOCK):
             block = self.pairs[start : start + _JSON_BLOCK]
             if start:
-                pieces.append(",\n")
-            pieces.append(
-                ",\n".join([_JSON_PAIR] * block.shape[0]) % tuple(block.ravel().tolist())
-            )
-        pieces.append("\n  ]\n}\n")
-        return "".join(pieces)
+                yield ",\n"
+            yield ",\n".join([_JSON_PAIR] * block.shape[0]) % tuple(block.ravel().tolist())
+        yield "\n  ]\n}\n"
 
     @classmethod
     def from_json(cls, text: str) -> "IncidenceSystem":

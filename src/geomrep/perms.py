@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import collections
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -316,17 +315,15 @@ class PermGroup:
         n = self.order()
         if n > bound:
             raise ValueError(f"group too large: order {n} exceeds bound {bound}")
-        transversals = [
-            [lv.transversal[p] for p in sorted(lv.transversal)] for lv in self._levels
-        ]
-        elements = []
-        for pick in itertools.product(*transversals):
-            g = self._identity
-            for u in reversed(pick):
-                g = g * u
-            elements.append(g)
-        elements.sort(key=Permutation.to_list)
-        return elements
+        # rows of images: after level j, every u_j * ... * u_0 with u_i in
+        # level i's transversal; u * p has images p.images[u.images], so one
+        # gather per level forms all products with that level's transversal
+        images = self._identity.images[np.newaxis, :]
+        for lv in self._levels:
+            trans = np.stack([lv.transversal[p].images for p in sorted(lv.transversal)])
+            images = images[:, trans].reshape(-1, self.degree)
+        images = images[np.lexsort(images.T[::-1])] if self.degree else images
+        return [Permutation._from_bijection(row) for row in images]
 
     def fingerprint(self, bound: int = 10000) -> GroupFingerprint:
         """Order, element-order histogram, center order (≤ bound elements)."""

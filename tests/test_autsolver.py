@@ -21,6 +21,7 @@ from geomrep import (
     dihedral_geometry,
     find_isomorphism,
     gq22,
+    hemidodecahedron_petrie,
     make_field,
     pgl_cross_ratio_geometry,
     projective_space,
@@ -54,6 +55,39 @@ def random_systems(draw, max_size=8):
     ]
     pairs = draw(st.lists(st.sampled_from(cross), max_size=16)) if cross else []
     return IncidenceSystem([f"t{i}" for i in range(rank)], codes, pairs)
+
+
+def with_twins(sys: IncidenceSystem, copies: dict[int, int]) -> IncidenceSystem:
+    """Copy of sys where element x gains copies[x] twins: same type, same neighbours."""
+    codes = sys.type_codes.tolist()
+    adj = [set(sys.neighbors(x)) for x in range(sys.size)]
+    for x, k in sorted(copies.items()):
+        for _ in range(k):
+            z = len(codes)
+            codes.append(codes[x])
+            adj.append(set(adj[x]))
+            for y in adj[x]:
+                adj[y].add(z)
+    pairs = [(a, b) for a, around in enumerate(adj) for b in around if a < b]
+    return IncidenceSystem(sys.types, codes, pairs)
+
+
+@st.composite
+def twinned_systems(draw):
+    """Random systems in which up to three elements get one or two same-type twins."""
+    sys = draw(random_systems(max_size=7))
+    chosen = draw(
+        st.lists(st.integers(0, sys.size - 1), min_size=1, max_size=3, unique=True)
+    )
+    return with_twins(sys, {x: draw(st.integers(1, 2)) for x in chosen})
+
+
+def sympy_order(degree: int, gens) -> int:
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    return combinatorics.PermutationGroup(
+        [combinatorics.Permutation(g.to_list()) for g in gens]
+        or [combinatorics.Permutation(list(range(degree)))]
+    ).order()
 
 
 def switched(sys: IncidenceSystem, rng: random.Random, rounds: int) -> IncidenceSystem:
@@ -168,6 +202,52 @@ class TestSearchAgainstBruteForce:
         for sys in (dihedral_geometry(5), gq22(), complete_graph_geometry(4)):
             res = correlation_group(sys)
             assert type_preserving_group(sys).order() == res.aut_i_order
+
+
+class TestOrdersAgainstSympy:
+    """Orders read off the search tree against sympy's Schreier-Sims."""
+
+    @staticmethod
+    def check(sys: IncidenceSystem) -> None:
+        res = correlation_group(sys)
+        assert res.aut_order == sympy_order(sys.size, res.correlation_gens)
+        assert res.aut_i_order == sympy_order(sys.size, res.type_preserving_gens)
+        for g in res.type_preserving_gens:
+            assert correlation_type_action(sys, g) == list(range(sys.rank))
+
+    @given(twinned_systems())
+    @settings(max_examples=60, deadline=None)
+    def test_random_systems_with_twins(self, sys):
+        self.check(sys)
+
+    @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1)])
+    def test_planes(self, p, k):
+        self.check(subspace_system(2, p, k))
+
+    @pytest.mark.parametrize(
+        "sys",
+        [dihedral_geometry(n) for n in (3, 4, 5, 6, 8)]
+        + [complete_graph_geometry(n) for n in (3, 4, 5)]
+        + [gq22(), cube_geometry(), cube_geometry(vertex_adjacency=False)]
+        + [hemidodecahedron_petrie()],
+    )
+    def test_bundled_families(self, sys):
+        self.check(sys)
+
+    def test_no_chain_of_element_degree(self, monkeypatch):
+        degrees = []
+        init = PermGroup.__init__
+
+        def spy(self, degree, *args, **kwargs):
+            degrees.append(degree)
+            init(self, degree, *args, **kwargs)
+
+        monkeypatch.setattr(PermGroup, "__init__", spy)
+        for sys in (subspace_system(2, 3, 1), gq22(), dihedral_geometry(5), cube_geometry()):
+            degrees.clear()
+            correlation_group(sys)
+            # only the action on types is built as a group
+            assert degrees == [sys.rank]
 
 
 class TestKnownOrders:
@@ -364,6 +444,13 @@ class TestSearchNodes:
             assert 0 < first.search_nodes <= 100
             assert second.search_nodes == first.search_nodes
             assert second.correlation_gens == first.correlation_gens
+
+    def test_search_nodes_count_both_searches(self):
+        sys = gq22()
+        engines = [autsearch._augmented_engine(sys), autsearch._kernel_engine(sys)]
+        for engine in engines:
+            engine.automorphisms()
+        assert correlation_group(sys).search_nodes == sum(e.nodes for e in engines)
 
     def test_equal_traces_give_correlations(self, monkeypatch):
         # the adjacency check at a leaf whose trace equals the first leaf's

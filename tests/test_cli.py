@@ -224,6 +224,14 @@ class TestVerify:
         assert check["verdict"] == "representation"
         assert check["description"] == "dihedral n=8"
 
+    def test_digest_matches_build_bytes(self, capsys):
+        import hashlib
+
+        _, built, _ = run(capsys, "build", "gq22")
+        _, out, _ = run(capsys, "verify", "gq22", "--inn", "720", "--aut", "1440")
+        digest = hashlib.sha256(built.encode("utf-8")).hexdigest()
+        assert json.loads(out)["input_digest"] == f"sha256:{digest}"
+
     def test_weak_match_exits_mismatch(self, capsys):
         code, out, _ = run(
             capsys, "verify", "complete", "--n", "3", "--inn", "6", "--aut", "6"

@@ -120,6 +120,30 @@ class TestPermGroup:
             g = Permutation(list(images))
             assert (g in elems) == grp.contains(g)
 
+    def test_enumeration_matches_closure(self):
+        # reference: the elements as the closure of the generators under
+        # products, sorted by image list
+        rng = random.Random(12)
+        for _ in range(40):
+            degree = rng.randint(1, 6)
+            gens = [
+                Permutation(rng.sample(range(degree), degree))
+                for _ in range(rng.randint(0, 3))
+            ]
+            grp = PermGroup(degree, gens)
+            closure = {Permutation.identity(degree)}
+            frontier = list(closure)
+            while frontier:
+                g = frontier.pop()
+                for s in gens:
+                    h = g * s
+                    if h not in closure:
+                        closure.add(h)
+                        frontier.append(h)
+            assert grp.enumerate_elements(bound=720) == sorted(
+                closure, key=Permutation.to_list
+            )
+
     def test_enumeration_bound(self):
         grp = PermGroup(6, [c(6, (0, 1)), c(6, (0, 1, 2, 3, 4, 5))])
         with pytest.raises(ValueError, match="exceeds bound"):
