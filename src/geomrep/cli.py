@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -11,15 +12,13 @@ import time
 from typing import Iterable
 
 from . import __version__
-from .autsearch import correlation_group, correlation_type_action, verify_representation
+from .autsearch import correlation_group, verify_representation
 from .constructions import (
     CosetGeometrySpec,
     complete_graph_geometry,
     coset_geometry,
     cube_geometry,
     dihedral_geometry,
-    extend_truncation_correlation,
-    frobenius_truncation_perm,
     gq22,
     hemidodecahedron_petrie,
     pgl_aut_via_extension,
@@ -221,26 +220,8 @@ def run_verify(args: argparse.Namespace) -> int:
     if args.construction == "pgl":
         geom = _pgl_geometry(args)
         pipeline = pgl_aut_via_extension(geom)
-        system = geom.system
-        result = pipeline.result
-        frob = frobenius_truncation_perm(geom)
-        frob_ext = (
-            extend_truncation_correlation(geom, frob) if frob is not None else None
-        )
-        frob_types = None
-        if frob_ext is not None:
-            tact = correlation_type_action(system, frob_ext)
-            frob_types = [system.types[t] for t in tact]
-        extra_checks.append(
-            {
-                "duality_extends": pipeline.duality_extends,
-                "frobenius_extends": frob_ext is not None,
-                "frobenius_type_action": frob_types,
-                "truncation_aut_order": str(pipeline.truncation_aut_order),
-                "truncation_aut_i_order": str(pipeline.truncation_aut_i_order),
-                "truncation_out_order": str(pipeline.truncation_out_order),
-            }
-        )
+        system, result = geom.system, pipeline.result
+        extra_checks.append(pipeline.to_json_dict())
     else:
         system = _build_system(args)
     report = verify_representation(
@@ -278,8 +259,6 @@ def _free_checks(args: argparse.Namespace) -> list[dict]:
                 }
             )
         elif name == "intersections":
-            import itertools
-
             ok = True
             done = 0
             for size in (2, 3) + ((len(gens),) if n == 2 else ()):
@@ -305,8 +284,6 @@ def _free_checks(args: argparse.Namespace) -> list[dict]:
                 }
             )
         elif name == "ft":
-            import itertools
-
             ok = True
             done = 0
             counterexamples: list[str] = []
@@ -361,8 +338,6 @@ def run_free(args: argparse.Namespace) -> int:
 
 
 def run_export(args: argparse.Namespace) -> int:
-    if not args.dot:
-        raise ValueError("export format required: pass --dot")
     system, _ = _load_system(args.file)
     _emit(system.to_dot(), args.out)
     return _EXIT_OK
@@ -451,7 +426,6 @@ def _make_parser() -> argparse.ArgumentParser:
 
     export = subs.add_parser("export", help="export a geometry file to DOT")
     export.add_argument("file")
-    export.add_argument("--dot", action="store_true", help="emit Graphviz DOT")
     _add_common(export)
     export.set_defaults(func=run_export)
     return parser
@@ -462,10 +436,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     except RuntimeError as exc:
@@ -474,4 +445,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -234,9 +233,14 @@ def hemidodecahedron_petrie(rule: str = "shared-edge") -> IncidenceSystem:
 
 @dataclasses.dataclass(frozen=True)
 class PglGeometry:
-    """Subspaces of PG(n-1, K) plus cross-ratio-typed quadruple layers."""
+    """Subspaces of PG(n-1, K) plus cross-ratio-typed quadruple layers.
+
+    truncation is the system restricted to the subspace types; in degenerate
+    mode there are no quadruple types, so it covers the whole system.
+    """
 
     system: IncidenceSystem
+    truncation: IncidenceSystem
     space: ProjectiveSpace
     field: FiniteField
     base_degree: int
@@ -418,6 +422,7 @@ def pgl_cross_ratio_geometry(
     system = IncidenceSystem(types, codes, pairs)
     return PglGeometry(
         system=system,
+        truncation=system.truncation(subspace_labels),
         space=space,
         field=field,
         base_degree=base_degree,
@@ -455,8 +460,7 @@ def point_perm_to_truncation(geom: PglGeometry, point_perm: Permutation) -> Perm
             images.append(offset + index[img.basis])
         offset += len(layer)
     result = Permutation(images)
-    trunc = geom.system.truncation(geom.subspace_labels)
-    if correlation_type_action(trunc, result) is None:
+    if correlation_type_action(geom.truncation, result) is None:
         raise ValueError("point permutation does not preserve the space")
     return result
 
@@ -485,18 +489,16 @@ def extend_truncation_correlation(
     geom: PglGeometry, f: Permutation
 ) -> Permutation | None:
     """Componentwise extension of a truncation correlation to the quadruple layers."""
-    sys = geom.system
-    if geom.degenerate:
-        if correlation_type_action(sys, f) is None:
-            raise ValueError("not a correlation of the subspace truncation")
-        return f
-    trunc = sys.truncation(geom.subspace_labels)
+    trunc = geom.truncation
     tact = correlation_type_action(trunc, f)
     if tact is None:
         raise ValueError("not a correlation of the subspace truncation")
+    if geom.degenerate:
+        return f
     if tact[0] != 0:
         # points are not preserved, so image quadruples are not elements
         return None
+    sys = geom.system
     images = list(range(sys.size))
     for x in range(trunc.size):
         images[x] = f(x)
@@ -535,51 +537,74 @@ class PglAutReport:
 
     result: AutResult
     duality_extends: bool | None
+    frobenius_extends: bool
+    frobenius_type_action: tuple[str, ...] | None
     truncation_aut_order: int
     truncation_aut_i_order: int
     truncation_out_order: int
 
+    def to_json_dict(self) -> dict:
+        return {
+            "duality_extends": self.duality_extends,
+            "frobenius_extends": self.frobenius_extends,
+            "frobenius_type_action": (
+                None
+                if self.frobenius_type_action is None
+                else list(self.frobenius_type_action)
+            ),
+            "truncation_aut_order": str(self.truncation_aut_order),
+            "truncation_aut_i_order": str(self.truncation_aut_i_order),
+            "truncation_out_order": str(self.truncation_out_order),
+        }
+
 
 def pgl_aut_via_extension(geom: PglGeometry) -> PglAutReport:
-    """Aut of the full geometry from correlations of its subspace truncation."""
-    if geom.degenerate:
-        res = correlation_group(geom.system)
-        return PglAutReport(
-            result=res,
-            duality_extends=None,
-            truncation_aut_order=res.aut_order,
-            truncation_aut_i_order=res.aut_i_order,
-            truncation_out_order=res.out_order,
-        )
-    trunc = geom.system.truncation(geom.subspace_labels)
-    trunc_aut = correlation_group(trunc)
-    ext_gens = []
-    for g in trunc_aut.type_preserving_gens:
-        e = extend_truncation_correlation(geom, g)
-        if e is None:
-            raise RuntimeError("type-preserving truncation correlation failed to extend")
-        ext_gens.append(e)
+    """Aut of the full geometry from correlations of its subspace truncation.
+
+    Also reports whether the duality (planes only) and the Frobenius map of the
+    truncation extend, and how the extended Frobenius map acts on the types.
+    """
+    sys = geom.system
+    trunc_aut = correlation_group(geom.truncation)
+    frob = frobenius_truncation_perm(geom)
+    frob_ext = extend_truncation_correlation(geom, frob) if frob is not None else None
+    frob_types = None
+    if frob_ext is not None:
+        frob_types = tuple(sys.types[t] for t in correlation_type_action(sys, frob_ext))
     duality_extends = None
-    if geom.space.d == 2:
-        dual = duality_truncation_perm(geom)
-        dual_ext = extend_truncation_correlation(geom, dual)
-        duality_extends = dual_ext is not None
-        if dual_ext is not None:
-            ext_gens.append(dual_ext)
-    full = PermGroup(geom.system.size, ext_gens)
-    action = full.induced_action(geom.system.fibers())
-    result = AutResult(
-        correlation_gens=tuple(ext_gens),
-        aut_order=full.order(),
-        type_preserving_gens=tuple(action.kernel.generators),
-        aut_i_order=action.kernel.order(),
-        type_action=action.image,
-        out_order=action.image.order(),
-        types=geom.system.types,
-    )
+    if geom.degenerate:
+        # the truncation is the whole system
+        result = trunc_aut
+    else:
+        ext_gens = []
+        for g in trunc_aut.type_preserving_gens:
+            e = extend_truncation_correlation(geom, g)
+            if e is None:
+                raise RuntimeError(
+                    "type-preserving truncation correlation failed to extend"
+                )
+            ext_gens.append(e)
+        if geom.space.d == 2:
+            dual_ext = extend_truncation_correlation(geom, duality_truncation_perm(geom))
+            duality_extends = dual_ext is not None
+            if dual_ext is not None:
+                ext_gens.append(dual_ext)
+        full = PermGroup(sys.size, ext_gens)
+        action = full.induced_action(sys.fibers())
+        result = AutResult(
+            correlation_gens=tuple(ext_gens),
+            aut_order=full.order(),
+            type_preserving_gens=tuple(action.kernel.generators),
+            aut_i_order=action.kernel.order(),
+            type_action=action.image,
+            out_order=action.image.order(),
+            types=sys.types,
+        )
     return PglAutReport(
         result=result,
         duality_extends=duality_extends,
+        frobenius_extends=frob_ext is not None,
+        frobenius_type_action=frob_types,
         truncation_aut_order=trunc_aut.aut_order,
         truncation_aut_i_order=trunc_aut.aut_i_order,
         truncation_out_order=trunc_aut.out_order,

@@ -366,10 +366,6 @@ class FreeAutomorphism:
         return reduce_word(out)
 
 
-def apply_automorphism(phi: FreeAutomorphism, word: Iterable[int]) -> Word:
-    return phi.apply(word)
-
-
 def k_group(n: int) -> list[FreeAutomorphism]:
     """Generators inverting x_1, rotating the basis, and swapping x_1 with x_2."""
     if n < 2:

@@ -328,16 +328,6 @@ def make_field(p: int, k: int) -> FiniteField:
     raise AssertionError("no irreducible modulus found")
 
 
-def frobenius_orbit(x: FieldElement) -> list[FieldElement]:
-    """[x, x^p, x^(p^2), ...] until the orbit repeats."""
-    orbit = [x]
-    y = FieldElement(x.field, x.field.frob(x.code))
-    while y != x:
-        orbit.append(y)
-        y = FieldElement(y.field, y.field.frob(y.code))
-    return orbit
-
-
 # -- linear algebra over integer codes --------------------------------------
 
 
@@ -430,11 +420,6 @@ class ProjectiveSubspace:
     def contains_point(self, p: ProjectivePoint) -> bool:
         return _in_span(self.field, self.basis, p.codes)
 
-    def to_point(self) -> ProjectivePoint:
-        if self.dim != 0:
-            raise ValueError("not a point")
-        return ProjectivePoint.make(self.field, self.basis[0])
-
     def __repr__(self) -> str:
         return f"ProjectiveSubspace(dim={self.dim}, basis={self.basis})"
 
@@ -468,17 +453,11 @@ class ProjectiveSpace:
     points: tuple[ProjectivePoint, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_point_idx", {p.codes: i for i, p in enumerate(self.points)}
-        )
         sub_idx = {}
         for m, layer in enumerate(self.layers):
             for i, s in enumerate(layer):
                 sub_idx[s.basis] = (m, i)
         object.__setattr__(self, "_sub_idx", sub_idx)
-
-    def point_index(self, p: ProjectivePoint) -> int:
-        return self._point_idx[p.codes]
 
     def subspace_index(self, s: ProjectiveSubspace) -> tuple[int, int]:
         """(layer, position) of a subspace."""
@@ -486,11 +465,6 @@ class ProjectiveSpace:
 
     def points_in(self, s: ProjectiveSubspace) -> list[int]:
         return [i for i, p in enumerate(self.points) if s.contains_point(p)]
-
-    def span(self, point_indices: Iterable[int]) -> ProjectiveSubspace:
-        return ProjectiveSubspace.from_rows(
-            self.field, [self.points[i].codes for i in point_indices]
-        )
 
 
 def projective_space(field: FiniteField, d: int) -> ProjectiveSpace:

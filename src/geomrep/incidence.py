@@ -60,6 +60,13 @@ def validate_data(
     return ValidationReport.from_violations(violations)
 
 
+def _json_list(data: dict, field: str) -> list:
+    value = data[field]
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be a JSON list")
+    return value
+
+
 # json.dumps(..., indent=2) of one incidence [a, b] at its depth in to_json
 _JSON_PAIR = "    [\n      %d,\n      %d\n    ]"
 _JSON_BLOCK = 1 << 16
@@ -127,9 +134,6 @@ class IncidenceSystem:
     @property
     def size(self) -> int:
         return int(self.type_codes.shape[0])
-
-    def type_of(self, x: int) -> str:
-        return self.types[int(self.type_codes[x])]
 
     def fibers(self) -> list[list[int]]:
         """Element ids grouped by type, in typeset order."""
@@ -228,37 +232,6 @@ class IncidenceSystem:
         return [
             f for f in self.flags() if frozenset(int(codes[x]) for x in f) == full
         ]
-
-    def extend_flag_to_chamber(
-        self, flag: Iterable[int]
-    ) -> frozenset[int] | None:
-        """Lowest-id greedy extension of a flag to a chamber, or None."""
-        xs = sorted({int(x) for x in flag})
-        if not self.is_flag(xs):
-            raise ValueError("not a flag")
-        adj = self._adjacency()
-        codes = self.type_codes
-        commons = frozenset(range(self.size))
-        for x in xs:
-            commons &= adj[x]
-        missing = frozenset(range(self.rank)) - {int(codes[x]) for x in xs}
-
-        def search(
-            commons: frozenset[int], missing: frozenset[int]
-        ) -> list[int] | None:
-            if not missing:
-                return []
-            for v in sorted(commons):
-                if int(codes[v]) in missing:
-                    rest = search(commons & adj[v], missing - {int(codes[v])})
-                    if rest is not None:
-                        return [v, *rest]
-            return None
-
-        found = search(commons, missing)
-        if found is None:
-            return None
-        return frozenset(xs) | frozenset(found)
 
     # -- geometry predicates -----------------------------------------------
 
@@ -384,19 +357,30 @@ class IncidenceSystem:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "IncidenceSystem":
-        types = tuple(str(t) for t in data["types"])
+        if not isinstance(data, dict):
+            raise ValueError("interchange data must be a JSON object")
+        types = tuple(str(t) for t in _json_list(data, "types"))
         index = {t: i for i, t in enumerate(types)}
-        elements = data["elements"]
+        elements = _json_list(data, "elements")
+        if not all(isinstance(e, dict) for e in elements):
+            raise ValueError("elements must be JSON objects")
+        # bool is a subclass of int, but true is not an id
+        if not all(type(e["id"]) is int for e in elements):
+            raise ValueError("element ids must be integers")
         n = len(elements)
-        if sorted(int(e["id"]) for e in elements) != list(range(n)):
+        if sorted(e["id"] for e in elements) != list(range(n)):
             raise ValueError("element ids must be exactly 0..n-1")
         codes = [0] * n
         for e in elements:
             lab = str(e["type"])
             if lab not in index:
                 raise ValueError(f"unknown type label: {lab!r}")
-            codes[int(e["id"])] = index[lab]
-        return cls(types=types, type_codes=codes, pairs=data["incidences"])
+            codes[e["id"]] = index[lab]
+        # an empty list parses as float; any other pair must hold integers
+        pairs = np.asarray(data["incidences"])
+        if pairs.size and pairs.dtype.kind not in "iu":
+            raise ValueError("incidences must be pairs of integer element ids")
+        return cls(types=types, type_codes=codes, pairs=pairs)
 
     def to_json(self) -> str:
         """The text of json.dumps(self.to_json_dict(), indent=2) plus a newline."""

@@ -401,6 +401,3 @@ class PermGroup:
         if prefix_len >= len(self._levels):
             return []
         return list(self._levels[prefix_len].gens)
-
-    def base_points(self) -> list[int]:
-        return [lv.point for lv in self._levels]

@@ -1,9 +1,15 @@
 """Exit codes, report shape, and byte determinism of the command-line front end."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import geomrep
+from geomrep import IncidenceSystem
 from geomrep.cli import main
 
 KLEIN_SPEC = {
@@ -269,6 +275,22 @@ class TestVerify:
         assert extra["frobenius_type_action"] is None
         assert extra["truncation_aut_order"] == "336"
 
+    @pytest.mark.parametrize(
+        "q,inn,aut", [("3", "5616", "11232"), ("4", "60480", "120960")]
+    )
+    def test_pgl_truncates_once(self, capsys, monkeypatch, q, inn, aut):
+        calls = []
+        truncation = IncidenceSystem.truncation
+
+        def spy(self, typeset):
+            calls.append(tuple(typeset))
+            return truncation(self, typeset)
+
+        monkeypatch.setattr(IncidenceSystem, "truncation", spy)
+        code, _, _ = run(capsys, "verify", "pgl", "--q", q, "--inn", inn, "--aut", aut)
+        assert code == 0
+        assert len(calls) <= 1
+
     def test_non_prime_power_q(self, capsys):
         code, _, err = run(
             capsys, "verify", "pgl", "--q", "6", "--inn", "1", "--aut", "1"
@@ -324,12 +346,99 @@ class TestFree:
 
 class TestExport:
     def test_dot_output(self, capsys, triangle_file):
-        code, out, _ = run(capsys, "export", str(triangle_file), "--dot")
+        code, out, _ = run(capsys, "export", str(triangle_file))
         assert code == 0
         assert out.startswith("graph incidence {")
         assert out.rstrip().endswith("}")
 
-    def test_format_required(self, capsys, triangle_file):
-        code, _, err = run(capsys, "export", str(triangle_file))
+    def test_export_writes_dot_without_a_flag(self, capsys, tmp_path):
+        path = tmp_path / "k3.json"
+        run(capsys, "build", "complete", "--n", "3", "--out", str(path))
+        code, out, err = run(capsys, "export", str(path))
+        assert (code, err) == (0, "")
+        assert out == (
+            "graph incidence {\n"
+            '  0 [label="0:0"];\n'
+            '  1 [label="1:0"];\n'
+            '  2 [label="2:0"];\n'
+            '  3 [label="3:1"];\n'
+            '  4 [label="4:1"];\n'
+            '  5 [label="5:1"];\n'
+            "  0 -- 3;\n"
+            "  0 -- 4;\n"
+            "  1 -- 3;\n"
+            "  1 -- 5;\n"
+            "  2 -- 4;\n"
+            "  2 -- 5;\n"
+            "}\n"
+        )
+
+
+class TestModuleExitCodes:
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["verify", "dihedral", "--n", "8", "--inn", "8", "--aut", "32"], 0),
+            (["verify", "complete", "--n", "3", "--inn", "6", "--aut", "6"], 1),
+            (["verify", "dihedral", "--n", "2", "--inn", "1", "--aut", "1"], 2),
+        ],
+    )
+    def test_python_m_returns_the_exit_code(self, argv, expected):
+        src = str(pathlib.Path(geomrep.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "geomrep.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            stdin=subprocess.DEVNULL,
+        )
+        assert done.returncode == expected
+        assert ("error:" in done.stderr) == (expected == 2)
+
+
+def _interchange(**changes):
+    data = {
+        "types": ["a", "b"],
+        "elements": [{"id": 0, "type": "a"}, {"id": 1, "type": "b"}],
+        "incidences": [[0, 1]],
+    }
+    data.update(changes)
+    return data
+
+
+# documents that were once read as the pair [0, 1] or crashed with a TypeError
+MALFORMED = [
+    (_interchange(incidences=[[0, 1.5]]), "incidences"),
+    (_interchange(incidences=[["0", "1"]]), "incidences"),
+    (_interchange(elements=[{"id": 0.9, "type": "a"}, {"id": 1, "type": "b"}]), "ids"),
+    (_interchange(elements=[{"id": "0", "type": "a"}, {"id": 1, "type": "b"}]), "ids"),
+    ([_interchange()], "JSON object"),
+    (_interchange(elements=[{"id": 0, "type": "a"}, 1]), "elements"),
+    (_interchange(incidences=5), "incidences"),
+]
+MALFORMED_IDS = [
+    "float-pair", "string-pair", "float-id", "string-id", "top-level-list",
+    "element-not-object", "incidences-not-list",
+]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("data,field", MALFORMED, ids=MALFORMED_IDS)
+    def test_from_json_rejects(self, data, field):
+        with pytest.raises(ValueError, match=field):
+            IncidenceSystem.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("data,field", MALFORMED, ids=MALFORMED_IDS)
+    def test_check_exits_usage(self, capsys, tmp_path, data, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "check", str(path))
         assert code == 2
-        assert "export format required" in err
+        assert out == ""
+        assert err.startswith("error:") and field in err
+
+    def test_empty_incidence_list_is_valid(self):
+        system = IncidenceSystem.from_json(json.dumps(_interchange(incidences=[])))
+        assert system.pairs.shape == (0, 2)
+        assert system.size == 2

@@ -298,6 +298,26 @@ class TestCrossRatioGeometry:
         assert geom.degenerate
         assert geom.system == pgl34.system.truncation(["0", "1"])
 
+    @pytest.mark.parametrize(
+        "n,p,k,base_degree,truncate",
+        [
+            (3, 2, 1, 1, False),
+            (3, 3, 1, 1, False),
+            (3, 2, 2, 1, False),
+            (3, 2, 2, 1, True),
+            (3, 2, 2, 2, False),
+            (4, 2, 1, 1, False),
+            (4, 3, 1, 1, False),
+        ],
+    )
+    def test_truncation_is_the_subspace_truncation(self, n, p, k, base_degree, truncate):
+        geom = pgl_cross_ratio_geometry(
+            n, make_field(p, k), base_degree=base_degree, truncate_to_min_poly=truncate
+        )
+        expected = geom.system.truncation(geom.subspace_labels)
+        assert geom.truncation == expected
+        assert geom.truncation.source_ids == expected.source_ids
+
 
 class TestRestrictionExtension:
     def test_pipeline_orders(self, pgl34_pipeline):
@@ -312,6 +332,39 @@ class TestRestrictionExtension:
         assert report.truncation_aut_order == 241920
         assert report.truncation_aut_i_order == 120960
         assert report.truncation_out_order == 2
+
+    def test_pipeline_reports_frobenius(self, pgl34_pipeline):
+        assert pgl34_pipeline.frobenius_extends is True
+        assert pgl34_pipeline.frobenius_type_action == ("0", "1", "Q(w+1)", "Q(w)")
+        assert pgl34_pipeline.to_json_dict() == {
+            "duality_extends": False,
+            "frobenius_extends": True,
+            "frobenius_type_action": ["0", "1", "Q(w+1)", "Q(w)"],
+            "truncation_aut_order": "241920",
+            "truncation_aut_i_order": "120960",
+            "truncation_out_order": "2",
+        }
+        assert list(pgl34_pipeline.to_json_dict()) == [
+            "duality_extends",
+            "frobenius_extends",
+            "frobenius_type_action",
+            "truncation_aut_order",
+            "truncation_aut_i_order",
+            "truncation_out_order",
+        ]
+
+    @pytest.mark.parametrize(
+        "p,k,base_degree,frobenius",
+        [(2, 1, 1, None), (2, 2, 2, ("0", "1"))],
+    )
+    def test_degenerate_pipeline_reports_frobenius(self, p, k, base_degree, frobenius):
+        geom = pgl_cross_ratio_geometry(3, make_field(p, k), base_degree=base_degree)
+        report = pgl_aut_via_extension(geom)
+        assert geom.degenerate
+        assert report.duality_extends is None
+        assert report.frobenius_extends is (frobenius is not None)
+        assert report.frobenius_type_action == frobenius
+        assert report.result.aut_order == report.truncation_aut_order
 
     def test_duality_does_not_extend(self, pgl34, pgl34_pipeline):
         assert pgl34_pipeline.duality_extends is False

@@ -163,26 +163,6 @@ class TestFlags:
         # 15 lines, 3 points each
         assert len(gq22().chambers()) == 45
 
-    def test_extend_flag_to_chamber(self):
-        sys = dihedral_geometry(3)
-        for flag in sys.flags():
-            chamber = sys.extend_flag_to_chamber(flag)
-            assert chamber is not None
-            assert set(flag) <= chamber
-            assert sys.is_flag(chamber)
-            assert len({int(sys.type_codes[x]) for x in chamber}) == sys.rank
-
-    def test_extend_flag_dead_end(self):
-        # the octagon system has no chambers at all
-        sys = dihedral_geometry(8)
-        assert sys.chambers() == []
-        assert sys.extend_flag_to_chamber([]) is None
-
-    def test_extend_flag_rejects_non_flag(self):
-        sys = IncidenceSystem(["a", "b"], [0, 1], [])
-        with pytest.raises(ValueError, match="not a flag"):
-            sys.extend_flag_to_chamber([0, 1])
-
 
 class TestPredicates:
     @pytest.mark.parametrize(
@@ -330,11 +310,11 @@ class TestTruncations:
         keep = sys.types[: max(1, sys.rank - 1)]
         trunc = sys.truncation(keep)
         expected = [
-            x for x in range(sys.size) if sys.type_of(x) in set(keep)
+            x for x in range(sys.size) if sys.types[sys.type_codes[x]] in set(keep)
         ]
         assert list(trunc.source_ids) == expected
         for i, x in enumerate(trunc.source_ids):
-            assert trunc.type_of(i) == sys.type_of(x)
+            assert trunc.types[trunc.type_codes[i]] == sys.types[sys.type_codes[x]]
 
 
 class TestInterchange:
