@@ -160,10 +160,15 @@ def _describe(args: argparse.Namespace) -> str:
     return name
 
 
-def _load_system(path: str) -> tuple[IncidenceSystem, bytes]:
+def _load_system(path: str) -> tuple[IncidenceSystem, str]:
+    """The system of an interchange file and the digest of the file's bytes."""
     with open(path, "rb") as fh:
         data = fh.read()
-    return IncidenceSystem.from_json(data.decode("utf-8")), data
+    digest = _digest([data])
+    text = data.decode("utf-8")
+    # the bytes are not needed while parsing, which is the peak of a load
+    del data
+    return IncidenceSystem.from_json(text), digest
 
 
 def run_build(args: argparse.Namespace) -> int:
@@ -174,7 +179,7 @@ def run_build(args: argparse.Namespace) -> int:
 
 def run_check(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    system, raw = _load_system(args.file)
+    system, digest = _load_system(args.file)
     validation = system.validate()
     if not validation.ok:
         for name, where in validation.violations:
@@ -192,7 +197,7 @@ def run_check(args: argparse.Namespace) -> int:
             raise ValueError(f"unknown property: {name}")
     checks = [{"property": name, "value": bool(known[name]())} for name in names]
     report = _report(
-        args, "check", _digest([raw]), checks, time.perf_counter() - started
+        args, "check", digest, checks, time.perf_counter() - started
     )
     _emit_json(report, args.out)
     return _EXIT_OK if all(c["value"] for c in checks) else _EXIT_MISMATCH
@@ -200,12 +205,12 @@ def run_check(args: argparse.Namespace) -> int:
 
 def run_aut(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    system, raw = _load_system(args.file)
+    system, digest = _load_system(args.file)
     result = correlation_group(system)
     report = _report(
         args,
         "aut",
-        _digest([raw]),
+        digest,
         [result.to_json_dict()],
         time.perf_counter() - started,
     )

@@ -570,7 +570,12 @@ def pgl_aut_via_extension(geom: PglGeometry) -> PglAutReport:
     frob_ext = extend_truncation_correlation(geom, frob) if frob is not None else None
     frob_types = None
     if frob_ext is not None:
-        frob_types = tuple(sys.types[t] for t in correlation_type_action(sys, frob_ext))
+        # frob_ext is a verified correlation, so one element per fiber shows
+        # where the fiber goes
+        first = np.unique(sys.type_codes, return_index=True)[1]
+        frob_types = tuple(
+            sys.types[t] for t in sys.type_codes[frob_ext.images[first]].tolist()
+        )
     duality_extends = None
     if geom.degenerate:
         # the truncation is the whole system

@@ -5,7 +5,9 @@ from __future__ import annotations
 import collections
 import dataclasses
 import gc
+import itertools
 import json
+import re
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
@@ -61,15 +63,109 @@ def validate_data(
 
 
 def _json_list(data: dict, field: str) -> list:
+    if field not in data:
+        raise ValueError(f"missing field: {field}")
     value = data[field]
     if not isinstance(value, list):
         raise ValueError(f"{field} must be a JSON list")
     return value
 
 
+def _int_pairs(rows: list, check_bools: bool = True) -> np.ndarray:
+    """rows as an int64 (k, 2) array; ValueError unless each row is two JSON integers."""
+    if not rows:
+        return np.empty((0, 2), dtype=np.int64)
+    arr = np.asarray(rows)
+    # numpy folds true and false into an integer array that also holds ints
+    if (
+        arr.ndim != 2
+        or arr.shape[1] != 2
+        or arr.dtype.kind not in "iu"
+        or (check_bools and bool in set(map(type, itertools.chain.from_iterable(rows))))
+    ):
+        raise ValueError("incidences must be pairs of integer element ids")
+    return arr.astype(np.int64, copy=False)
+
+
 # json.dumps(..., indent=2) of one incidence [a, b] at its depth in to_json
 _JSON_PAIR = "    [\n      %d,\n      %d\n    ]"
+# pairs per block, both when writing the interchange text and when reading it
 _JSON_BLOCK = 1 << 16
+_JSON_WS = json.decoder.WHITESPACE.match
+_JSON_VALUE = json.JSONDecoder().scan_once
+# in a list of integer pairs, only the last pair's "]" is followed by another "]"
+_JSON_PAIRS_END = re.compile(r"\][ \t\n\r]*\]").search
+
+
+def _read_pairs(text: str, pos: int) -> tuple[np.ndarray, int]:
+    """The integer pairs of the JSON list at text[pos] == "[", and the end of the list.
+
+    The list is parsed in blocks of about _JSON_BLOCK pairs, so its pairs never
+    exist as Python lists all at once.
+    """
+    body = pos + 1
+    first = _JSON_WS(text, body).end()
+    if text.startswith("]", first):
+        return np.empty((0, 2), dtype=np.int64), first + 1
+    match = _JSON_PAIRS_END(text, body)
+    if match is None:
+        raise json.JSONDecodeError("unterminated incidences list", text, pos)
+    stop = match.start() + 1  # just after the last pair's "]"
+    blocks = []
+    count = 0
+    pos = body
+    while True:
+        if count:
+            # aim at the middle of the block's last pair, at the mean width so far
+            width = (pos - body) / count
+            start = min(pos + int(width * (_JSON_BLOCK - 0.5)), stop - 1)
+        else:
+            start = pos
+        cut = text.index("]", start) + 1
+        # true and false both contain an "e", which no integer pair does
+        pairs = _int_pairs(
+            json.loads("[" + text[pos:cut] + "]"), text.find("e", pos, cut) >= 0
+        )
+        blocks.append(pairs)
+        count += pairs.shape[0]
+        if cut == stop:
+            break
+        pos = _JSON_WS(text, cut).end()
+        if not text.startswith(",", pos):
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
+        pos = _JSON_WS(text, pos + 1).end()
+    return np.concatenate(blocks), match.end()
+
+
+def _json_object(text: str, pos: int) -> tuple[dict, int]:
+    """The JSON object at text[pos] == "{", and the position just after it."""
+    data: dict = {}
+    pos = _JSON_WS(text, pos + 1).end()
+    if text.startswith("}", pos):
+        return data, pos + 1
+    while True:
+        if not text.startswith('"', pos):
+            raise json.JSONDecodeError(
+                "Expecting property name enclosed in double quotes", text, pos
+            )
+        key, pos = json.decoder.scanstring(text, pos + 1)
+        pos = _JSON_WS(text, pos).end()
+        if not text.startswith(":", pos):
+            raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
+        pos = _JSON_WS(text, pos + 1).end()
+        if key == "incidences" and text.startswith("[", pos):
+            data[key], pos = _read_pairs(text, pos)
+        else:
+            try:
+                data[key], pos = _JSON_VALUE(text, pos)
+            except StopIteration as exc:
+                raise json.JSONDecodeError("Expecting value", text, exc.value) from None
+        pos = _JSON_WS(text, pos).end()
+        if text.startswith("}", pos):
+            return data, pos + 1
+        if not text.startswith(",", pos):
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
+        pos = _JSON_WS(text, pos + 1).end()
 
 
 class IncidenceSystem:
@@ -101,15 +197,25 @@ class IncidenceSystem:
         if arr.shape[0]:
             if arr.min() < 0 or arr.max() >= n:
                 raise ValueError("incidence references unknown element id")
-            lo = np.minimum(arr[:, 0], arr[:, 1])
-            hi = np.maximum(arr[:, 0], arr[:, 1])
-            if (lo == hi).any():
+            a, b = arr[:, 0], arr[:, 1]
+            if (a == b).any():
                 raise ValueError("self-incidence")
-            # one int64 key per unordered pair; sorted keys are sorted pairs
-            keys = np.sort(lo * n + hi)
-            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-            arr = np.stack(np.divmod(keys, n), axis=1)
-        arr = arr.astype(np.int32)
+            # one int64 key min*n + max per unordered pair; sorted keys are
+            # sorted pairs.  Each temporary is freed as soon as it is used.
+            keys = np.minimum(a, b)
+            keys *= n
+            keys += np.maximum(a, b)
+            keys.sort()
+            keep = np.empty(keys.shape[0], dtype=bool)
+            keep[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+            keys = keys[keep]
+            del keep
+            arr = np.empty((keys.shape[0], 2), dtype=np.int32)
+            np.floor_divide(keys, n, out=arr[:, 0], casting="unsafe")
+            np.remainder(keys, n, out=arr[:, 1], casting="unsafe")
+        else:
+            arr = np.empty((0, 2), dtype=np.int32)
         codes.flags.writeable = False
         arr.flags.writeable = False
         object.__setattr__(self, "types", tps)
@@ -357,13 +463,22 @@ class IncidenceSystem:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "IncidenceSystem":
+        """The system of parsed interchange data.
+
+        ``incidences`` is a list of pairs, or the int64 (k, 2) array that
+        ``from_json`` reads.
+        """
         if not isinstance(data, dict):
             raise ValueError("interchange data must be a JSON object")
         types = tuple(str(t) for t in _json_list(data, "types"))
         index = {t: i for i, t in enumerate(types)}
         elements = _json_list(data, "elements")
-        if not all(isinstance(e, dict) for e in elements):
-            raise ValueError("elements must be JSON objects")
+        for pos, e in enumerate(elements):
+            if not isinstance(e, dict):
+                raise ValueError("elements must be JSON objects")
+            for field in ("id", "type"):
+                if field not in e:
+                    raise ValueError(f"element {pos} is missing field: {field}")
         # bool is a subclass of int, but true is not an id
         if not all(type(e["id"]) is int for e in elements):
             raise ValueError("element ids must be integers")
@@ -376,10 +491,9 @@ class IncidenceSystem:
             if lab not in index:
                 raise ValueError(f"unknown type label: {lab!r}")
             codes[e["id"]] = index[lab]
-        # an empty list parses as float; any other pair must hold integers
-        pairs = np.asarray(data["incidences"])
-        if pairs.size and pairs.dtype.kind not in "iu":
-            raise ValueError("incidences must be pairs of integer element ids")
+        pairs = data.get("incidences")
+        if not isinstance(pairs, np.ndarray):
+            pairs = _int_pairs(_json_list(data, "incidences"))
         return cls(types=types, type_codes=codes, pairs=pairs)
 
     def to_json(self) -> str:
@@ -404,15 +518,28 @@ class IncidenceSystem:
 
     @classmethod
     def from_json(cls, text: str) -> "IncidenceSystem":
-        # json.loads makes one small list per incidence; none can be part of a
-        # cycle, so the cyclic collector's passes over them are wasted work
+        """The system of an interchange text.
+
+        Every top-level member is parsed as ``json.loads`` parses it, the last
+        of duplicate keys winning, except that a list under ``incidences`` is
+        read in blocks of about ``_JSON_BLOCK`` pairs (see ``_read_pairs``) and
+        must hold integer pairs even where a later duplicate key replaces it.
+        """
+        pos = _JSON_WS(text, 0).end()
+        if not text.startswith("{", pos):
+            raise ValueError("interchange data must be a JSON object")
+        # the block reader makes one small list per pair; none can be part of
+        # a cycle, so the cyclic collector's passes over them are wasted work
         enabled = gc.isenabled()
         gc.disable()
         try:
-            data = json.loads(text)
+            data, pos = _json_object(text, pos)
         finally:
             if enabled:
                 gc.enable()
+        pos = _JSON_WS(text, pos).end()
+        if pos != len(text):
+            raise json.JSONDecodeError("Extra data", text, pos)
         return cls.from_json_dict(data)
 
     def to_dot(self) -> str:

@@ -407,7 +407,8 @@ def _interchange(**changes):
     return data
 
 
-# documents that were once read as the pair [0, 1] or crashed with a TypeError
+# documents that were once read as the pair [0, 1], crashed with a TypeError,
+# or failed with a KeyError that named no field
 MALFORMED = [
     (_interchange(incidences=[[0, 1.5]]), "incidences"),
     (_interchange(incidences=[["0", "1"]]), "incidences"),
@@ -416,10 +417,19 @@ MALFORMED = [
     ([_interchange()], "JSON object"),
     (_interchange(elements=[{"id": 0, "type": "a"}, 1]), "elements"),
     (_interchange(incidences=5), "incidences"),
+    (_interchange(incidences=[[0, True]]), "incidences"),
+    ({"elements": _interchange()["elements"], "incidences": []}, "missing field: types"),
+    ({"types": ["a", "b"], "incidences": []}, "missing field: elements"),
+    ({"types": ["a", "b"], "elements": _interchange()["elements"]}, "missing field: incidences"),
+    (_interchange(elements=[{"id": 0, "type": "a"}, {"type": "b"}]),
+     "element 1 is missing field: id"),
+    (_interchange(elements=[{"id": 0}, {"id": 1, "type": "b"}]),
+     "element 0 is missing field: type"),
 ]
 MALFORMED_IDS = [
     "float-pair", "string-pair", "float-id", "string-id", "top-level-list",
-    "element-not-object", "incidences-not-list",
+    "element-not-object", "incidences-not-list", "bool-pair", "no-types",
+    "no-elements", "no-incidences", "element-no-id", "element-no-type",
 ]
 
 
