@@ -436,9 +436,16 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built by the first main call; parse_args leaves a parser as it was, so one
+# parser serves every later call in the process
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = _make_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError, FileNotFoundError) as exc:

@@ -31,12 +31,28 @@ class ValidationReport:
         return cls(ok=not vs, violations=vs)
 
 
+def _id_pair(row: Iterable[int]) -> tuple[int, int] | None:
+    """row as two int ids, or None unless it is exactly two integers."""
+    try:
+        a, b = row
+    except (TypeError, ValueError):
+        return None
+    # bool is a subclass of int, but true is not an id
+    if all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (a, b)):
+        return int(a), int(b)
+    return None
+
+
 def validate_data(
     types: Iterable[str],
     element_types: Iterable[str],
     incidences: Iterable[Iterable[int]],
 ) -> ValidationReport:
-    """Validate raw system data before construction; reports instead of raising."""
+    """Validate raw system data before construction; reports instead of raising.
+
+    An incidence that is not exactly two integers is reported as a
+    "malformed incidence" at its row index.
+    """
     types = tuple(types)
     labels = list(element_types)
     index = {t: i for i, t in enumerate(types)}
@@ -53,8 +69,12 @@ def validate_data(
     for t in range(len(types)):
         if t not in used:
             violations.append(("empty type fiber", (t,)))
-    for pair in incidences:
-        a, b = (int(x) for x in pair)
+    for row, pair in enumerate(incidences):
+        ids = _id_pair(pair)
+        if ids is None:
+            violations.append(("malformed incidence", (row,)))
+            continue
+        a, b = ids
         if not (0 <= a < n and 0 <= b < n):
             violations.append(("dangling id", (min(a, b), max(a, b))))
         elif codes[a] == codes[b]:
@@ -75,7 +95,10 @@ def _int_pairs(rows: list, check_bools: bool = True) -> np.ndarray:
     """rows as an int64 (k, 2) array; ValueError unless each row is two JSON integers."""
     if not rows:
         return np.empty((0, 2), dtype=np.int64)
-    arr = np.asarray(rows)
+    try:
+        arr = np.asarray(rows)
+    except ValueError:  # rows of different lengths
+        arr = np.empty(0)
     # numpy folds true and false into an integer array that also holds ints
     if (
         arr.ndim != 2
@@ -95,13 +118,74 @@ _JSON_WS = json.decoder.WHITESPACE.match
 _JSON_VALUE = json.JSONDecoder().scan_once
 # in a list of integer pairs, only the last pair's "]" is followed by another "]"
 _JSON_PAIRS_END = re.compile(r"\][ \t\n\r]*\]").search
+# "[" and "]" as "(" and ")", so that in a block of pairs only digits are >= "0"
+_BRACKETS = bytes.maketrans(b"[]", b"()")
+# below about 4 KB (120 pairs as to_json writes them) json.loads reads a block
+# faster than the array path, whose fixed cost is about 35 us (numpy 2.4, 2 CPUs)
+_ARRAY_MIN_CHARS = 1 << 12
+
+
+def _strict_pairs(block: str) -> np.ndarray | None:
+    """The int64 (k, 2) array of a block of pairs in the strict shape, else None.
+
+    A block is in the strict shape when it is k pairs ``[a, b]`` joined by
+    ``,``, each id a JSON integer of at most 18 digits (no sign, no leading
+    zero), with the JSON whitespace `` \t\n\r`` anywhere except inside an
+    id.  ``json.loads("[" + block + "]")`` reads such a block as exactly these
+    k pairs of ints, so the array equals what the JSON path returns.  The
+    shape is checked, and the ids read, with byte and array operations.
+    """
+    if not block.isascii():
+        return None
+    raw = block.encode("ascii")
+    packed = raw.translate(_BRACKETS, b" \t\n\r")
+    marks = packed.translate(None, b"0123456789")
+    k = len(marks) // 4 + 1
+    if marks != (b"(,)," * k)[:-1]:
+        return None
+    # the raw text must hold 2k runs of digits: whitespace inside an id would
+    # split a run there that the packed text shows as one
+    raw_digit = (np.frombuffer(raw, dtype=np.uint8) - 48) < 10  # other bytes wrap to >= 10
+    if np.count_nonzero(raw_digit[1:] > raw_digit[:-1]) != 2 * k:
+        return None
+    del raw, raw_digit  # the largest arrays of a block: free them before making more
+    dense = np.frombuffer(packed, dtype=np.uint8)
+    digit = dense >= 48
+    # from the "(" at 0, runs of digits start and end by turns
+    edges = np.flatnonzero(digit[1:] != digit[:-1])
+    if digit[0] or edges.shape[0] != 4 * k:
+        return None
+    edges += 1
+    starts, ends = edges[0::2], edges[1::2]
+    # the 4k - 1 marks fill the 2k + 1 gaps around the runs, each gap at least
+    # one mark; "),(" in each of the k - 1 gaps between pairs leaves exactly
+    # "(" before the first run, "," inside each pair and ")" after the last
+    if (starts[2::2] - ends[1:-1:2] != 3).any():
+        return None
+    width = ends - starts
+    if width.max() > 18 or ((width > 1) & (dense[starts] == 48)).any():
+        return None
+    # each id as a zero-padded number of width.max() digits, by Horner's rule;
+    # an id shorter than the place reads some other byte there, then zeroed
+    values = np.zeros(2 * k, dtype=np.int64)
+    for place in range(int(width.max()), 0, -1):
+        column = dense.take(ends - place, mode="clip") - 48
+        column[width < place] = 0
+        values *= 10
+        values += column
+    return values.reshape(k, 2)
 
 
 def _read_pairs(text: str, pos: int) -> tuple[np.ndarray, int]:
     """The integer pairs of the JSON list at text[pos] == "[", and the end of the list.
 
-    The list is parsed in blocks of about _JSON_BLOCK pairs, so its pairs never
-    exist as Python lists all at once.
+    The list is read in blocks of about _JSON_BLOCK pairs, so its pairs never
+    exist as Python lists all at once.  A block of at least _ARRAY_MIN_CHARS
+    characters in the strict shape of ``_strict_pairs`` (such as every block
+    ``to_json`` writes) becomes its array without ``json.loads``; any other
+    block is parsed by ``json.loads`` and checked by ``_int_pairs``, which
+    alone decide what is rejected and how.  Either way the block gives the
+    same pairs.
     """
     body = pos + 1
     first = _JSON_WS(text, body).end()
@@ -111,22 +195,23 @@ def _read_pairs(text: str, pos: int) -> tuple[np.ndarray, int]:
     if match is None:
         raise json.JSONDecodeError("unterminated incidences list", text, pos)
     stop = match.start() + 1  # just after the last pair's "]"
-    blocks = []
+    # the int64 pairs read so far, as bytes: one growing buffer leaves no block
+    # arrays among the freed temporaries of later blocks, and needs no concatenation
+    out = bytearray()
     count = 0
     pos = body
+    # the mean width of a pair so far; the first pair's width before that
+    width = text.index("]", body) + 1 - body
     while True:
-        if count:
-            # aim at the middle of the block's last pair, at the mean width so far
-            width = (pos - body) / count
-            start = min(pos + int(width * (_JSON_BLOCK - 0.5)), stop - 1)
-        else:
-            start = pos
+        # aim at the middle of the block's last pair
+        start = min(pos + int(width * (_JSON_BLOCK - 0.5)), stop - 1)
         cut = text.index("]", start) + 1
-        # true and false both contain an "e", which no integer pair does
-        pairs = _int_pairs(
-            json.loads("[" + text[pos:cut] + "]"), text.find("e", pos, cut) >= 0
-        )
-        blocks.append(pairs)
+        block = text[pos:cut]
+        pairs = _strict_pairs(block) if len(block) >= _ARRAY_MIN_CHARS else None
+        if pairs is None:
+            # true and false both contain an "e", which no integer pair does
+            pairs = _int_pairs(json.loads("[" + block + "]"), "e" in block)
+        out += pairs.data
         count += pairs.shape[0]
         if cut == stop:
             break
@@ -134,7 +219,8 @@ def _read_pairs(text: str, pos: int) -> tuple[np.ndarray, int]:
         if not text.startswith(",", pos):
             raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
         pos = _JSON_WS(text, pos + 1).end()
-    return np.concatenate(blocks), match.end()
+        width = (pos - body) / count
+    return np.frombuffer(out, dtype=np.int64).reshape(count, 2), match.end()
 
 
 def _json_object(text: str, pos: int) -> tuple[dict, int]:
@@ -524,12 +610,16 @@ class IncidenceSystem:
         of duplicate keys winning, except that a list under ``incidences`` is
         read in blocks of about ``_JSON_BLOCK`` pairs (see ``_read_pairs``) and
         must hold integer pairs even where a later duplicate key replaces it.
+        A block of plain integer pairs of at least 4 KB, such as every full
+        block ``to_json`` writes, is read with array operations instead of
+        ``json.loads``; every other block is parsed by ``json.loads``, and the
+        pairs are the same either way.
         """
         pos = _JSON_WS(text, 0).end()
         if not text.startswith("{", pos):
             raise ValueError("interchange data must be a JSON object")
-        # the block reader makes one small list per pair; none can be part of
-        # a cycle, so the cyclic collector's passes over them are wasted work
+        # json.loads makes one small list per pair of a block it parses; none
+        # can be part of a cycle, so the cyclic collector's passes are wasted
         enabled = gc.isenabled()
         gc.disable()
         try:

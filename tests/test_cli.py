@@ -111,6 +111,31 @@ def triangle_file(capsys, tmp_path):
     return path
 
 
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of main(argv), whether it returns or exits."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch, triangle_file):
+    argvs = [["aut", str(triangle_file)], ["aut"], ["check", str(triangle_file)], ["--version"]]
+    fresh = []
+    for argv in argvs:
+        monkeypatch.setattr(geomrep.cli, "_parser", None)
+        fresh.append(outcome(capsys, argv))
+    built = []
+    make_parser = geomrep.cli._make_parser
+    monkeypatch.setattr(geomrep.cli, "_make_parser", lambda: built.append(1) or make_parser())
+    monkeypatch.setattr(geomrep.cli, "_parser", None)
+    assert [outcome(capsys, argv) for argv in argvs] == fresh
+    assert [code for code, _, _ in fresh] == [0, 2, 0, 0]
+    assert len(built) == 1
+
+
 @pytest.fixture()
 def pentagon_file(capsys, tmp_path):
     path = tmp_path / "pentagon.json"

@@ -478,6 +478,19 @@ class TestArrayCore:
         labels = [types[c] for c in codes]
         assert sys.validate() == validate_data(types, labels, sys.pairs.tolist())
 
+    @pytest.mark.parametrize(
+        "row", [[0, 1.5], [0, True], [0, 1, 2], ["0", 1]],
+        ids=["float-id", "bool-id", "three-ids", "string-id"],
+    )
+    def test_validate_data_reports_malformed_rows(self, row):
+        report = validate_data(["a", "b"], ["a", "b"], [[0, 1], row])
+        assert report.violations == (("malformed incidence", (1,)),)
+        # the loader rejects the same row
+        data = {"types": ["a", "b"], "elements": [{"id": 0, "type": "a"},
+                {"id": 1, "type": "b"}], "incidences": [[0, 1], row]}
+        with pytest.raises(ValueError, match="incidences must be pairs"):
+            IncidenceSystem.from_json(json.dumps(data))
+
     @given(raw_data())
     @settings(max_examples=60, deadline=None)
     def test_to_json_matches_json_dumps(self, data):

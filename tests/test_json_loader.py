@@ -15,7 +15,14 @@ WHITESPACE = ["", " ", "\t", "\n", "\r\n", " \r\n\t"]
 # edits that break a document or change what it holds; \f and \xa0 are
 # whitespace to Python but not to JSON
 TOKENS = ["true", "false", "1.5", "]", "[", ",", "]]", "-", "1e3", "null", '"', " ", "\t",
-          "\f", "\xa0", "0", "{", "}", ":"]
+          "\f", "\xa0", "0", "{", "}", ":", "01", "00", "-0", "+1", "\v", "\uff11", "\u0663",
+          "1234567890123456789", "12345678901234567890", str(2**63)]
+
+
+@pytest.fixture()
+def short_blocks_take_the_array_path(monkeypatch):
+    """Blocks of any length take the array path, so that small documents test it."""
+    monkeypatch.setattr(geomrep.incidence, "_ARRAY_MIN_CHARS", 0)
 
 
 def _reference_int_pairs(value):
@@ -27,8 +34,8 @@ def _reference_int_pairs(value):
     )
 
 
-def reference_load(text):
-    """from_json_dict(json.loads(text)), plus the one rule the block reader adds.
+def reference_data(text):
+    """json.loads(text), plus the one rule the block reader adds.
 
     A list under a top-level "incidences" key must hold integer pairs even when
     a later duplicate key replaces it, because the reader checks each list as
@@ -46,12 +53,20 @@ def reference_load(text):
             if key == "incidences" and isinstance(value, list):
                 if not _reference_int_pairs(value):
                     raise ValueError("incidences must be pairs of integer element ids")
-    return IncidenceSystem.from_json_dict(data)
+    return data
+
+
+def reference_load(text):
+    return IncidenceSystem.from_json_dict(reference_data(text))
 
 
 def _dumps(rng, value):
     """value as JSON text in one of several layouts."""
     pair_list = isinstance(value, list) and all(isinstance(p, list) for p in value)
+    if pair_list and value and all(len(p) == 2 for p in value) and rng.random() < 0.4:
+        # the layout of to_json
+        pair = "    [\n      %s,\n      %s\n    ]"
+        return "[\n" + ",\n".join(pair % tuple(map(json.dumps, p)) for p in value) + "\n  ]"
     if pair_list and value and rng.random() < 0.5:
         ws = lambda: rng.choice(WHITESPACE)  # noqa: E731
         items = [
@@ -126,6 +141,7 @@ def outcome(load, text):
     return system.types, system.type_codes.tolist(), system.pairs.tolist()
 
 
+@pytest.mark.usefixtures("short_blocks_take_the_array_path")
 @pytest.mark.parametrize("block", [1, 2, 3])
 def test_block_reader_matches_json_loads(monkeypatch, block):
     monkeypatch.setattr(geomrep.incidence, "_JSON_BLOCK", block)
@@ -142,6 +158,114 @@ def test_block_reader_matches_json_loads(monkeypatch, block):
     assert 600 < loaded < 3000
 
 
+@pytest.mark.parametrize(
+    "block,pairs",
+    [
+        ("[0, 1]", [[0, 1]]),
+        (" \t[1 ,\r\n2],[3,4]", [[1, 2], [3, 4]]),
+        ("[123456789012345678,0]", [[123456789012345678, 0]]),
+        ("[1234567890123456789,0]", None),
+        ("[01,2]", None),
+        ("[1 2,3]", None),
+        ("[,],[1 2,3 4]", None),
+        ("[0,1]0,1[,],[0,1]", None),
+        ("[,]1,2[3,4]", None),
+        ("5[1,]2", None),
+        ("[1,\v2]", None),
+        ("[\uff11,2]", None),
+        ("[-1,2]", None),
+        ("[1,2],", None),
+        ("[[1,2]]", None),
+        ("", None),
+    ],
+)
+def test_strict_pairs(block, pairs):
+    """The array path reads plain integer pairs as json.loads does and declines the rest."""
+    got = geomrep.incidence._strict_pairs(block)
+    if pairs is None:
+        assert got is None
+    else:
+        assert got.dtype == np.int64
+        assert got.tolist() == pairs == json.loads("[" + block + "]")
+
+
+def random_pair_document(rng):
+    """A document that holds only an incidence list, with ids of 1 to 5 digits."""
+    pairs = []
+    for _ in range(rng.randint(1, 12)):
+        digits = [rng.randint(1, 5) for _ in range(2)]
+        pairs.append([rng.randrange(10 ** (d - 1) if d > 1 else 0, 10**d) for d in digits])
+    ws = lambda: rng.choice(WHITESPACE)  # noqa: E731
+    return "{" + ws() + '"incidences":' + ws() + _dumps(rng, pairs) + ws() + "}"
+
+
+def parsed(load, text):
+    """The members that load reads from text, or None if it raises ValueError."""
+    try:
+        data = load(text)
+    except ValueError:
+        return None
+    if not isinstance(data, dict):
+        return None  # from_json_dict rejects it
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in data.items()}
+
+
+@pytest.mark.usefixtures("short_blocks_take_the_array_path")
+@pytest.mark.parametrize("block", [1, 3, 1 << 16])
+def test_pair_reader_matches_json_loads(monkeypatch, block):
+    # ids too large for any element list, so the pairs are compared as read
+    monkeypatch.setattr(geomrep.incidence, "_JSON_BLOCK", block)
+    monkeypatch.setattr(IncidenceSystem, "from_json_dict", classmethod(lambda cls, data: data))
+    rng = random.Random(2000 + block)
+    loaded = 0
+    for i in range(2000):
+        text = random_pair_document(rng)
+        if i % 2:
+            text = mutate(rng, text)
+        want = parsed(reference_data, text)
+        assert parsed(IncidenceSystem.from_json, text) == want, text
+        loaded += want is not None
+    assert 1050 < loaded < 1900
+
+
+def _spanning_system(pairs):
+    """The system of pairs over ids 0..max, typed by parity."""
+    n = int(np.max(pairs)) + 1
+    return IncidenceSystem(["even", "odd"], [i % 2 for i in range(n)], pairs)
+
+
+def test_to_json_blocks_skip_json_loads(monkeypatch):
+    calls = []
+    real_loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda *a, **kw: calls.append(a) or real_loads(*a, **kw))
+    k = 3 * geomrep.incidence._JSON_BLOCK + 1
+    ids = np.arange(k, dtype=np.int64) % 2000
+    system = _spanning_system(np.stack([2 * ids, 2 * ids + 1 + 2 * (np.arange(k) // 2000)], 1))
+    assert system.pairs.shape[0] == k
+    assert IncidenceSystem.from_json(system.to_json()) == system
+    assert calls == []
+
+
+# ids on both sides of the 9/10, 99/100 and 9999/10000 digit widths
+BOUNDARY_PAIRS = [[8, 9], [10, 11], [98, 99], [100, 101], [9998, 9999], [10000, 10001]]
+
+
+@pytest.mark.usefixtures("short_blocks_take_the_array_path")
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_round_trip_across_block_and_digit_widths(monkeypatch, offset):
+    block = 10
+    monkeypatch.setattr(geomrep.incidence, "_JSON_BLOCK", block)
+    extra = [[a, b] for a in (0, 2, 4) for b in (1, 3, 5, 7, 9, 11)]
+    pairs = BOUNDARY_PAIRS + extra[: block + offset - len(BOUNDARY_PAIRS)]
+    system = _spanning_system(pairs)
+    assert system.pairs.shape[0] == block + offset
+    text = system.to_json()
+    loaded = IncidenceSystem.from_json(text)
+    assert loaded == system
+    assert loaded.to_json() == text
+
+
+@pytest.mark.usefixtures("short_blocks_take_the_array_path")
 @pytest.mark.parametrize(
     "text",
     [
@@ -160,6 +284,7 @@ def test_block_reader_accepts(text):
 HEAD = '{"types": ["a", "b"], "elements": [{"id": 0, "type": "a"}, {"id": 1, "type": "b"}], '
 
 
+@pytest.mark.usefixtures("short_blocks_take_the_array_path")
 @pytest.mark.parametrize(
     "text",
     [
