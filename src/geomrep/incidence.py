@@ -118,11 +118,6 @@ _JSON_WS = json.decoder.WHITESPACE.match
 _JSON_VALUE = json.JSONDecoder().scan_once
 # in a list of integer pairs, only the last pair's "]" is followed by another "]"
 _JSON_PAIRS_END = re.compile(r"\][ \t\n\r]*\]").search
-# "[" and "]" as "(" and ")", so that in a block of pairs only digits are >= "0"
-_BRACKETS = bytes.maketrans(b"[]", b"()")
-# below about 4 KB (120 pairs as to_json writes them) json.loads reads a block
-# faster than the array path, whose fixed cost is about 35 us (numpy 2.4, 2 CPUs)
-_ARRAY_MIN_CHARS = 1 << 12
 
 
 def _strict_pairs(block: str) -> np.ndarray | None:
@@ -138,10 +133,10 @@ def _strict_pairs(block: str) -> np.ndarray | None:
     if not block.isascii():
         return None
     raw = block.encode("ascii")
-    packed = raw.translate(_BRACKETS, b" \t\n\r")
+    packed = raw.translate(None, b" \t\n\r")
     marks = packed.translate(None, b"0123456789")
     k = len(marks) // 4 + 1
-    if marks != (b"(,)," * k)[:-1]:
+    if marks != (b"[,]," * k)[:-1]:
         return None
     # the raw text must hold 2k runs of digits: whitespace inside an id would
     # split a run there that the packed text shows as one
@@ -150,16 +145,16 @@ def _strict_pairs(block: str) -> np.ndarray | None:
         return None
     del raw, raw_digit  # the largest arrays of a block: free them before making more
     dense = np.frombuffer(packed, dtype=np.uint8)
-    digit = dense >= 48
-    # from the "(" at 0, runs of digits start and end by turns
+    digit = (dense - 48) < 10
+    # from the "[" at 0, runs of digits start and end by turns
     edges = np.flatnonzero(digit[1:] != digit[:-1])
     if digit[0] or edges.shape[0] != 4 * k:
         return None
     edges += 1
     starts, ends = edges[0::2], edges[1::2]
     # the 4k - 1 marks fill the 2k + 1 gaps around the runs, each gap at least
-    # one mark; "),(" in each of the k - 1 gaps between pairs leaves exactly
-    # "(" before the first run, "," inside each pair and ")" after the last
+    # one mark; "],[" in each of the k - 1 gaps between pairs leaves exactly
+    # "[" before the first run, "," inside each pair and "]" after the last
     if (starts[2::2] - ends[1:-1:2] != 3).any():
         return None
     width = ends - starts
@@ -180,12 +175,11 @@ def _read_pairs(text: str, pos: int) -> tuple[np.ndarray, int]:
     """The integer pairs of the JSON list at text[pos] == "[", and the end of the list.
 
     The list is read in blocks of about _JSON_BLOCK pairs, so its pairs never
-    exist as Python lists all at once.  A block of at least _ARRAY_MIN_CHARS
-    characters in the strict shape of ``_strict_pairs`` (such as every block
-    ``to_json`` writes) becomes its array without ``json.loads``; any other
-    block is parsed by ``json.loads`` and checked by ``_int_pairs``, which
-    alone decide what is rejected and how.  Either way the block gives the
-    same pairs.
+    exist as Python lists all at once.  A block in the strict shape of
+    ``_strict_pairs`` (such as every block ``to_json`` writes) becomes its
+    array without ``json.loads``; any other block is parsed by ``json.loads``
+    and checked by ``_int_pairs``, which alone decide what is rejected and
+    how.  Either way the block gives the same pairs.
     """
     body = pos + 1
     first = _JSON_WS(text, body).end()
@@ -207,7 +201,7 @@ def _read_pairs(text: str, pos: int) -> tuple[np.ndarray, int]:
         start = min(pos + int(width * (_JSON_BLOCK - 0.5)), stop - 1)
         cut = text.index("]", start) + 1
         block = text[pos:cut]
-        pairs = _strict_pairs(block) if len(block) >= _ARRAY_MIN_CHARS else None
+        pairs = _strict_pairs(block)
         if pairs is None:
             # true and false both contain an "e", which no integer pair does
             pairs = _int_pairs(json.loads("[" + block + "]"), "e" in block)
@@ -610,10 +604,10 @@ class IncidenceSystem:
         of duplicate keys winning, except that a list under ``incidences`` is
         read in blocks of about ``_JSON_BLOCK`` pairs (see ``_read_pairs``) and
         must hold integer pairs even where a later duplicate key replaces it.
-        A block of plain integer pairs of at least 4 KB, such as every full
-        block ``to_json`` writes, is read with array operations instead of
-        ``json.loads``; every other block is parsed by ``json.loads``, and the
-        pairs are the same either way.
+        A block of plain integer pairs, such as every block ``to_json``
+        writes, is read with array operations instead of ``json.loads``; every
+        other block is parsed by ``json.loads``, and the pairs are the same
+        either way.
         """
         pos = _JSON_WS(text, 0).end()
         if not text.startswith("{", pos):

@@ -14,15 +14,9 @@ LABELS = ["a", "b", "c", "é", "型", "[", "]]", "a]b", "[[0, 1]]", "incidences"
 WHITESPACE = ["", " ", "\t", "\n", "\r\n", " \r\n\t"]
 # edits that break a document or change what it holds; \f and \xa0 are
 # whitespace to Python but not to JSON
-TOKENS = ["true", "false", "1.5", "]", "[", ",", "]]", "-", "1e3", "null", '"', " ", "\t",
-          "\f", "\xa0", "0", "{", "}", ":", "01", "00", "-0", "+1", "\v", "\uff11", "\u0663",
-          "1234567890123456789", "12345678901234567890", str(2**63)]
-
-
-@pytest.fixture()
-def short_blocks_take_the_array_path(monkeypatch):
-    """Blocks of any length take the array path, so that small documents test it."""
-    monkeypatch.setattr(geomrep.incidence, "_ARRAY_MIN_CHARS", 0)
+TOKENS = ["true", "false", "1.5", "]", "[", ",", "]]", "(", ")", "-", "1e3", "null", '"',
+          " ", "\t", "\f", "\xa0", "0", "{", "}", ":", "01", "00", "-0", "+1", "\v", "\uff11",
+          "\u0663", "1234567890123456789", "12345678901234567890", str(2**63)]
 
 
 def _reference_int_pairs(value):
@@ -141,7 +135,6 @@ def outcome(load, text):
     return system.types, system.type_codes.tolist(), system.pairs.tolist()
 
 
-@pytest.mark.usefixtures("short_blocks_take_the_array_path")
 @pytest.mark.parametrize("block", [1, 2, 3])
 def test_block_reader_matches_json_loads(monkeypatch, block):
     monkeypatch.setattr(geomrep.incidence, "_JSON_BLOCK", block)
@@ -176,6 +169,10 @@ def test_block_reader_matches_json_loads(monkeypatch, block):
         ("[-1,2]", None),
         ("[1,2],", None),
         ("[[1,2]]", None),
+        ("(0,1]", None),
+        ("[0,1),(2,3]", None),
+        ("(0,1),(2,3)", None),
+        ("[0,1],(2,3)", None),
         ("", None),
     ],
 )
@@ -210,7 +207,6 @@ def parsed(load, text):
     return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in data.items()}
 
 
-@pytest.mark.usefixtures("short_blocks_take_the_array_path")
 @pytest.mark.parametrize("block", [1, 3, 1 << 16])
 def test_pair_reader_matches_json_loads(monkeypatch, block):
     # ids too large for any element list, so the pairs are compared as read
@@ -250,7 +246,6 @@ def test_to_json_blocks_skip_json_loads(monkeypatch):
 BOUNDARY_PAIRS = [[8, 9], [10, 11], [98, 99], [100, 101], [9998, 9999], [10000, 10001]]
 
 
-@pytest.mark.usefixtures("short_blocks_take_the_array_path")
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_round_trip_across_block_and_digit_widths(monkeypatch, offset):
     block = 10
@@ -265,7 +260,6 @@ def test_round_trip_across_block_and_digit_widths(monkeypatch, offset):
     assert loaded.to_json() == text
 
 
-@pytest.mark.usefixtures("short_blocks_take_the_array_path")
 @pytest.mark.parametrize(
     "text",
     [
@@ -284,7 +278,6 @@ def test_block_reader_accepts(text):
 HEAD = '{"types": ["a", "b"], "elements": [{"id": 0, "type": "a"}, {"id": 1, "type": "b"}], '
 
 
-@pytest.mark.usefixtures("short_blocks_take_the_array_path")
 @pytest.mark.parametrize(
     "text",
     [
@@ -295,12 +288,14 @@ HEAD = '{"types": ["a", "b"], "elements": [{"id": 0, "type": "a"}, {"id": 1, "ty
         HEAD + '"incidences": [[0, 1]\f]}',
         HEAD + '"incidences": [\xa0]}',
         HEAD + '"incidences": [[0, [1]]]}',
+        HEAD + '"incidences": [[0, 1), (1, 0]]}',
         HEAD + '"incidences": [[0, 1]',
         HEAD + '"incidences": [[0, true]], "incidences": [[0, 1]]}',
         '["types"]',
     ],
     ids=["trailing-data", "extra-bracket", "trailing-comma", "missing-comma", "form-feed",
-         "nbsp", "nested", "unterminated", "bool-before-duplicate", "not-an-object"],
+         "nbsp", "nested", "parentheses", "unterminated", "bool-before-duplicate",
+         "not-an-object"],
 )
 def test_block_reader_rejects(text):
     with pytest.raises(ValueError):
