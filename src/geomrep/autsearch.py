@@ -434,12 +434,18 @@ def correlation_type_action(
     pairs = sys.pairs
     if pairs.shape[0]:
         # key min*n + max per pair: the image keys are distinct (g is a
-        # bijection), and the sorted system pairs have ascending keys
-        ends = g.images[pairs]
-        lo = np.minimum(ends[:, 0], ends[:, 1])
-        hi = np.maximum(ends[:, 0], ends[:, 1])
-        keys = pairs[:, 0].astype(np.int64) * n + pairs[:, 1]
-        if not np.array_equal(np.sort(lo * n + hi), keys):
+        # bijection), and the sorted system pairs have ascending keys.  Keys
+        # are below n*n, so int32 holds them when n*n < 2**31.
+        dtype = np.int32 if n * n < 2**31 else np.int64
+        ends = g.images.astype(dtype)[pairs]
+        keys = np.minimum(ends[:, 0], ends[:, 1])
+        keys *= n
+        keys += np.maximum(ends[:, 0], ends[:, 1])
+        keys.sort()
+        want = pairs[:, 0].astype(dtype)
+        want *= n
+        want += pairs[:, 1]
+        if not np.array_equal(keys, want):
             return None
     return tmap
 

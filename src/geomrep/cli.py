@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import codecs
 import hashlib
 import itertools
 import json
@@ -161,14 +162,29 @@ def _describe(args: argparse.Namespace) -> str:
 
 
 def _load_system(path: str) -> tuple[IncidenceSystem, str]:
-    """The system of an interchange file and the digest of the file's bytes."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    digest = _digest([data])
-    text = data.decode("utf-8")
-    # the bytes are not needed while parsing, which is the peak of a load
-    del data
-    return IncidenceSystem.from_json(text), digest
+    """The system of an interchange file and the digest of the file's bytes.
+
+    The file is hashed and decoded a megabyte at a time, so its bytes never
+    sit beside its text: the decoded pieces fit in heap that earlier work in
+    the process freed, where the whole file's bytes would need fresh memory.
+    """
+    digest = hashlib.sha256()
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    pieces = []
+    try:
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(chunk)
+                pieces.append(decoder.decode(chunk))
+        pieces.append(decoder.decode(b"", final=True))
+    except UnicodeDecodeError:
+        # report the position in the whole file, as one decode of it does
+        with open(path, "rb") as fh:
+            fh.read().decode("utf-8")
+        raise
+    text = "".join(pieces)
+    del pieces
+    return IncidenceSystem.from_json(text), "sha256:" + digest.hexdigest()
 
 
 def run_build(args: argparse.Namespace) -> int:
@@ -235,7 +251,7 @@ def run_verify(args: argparse.Namespace) -> int:
     payload = _report(
         args,
         "verify",
-        _digest(block.encode("utf-8") for block in system.json_blocks()),
+        _digest(system.json_blocks()),
         [report.to_json_dict()] + extra_checks,
         time.perf_counter() - started,
     )

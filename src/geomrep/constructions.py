@@ -251,10 +251,11 @@ class PglGeometry:
     lambda_codes: tuple[int, ...]
     quad_offset: int
     quads: tuple[tuple[int, int, int, int], ...]
+    # quads as a read-only (number of quads, 4) int64 array, in the same order
+    quad_points: np.ndarray
     quad_lambda: tuple[int, ...]
     quad_block: tuple[int, ...]
     quad_line: tuple[int, ...]
-    quad_index: dict
 
 
 def pgl_cross_ratio_geometry(
@@ -348,6 +349,8 @@ def pgl_cross_ratio_geometry(
             quad_line.append(line_eid)
         block_ranges.append((start, len(quads)))
     nq = len(quads)
+    quad_points = np.asarray(quads, dtype=np.int64).reshape(nq, 4)
+    quad_points.flags.writeable = False
     quad_offset = nsub
     total_cross = sum(
         (block_ranges[b1][1] - block_ranges[b1][0])
@@ -377,11 +380,10 @@ def pgl_cross_ratio_geometry(
     if sub_pairs:
         chunks.append(np.asarray(sub_pairs, dtype=np.int32))
     if nq:
-        quad_arr = np.asarray(quads, dtype=np.int32)
         qids = np.arange(nq, dtype=np.int32) + quad_offset
         # point-quad: x is one of the four entries
         chunks.append(
-            np.stack([quad_arr.reshape(-1), np.repeat(qids, 4)], axis=1)
+            np.stack([quad_points.astype(np.int32).reshape(-1), np.repeat(qids, 4)], axis=1)
         )
         # line-quad: the common line of the quadruple
         chunks.append(
@@ -433,10 +435,10 @@ def pgl_cross_ratio_geometry(
         lambda_codes=tuple(lams),
         quad_offset=quad_offset,
         quads=tuple(quads),
+        quad_points=quad_points,
         quad_lambda=tuple(quad_lambda),
         quad_block=tuple(quad_block),
         quad_line=tuple(quad_line),
-        quad_index={quad: quad_offset + j for j, quad in enumerate(quads)},
     )
 
 
@@ -499,32 +501,39 @@ def extend_truncation_correlation(
         # points are not preserved, so image quadruples are not elements
         return None
     sys = geom.system
-    images = list(range(sys.size))
-    for x in range(trunc.size):
-        images[x] = f(x)
-    targets = []
-    for q in geom.quads:
-        img = (f(q[0]), f(q[1]), f(q[2]), f(q[3]))
-        target = geom.quad_index.get(img)
-        if target is None:
-            return None
-        targets.append(target)
-    for j, target in enumerate(targets):
-        images[geom.quad_offset + j] = target
+    off, nq = geom.quad_offset, geom.quad_points.shape[0]
+    # each quad's image, looked up by its key among the sorted quad keys; f
+    # maps points to points, so the image quads have keys too
+    shape = (len(geom.space.points),) * 4
+    keys = np.ravel_multi_index(geom.quad_points.T, shape)
+    order = np.argsort(keys)
+    image_keys = np.ravel_multi_index(f.images[geom.quad_points].T, shape)
+    at = np.searchsorted(keys, image_keys, sorter=order).clip(max=nq - 1)
+    if not np.array_equal(keys[order[at]], image_keys):
+        return None
+    targets = order[at]
+    images = np.arange(sys.size)
+    images[: trunc.size] = f.images
+    images[off:] = off + targets
     phi = Permutation(images)
-    # verify: constant injective block map, and image quads sit on the image lines
+    # verify: constant injective block map, and image quads sit on the image
+    # lines; the first quad to fail either decides the error
     nb = len(geom.lambda_codes)
-    bmap = [-1] * nb
-    for j, target in enumerate(targets):
-        src = geom.quad_block[j]
-        dst = geom.quad_block[target - geom.quad_offset]
-        if bmap[src] == -1:
-            bmap[src] = dst
-        elif bmap[src] != dst:
-            raise RuntimeError("extension mixes cross-ratio blocks")
-        if geom.quad_line[target - geom.quad_offset] != f(geom.quad_line[j]):
-            raise RuntimeError("extension breaks line incidence")
-    if sorted(b for b in bmap if b != -1) != list(range(nb)):
+    src = np.asarray(geom.quad_block, dtype=np.int64)
+    dst = src[targets]
+    blocks, first = np.unique(src, return_index=True)
+    bmap = np.full(nb, -1, dtype=np.int64)
+    bmap[blocks] = dst[first]
+    mixed = dst != bmap[src]
+    lines = np.asarray(geom.quad_line, dtype=np.int64)
+    broken = lines[targets] != f.images[lines]
+    bad = mixed | broken
+    if bad.any():
+        j = int(bad.argmax())
+        raise RuntimeError(
+            "extension mixes cross-ratio blocks" if mixed[j] else "extension breaks line incidence"
+        )
+    if not np.array_equal(np.sort(dst[first]), np.arange(nb)):
         raise RuntimeError("extension block map is not a bijection")
     if correlation_type_action(sys, phi) is None:
         raise RuntimeError("extension is not a correlation")
@@ -533,9 +542,15 @@ def extend_truncation_correlation(
 
 @dataclasses.dataclass(frozen=True)
 class PglAutReport:
-    """Correlation group of the cross-ratio geometry via restriction-extension."""
+    """Correlation group of the cross-ratio geometry via restriction-extension.
+
+    reported_group names the group whose orders result holds: the correlation
+    group of the system in degenerate mode, else the group generated by the
+    extended truncation correlations, which need not be all of Aut.
+    """
 
     result: AutResult
+    reported_group: str
     duality_extends: bool | None
     frobenius_extends: bool
     frobenius_type_action: tuple[str, ...] | None
@@ -545,6 +560,7 @@ class PglAutReport:
 
     def to_json_dict(self) -> dict:
         return {
+            "reported_group": self.reported_group,
             "duality_extends": self.duality_extends,
             "frobenius_extends": self.frobenius_extends,
             "frobenius_type_action": (
@@ -580,7 +596,9 @@ def pgl_aut_via_extension(geom: PglGeometry) -> PglAutReport:
     if geom.degenerate:
         # the truncation is the whole system
         result = trunc_aut
+        reported_group = "correlation group of the system"
     else:
+        reported_group = "group generated by the extended truncation correlations"
         ext_gens = []
         for g in trunc_aut.type_preserving_gens:
             e = extend_truncation_correlation(geom, g)
@@ -607,6 +625,7 @@ def pgl_aut_via_extension(geom: PglGeometry) -> PglAutReport:
         )
     return PglAutReport(
         result=result,
+        reported_group=reported_group,
         duality_extends=duality_extends,
         frobenius_extends=frob_ext is not None,
         frobenius_type_action=frob_types,

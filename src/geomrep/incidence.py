@@ -110,14 +110,48 @@ def _int_pairs(rows: list, check_bools: bool = True) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-# json.dumps(..., indent=2) of one incidence [a, b] at its depth in to_json
-_JSON_PAIR = "    [\n      %d,\n      %d\n    ]"
-# pairs per block, both when writing the interchange text and when reading it
-_JSON_BLOCK = 1 << 16
+# json.dumps(..., indent=2) of one incidence [a, b] at its depth in to_json,
+# around and after its two ids, and a byte that none of that text holds
+_JSON_ROW = (b"    [\n      ", b",\n      ", b"\n    ],\n")
+_PAD = 0xFF
+# pairs per block, both when writing the interchange text and when reading it;
+# a block's temporaries (about 2 MB when writing) fit in the heap that freeing a
+# large system leaves, where blocks of 65 536 pairs made the heap grow
+_JSON_BLOCK = 1 << 14
 _JSON_WS = json.decoder.WHITESPACE.match
 _JSON_VALUE = json.JSONDecoder().scan_once
 # in a list of integer pairs, only the last pair's "]" is followed by another "]"
-_JSON_PAIRS_END = re.compile(r"\][ \t\n\r]*\]").search
+_JSON_PAIRS_END = re.compile(r"\][ \t\n\r]*\]")
+
+
+def _pairs_text(block: np.ndarray) -> bytes:
+    """The text ``to_json`` writes for the (k, 2) id array block, ",\n" after each pair.
+
+    Every pair gets one row of the fixed bytes of _JSON_ROW with two rooms as
+    wide as the block's widest id.  Each id fills its room by place value,
+    right aligned, with _PAD at the places above its leading digit; the pad
+    bytes are then deleted.
+    """
+    width = len(str(int(block.max())))
+    head, mid, tail = _JSON_ROW
+    room = bytes([_PAD]) * width
+    row = np.frombuffer(head + room + mid + room + tail, dtype=np.uint8)
+    text = np.empty((block.shape[0], row.shape[0]), dtype=np.uint8)
+    text[:] = row
+    at_a, at_b = len(head), len(head) + width + len(mid)
+    rest = block
+    # the rooms' columns from the last: rest is each id without the digits
+    # already written, and 0 once the id has none left
+    for col in range(width - 1, -1, -1):
+        high = rest // 10
+        digit = (rest - high * 10).astype(np.uint8)
+        digit += 48
+        if col < width - 1:
+            digit[rest == 0] = _PAD
+        text[:, at_a + col] = digit[:, 0]
+        text[:, at_b + col] = digit[:, 1]
+        rest = high
+    return text.tobytes().translate(None, bytes([_PAD]))
 
 
 def _strict_pairs(block: str) -> np.ndarray | None:
@@ -180,41 +214,65 @@ def _read_pairs(text: str, pos: int) -> tuple[np.ndarray, int]:
     array without ``json.loads``; any other block is parsed by ``json.loads``
     and checked by ``_int_pairs``, which alone decide what is rejected and
     how.  Either way the block gives the same pairs.
+
+    The list ends at the first "]" after text[pos] that is followed by another
+    "]"; a block is cut there when its window holds it.  A list without such
+    an end is reported as unterminated, whatever else is wrong with it.
     """
     body = pos + 1
     first = _JSON_WS(text, body).end()
     if text.startswith("]", first):
         return np.empty((0, 2), dtype=np.int64), first + 1
-    match = _JSON_PAIRS_END(text, body)
-    if match is None:
-        raise json.JSONDecodeError("unterminated incidences list", text, pos)
-    stop = match.start() + 1  # just after the last pair's "]"
     # the int64 pairs read so far, as bytes: one growing buffer leaves no block
     # arrays among the freed temporaries of later blocks, and needs no concatenation
     out = bytearray()
     count = 0
-    pos = body
+    at = body
     # the mean width of a pair so far; the first pair's width before that
-    width = text.index("]", body) + 1 - body
-    while True:
-        # aim at the middle of the block's last pair
-        start = min(pos + int(width * (_JSON_BLOCK - 0.5)), stop - 1)
-        cut = text.index("]", start) + 1
-        block = text[pos:cut]
-        pairs = _strict_pairs(block)
-        if pairs is None:
-            # true and false both contain an "e", which no integer pair does
-            pairs = _int_pairs(json.loads("[" + block + "]"), "e" in block)
-        out += pairs.data
-        count += pairs.shape[0]
-        if cut == stop:
-            break
-        pos = _JSON_WS(text, cut).end()
-        if not text.startswith(",", pos):
-            raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
-        pos = _JSON_WS(text, pos + 1).end()
-        width = (pos - body) / count
-    return np.frombuffer(out, dtype=np.int64).reshape(count, 2), match.end()
+    width = text.find("]", body) + 1 - body
+    try:
+        while True:
+            # the window ends just after the "]" of the block's last pair,
+            # aimed at the middle of that pair
+            cut = text.find("]", at + max(int(width * (_JSON_BLOCK - 0.5)), 0)) + 1
+            end = None
+            if not cut:
+                end = _JSON_PAIRS_END.search(text, at)
+                if end is None:
+                    break
+                cut = end.start() + 1
+            block = text[at:cut]
+            pairs = _strict_pairs(block)
+            if pairs is None and end is None:
+                # an end that starts before cut - 1 also ends by cut, since
+                # text[cut - 1] is a "]" and an end holds only whitespace
+                # between its brackets
+                end = _JSON_PAIRS_END.search(text, at, cut)
+                if end is not None:
+                    cut = end.start() + 1
+                    block = text[at:cut]
+                    pairs = _strict_pairs(block)
+            if end is None:
+                # no end starts inside a strict block: each "]" but its last
+                # is followed by a ","
+                end = _JSON_PAIRS_END.match(text, cut - 1)
+            if pairs is None:
+                # true and false both contain an "e", which no integer pair does
+                pairs = _int_pairs(json.loads("[" + block + "]"), "e" in block)
+            out += pairs.data
+            count += pairs.shape[0]
+            if end is not None:
+                return np.frombuffer(out, dtype=np.int64).reshape(count, 2), end.end()
+            at = _JSON_WS(text, cut).end()
+            if not text.startswith(",", at):
+                raise json.JSONDecodeError("Expecting ',' delimiter", text, at)
+            at = _JSON_WS(text, at + 1).end()
+            width = (at - body) / count
+    except (ValueError, RecursionError):
+        # no end before at, so the list ends after at or never
+        if _JSON_PAIRS_END.search(text, at) is not None:
+            raise
+    raise json.JSONDecodeError("unterminated incidences list", text, pos)
 
 
 def _json_object(text: str, pos: int) -> tuple[dict, int]:
@@ -578,23 +636,25 @@ class IncidenceSystem:
 
     def to_json(self) -> str:
         """The text of json.dumps(self.to_json_dict(), indent=2) plus a newline."""
-        return "".join(self.json_blocks())
+        return b"".join(self.json_blocks()).decode("ascii")
 
-    def json_blocks(self) -> Iterator[str]:
-        """The text of ``to_json`` in consecutive pieces, never built whole."""
-        head = json.dumps(self._json_head(), indent=2)[: -len("\n}")]
-        if not self.pairs.shape[0]:
-            yield head + ',\n  "incidences": []\n}\n'
+    def json_blocks(self) -> Iterator[bytes]:
+        """The ASCII bytes of ``to_json`` in consecutive pieces, never built whole.
+
+        The pairs are written in blocks of _JSON_BLOCK, each encoded by array
+        operations (``_pairs_text``) without one Python int per id.
+        """
+        head = json.dumps(self._json_head(), indent=2)[: -len("\n}")].encode("ascii")
+        k = self.pairs.shape[0]
+        if not k:
+            yield head + b',\n  "incidences": []\n}\n'
             return
-        # json.dumps formats each pair as a nested list on four lines; format
-        # the pairs in blocks, without one Python list per incidence
-        yield head + ',\n  "incidences": [\n'
-        for start in range(0, self.pairs.shape[0], _JSON_BLOCK):
-            block = self.pairs[start : start + _JSON_BLOCK]
-            if start:
-                yield ",\n"
-            yield ",\n".join([_JSON_PAIR] * block.shape[0]) % tuple(block.ravel().tolist())
-        yield "\n  ]\n}\n"
+        yield head + b',\n  "incidences": [\n'
+        for start in range(0, k, _JSON_BLOCK):
+            text = _pairs_text(self.pairs[start : start + _JSON_BLOCK])
+            # no ",\n" after the last pair
+            yield text if start + _JSON_BLOCK < k else text[:-2]
+        yield b"\n  ]\n}\n"
 
     @classmethod
     def from_json(cls, text: str) -> "IncidenceSystem":

@@ -176,6 +176,38 @@ class TestCheck:
         digest = hashlib.sha256(triangle_file.read_bytes()).hexdigest()
         assert report["input_digest"] == f"sha256:{digest}"
 
+    def test_multi_megabyte_file_reads_across_pieces(self, capsys, tmp_path):
+        import hashlib
+
+        # a two-byte character straddles the first 1 MB piece of the file
+        head = '{"types": ["\u00e9", "b"], "note": "'
+        pad = "x" * ((1 << 20) - 1 - len(head.encode("utf-8")))
+        text = head + pad + '\u00e9", "elements": [{"id": 0, "type": "\u00e9"}, ' + (
+            '{"id": 1, "type": "b"}], "incidences": [[0, 1]]}' + " " * (2 << 20)
+        )
+        data = text.encode("utf-8")
+        assert data[(1 << 20) - 1 : (1 << 20) + 1] == "\u00e9".encode("utf-8")
+        path = tmp_path / "big.json"
+        path.write_bytes(data)
+        code, out, _ = run(capsys, "check", str(path), "--properties", "validate")
+        assert code == 0
+        assert json.loads(out)["input_digest"] == "sha256:" + hashlib.sha256(data).hexdigest()
+
+    @pytest.mark.parametrize("at", [5, (1 << 20) + 5, -1], ids=["first-piece", "later-piece", "end"])
+    def test_undecodable_file_names_its_position(self, capsys, tmp_path, at):
+        data = bytearray(b'{"types": [], "elements": [], "incidences": []}' + b" " * (3 << 20))
+        if at == -1:
+            data += "\u00e9".encode("utf-8")[:1]  # cut inside a character
+        else:
+            data[at] = 0xFF
+        path = tmp_path / "bad.json"
+        path.write_bytes(bytes(data))
+        with pytest.raises(UnicodeDecodeError) as whole:
+            bytes(data).decode("utf-8")
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert err == f"error: {whole.value}\n"
+
     def test_byte_identical_runs(self, capsys, pentagon_file):
         _, first, _ = run(capsys, "check", str(pentagon_file), "--properties", "rc")
         _, second, _ = run(capsys, "check", str(pentagon_file), "--properties", "rc")
@@ -255,11 +287,16 @@ class TestVerify:
         assert check["verdict"] == "representation"
         assert check["description"] == "dihedral n=8"
 
-    def test_digest_matches_build_bytes(self, capsys):
+    @pytest.mark.parametrize(
+        "construction,orders",
+        [(["gq22"], ["720", "1440"]), (["pgl", "--q", "3"], ["5616", "11232"])],
+        ids=["gq22", "pgl-q3"],
+    )
+    def test_digest_matches_build_bytes(self, capsys, construction, orders):
         import hashlib
 
-        _, built, _ = run(capsys, "build", "gq22")
-        _, out, _ = run(capsys, "verify", "gq22", "--inn", "720", "--aut", "1440")
+        _, built, _ = run(capsys, "build", *construction)
+        _, out, _ = run(capsys, "verify", *construction, "--inn", orders[0], "--aut", orders[1])
         digest = hashlib.sha256(built.encode("utf-8")).hexdigest()
         assert json.loads(out)["input_digest"] == f"sha256:{digest}"
 
@@ -295,6 +332,7 @@ class TestVerify:
         checks = json.loads(out)["checks"]
         assert checks[0]["verdict"] == "representation"
         extra = checks[1]
+        assert extra["reported_group"] == "correlation group of the system"
         assert extra["duality_extends"] is None
         assert extra["frobenius_extends"] is False
         assert extra["frobenius_type_action"] is None
@@ -315,6 +353,18 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "pgl", "--q", q, "--inn", inn, "--aut", aut)
         assert code == 0
         assert len(calls) <= 1
+
+    @pytest.mark.parametrize(
+        "q,inn,aut,group",
+        [
+            ("3", "5616", "11232", "correlation group of the system"),
+            ("4", "60480", "120960", "group generated by the extended truncation correlations"),
+        ],
+    )
+    def test_pgl_names_the_reported_group(self, capsys, q, inn, aut, group):
+        code, out, _ = run(capsys, "verify", "pgl", "--q", q, "--inn", inn, "--aut", aut)
+        assert code == 0
+        assert json.loads(out)["checks"][1]["reported_group"] == group
 
     def test_non_prime_power_q(self, capsys):
         code, _, err = run(

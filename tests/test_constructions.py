@@ -1,5 +1,6 @@
 """Builders: polygon, graph, quadrangle, polytope, cross-ratio, and coset systems."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -282,8 +283,8 @@ class TestCrossRatioGeometry:
             value = cross_ratio(*(space.points[p] for p in quad))
             assert value.code == pgl34.quad_lambda[j]
             assert pgl34.lambda_codes[pgl34.quad_block[j]] == value.code
-            element = pgl34.quad_index[quad]
-            assert element == pgl34.quad_offset + j
+            assert tuple(pgl34.quad_points[j].tolist()) == quad
+            element = pgl34.quad_offset + j
             # the quad element is incident to its carrier line
             assert pgl34.quad_line[j] in pgl34.system.neighbors(element)
 
@@ -337,6 +338,7 @@ class TestRestrictionExtension:
         assert pgl34_pipeline.frobenius_extends is True
         assert pgl34_pipeline.frobenius_type_action == ("0", "1", "Q(w+1)", "Q(w)")
         assert pgl34_pipeline.to_json_dict() == {
+            "reported_group": "group generated by the extended truncation correlations",
             "duality_extends": False,
             "frobenius_extends": True,
             "frobenius_type_action": ["0", "1", "Q(w+1)", "Q(w)"],
@@ -345,6 +347,7 @@ class TestRestrictionExtension:
             "truncation_out_order": "2",
         }
         assert list(pgl34_pipeline.to_json_dict()) == [
+            "reported_group",
             "duality_extends",
             "frobenius_extends",
             "frobenius_type_action",
@@ -365,6 +368,7 @@ class TestRestrictionExtension:
         assert report.frobenius_extends is (frobenius is not None)
         assert report.frobenius_type_action == frobenius
         assert report.result.aut_order == report.truncation_aut_order
+        assert report.reported_group == "correlation group of the system"
 
     def test_duality_does_not_extend(self, pgl34, pgl34_pipeline):
         assert pgl34_pipeline.duality_extends is False
@@ -402,6 +406,126 @@ class TestRestrictionExtension:
         images[0], images[1] = 1, 0
         with pytest.raises(ValueError, match="not a correlation"):
             extend_truncation_correlation(pgl34, Permutation(images))
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_extension_matches_per_quad_loop(self, pgl34, q):
+        geom = pgl34 if q == 4 else pgl_cross_ratio_geometry(3, make_field(q, 1))
+        maps = list(correlation_group(geom.truncation).type_preserving_gens)
+        maps.append(duality_truncation_perm(geom))
+        frob = frobenius_truncation_perm(geom)
+        if frob is not None:
+            maps.append(frob)
+        # not correlations of the truncation: two points swapped, two lines swapped
+        for x, y in ((0, 1), (geom.truncation.size - 2, geom.truncation.size - 1)):
+            images = list(range(geom.truncation.size))
+            images[x], images[y] = y, x
+            maps.append(Permutation(images))
+        outcomes = [extension_outcome(extend_truncation_correlation, geom, f) for f in maps]
+        assert outcomes == [extension_outcome(reference_extension, geom, f) for f in maps]
+        if q == 4:
+            assert outcomes[-4] is None  # the duality
+            assert all(isinstance(o, list) for o in outcomes[:-4])
+
+    def test_extension_of_corrupted_geometry_matches_per_quad_loop(self, pgl34):
+        frob = frobenius_truncation_perm(pgl34)
+        lines, blocks = list(pgl34.quad_line), list(pgl34.quad_block)
+        swapped_lines = lines[:]
+        swapped_lines[0], swapped_lines[-1] = lines[-1], lines[0]
+        moved_block = blocks[:]
+        moved_block[5] = 1 - blocks[5]
+        # quad 5 fails both checks at once: its image changes block, and its
+        # own line changes
+        image5 = pgl34.quads.index(tuple(frob(x) for x in pgl34.quads[5]))
+        both_blocks, both_lines = blocks[:], lines[:]
+        both_blocks[image5] = 1 - blocks[image5]
+        both_lines[5] = next(line for line in lines if line != lines[5])
+        # quad 0 replaced by a quadruple that no collineation maps to a quad
+        lost = pgl34.quad_points.copy()
+        lost[0] = lost[0, 0]
+        fewer = IncidenceSystem(
+            pgl34.system.types, pgl34.system.type_codes, pgl34.system.pairs[:-1]
+        )
+        corrupted = [
+            dataclasses.replace(pgl34, quad_line=tuple(swapped_lines)),
+            dataclasses.replace(pgl34, quad_block=tuple(moved_block)),
+            dataclasses.replace(
+                pgl34, quad_block=tuple(moved_block), quad_line=tuple(swapped_lines)
+            ),
+            dataclasses.replace(
+                pgl34, quad_block=tuple(both_blocks), quad_line=tuple(both_lines)
+            ),
+            dataclasses.replace(pgl34, quad_block=(0,) * len(blocks)),
+            dataclasses.replace(pgl34, system=fewer),
+            dataclasses.replace(
+                pgl34,
+                quads=(tuple(lost[0].tolist()),) + pgl34.quads[1:],
+                quad_points=lost,
+            ),
+        ]
+        maps = [frob, *correlation_group(pgl34.truncation).type_preserving_gens]
+        messages = set()
+        for geom in corrupted:
+            for f in maps:
+                got = extension_outcome(extend_truncation_correlation, geom, f)
+                assert got == extension_outcome(reference_extension, geom, f)
+                if isinstance(got, tuple):
+                    messages.add(got[1])
+        assert extension_outcome(reference_extension, corrupted[3], frob)[1] == (
+            "extension mixes cross-ratio blocks"
+        )
+        assert extension_outcome(reference_extension, corrupted[-1], frob) is None
+        assert messages == {
+            "extension mixes cross-ratio blocks",
+            "extension breaks line incidence",
+            "extension block map is not a bijection",
+            "extension is not a correlation",
+        }
+
+
+def reference_extension(geom, f):
+    """extend_truncation_correlation as a loop over the quadruples."""
+    tact = correlation_type_action(geom.truncation, f)
+    if tact is None:
+        raise ValueError("not a correlation of the subspace truncation")
+    if geom.degenerate:
+        return f
+    if tact[0] != 0:
+        return None
+    images = list(range(geom.system.size))
+    for x in range(geom.truncation.size):
+        images[x] = f(x)
+    index = {quad: j for j, quad in enumerate(geom.quads)}
+    targets = []
+    for quad in geom.quads:
+        target = index.get(tuple(f(x) for x in quad))
+        if target is None:
+            return None
+        targets.append(target)
+    for j, target in enumerate(targets):
+        images[geom.quad_offset + j] = geom.quad_offset + target
+    bmap = {}
+    for j, target in enumerate(targets):
+        if bmap.setdefault(geom.quad_block[j], geom.quad_block[target]) != geom.quad_block[
+            target
+        ]:
+            raise RuntimeError("extension mixes cross-ratio blocks")
+        if geom.quad_line[target] != f(geom.quad_line[j]):
+            raise RuntimeError("extension breaks line incidence")
+    if sorted(bmap.values()) != list(range(len(geom.lambda_codes))):
+        raise RuntimeError("extension block map is not a bijection")
+    phi = Permutation(images)
+    if correlation_type_action(geom.system, phi) is None:
+        raise RuntimeError("extension is not a correlation")
+    return phi
+
+
+def extension_outcome(extend, geom, f):
+    """The images of extend(geom, f), None, or the type and message it raises."""
+    try:
+        phi = extend(geom, f)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    return None if phi is None else phi.to_list()
 
 
 def klein_four_spec() -> CosetGeometrySpec:

@@ -19,6 +19,7 @@ from geomrep import (
     gq22,
     validate_data,
 )
+from geomrep.incidence import _JSON_BLOCK
 
 
 @st.composite
@@ -377,6 +378,49 @@ def raw_data(draw):
     return [f"t{i}" for i in range(rank)], codes, pairs
 
 
+def _parity_system(top):
+    """Ids 0..top typed by parity, with pairs of one-digit and of top-width ids."""
+    pairs = {(a, b) for a in (0, top - 1, top) for b in (1, top - 1, top) if (a + b) % 2}
+    return IncidenceSystem(["even", "odd"], [i % 2 for i in range(top + 1)], sorted(pairs))
+
+
+def reference_type_action(sys, images):
+    """correlation_type_action by Python sets of unordered pairs."""
+    codes = sys.type_codes.tolist()
+    tmap = {}
+    for x, y in enumerate(images):
+        if tmap.setdefault(codes[x], codes[y]) != codes[y]:
+            return None
+    if len(set(tmap.values())) != len(tmap):
+        return None
+    pairs = {frozenset(p) for p in sys.pairs.tolist()}
+    if {frozenset(images[x] for x in p) for p in pairs} != pairs:
+        return None
+    return [tmap.get(t, -1) for t in range(sys.rank)]
+
+
+def _symmetric_system(rng):
+    """A random system and a correlation of it that may permute the types.
+
+    Every fiber has m elements, t * m + i for i < m; g sends t * m + i to
+    sigma(t) * m + pi_t(i), and the pairs are random cross-type pairs closed
+    under g.
+    """
+    rank = int(rng.integers(1, 5))
+    m = int(rng.integers(2, 12))
+    sigma = rng.permutation(rank)
+    images = np.concatenate([sigma[t] * m + rng.permutation(m) for t in range(rank)])
+    g = Permutation(images)
+    codes = np.repeat(np.arange(rank), m)
+    pairs = set()
+    for _ in range(int(rng.integers(0, 3 * m))):
+        a, b = rng.integers(0, rank * m, 2).tolist()
+        while codes[a] != codes[b] and (min(a, b), max(a, b)) not in pairs:
+            pairs.add((min(a, b), max(a, b)))
+            a, b = int(images[a]), int(images[b])
+    return IncidenceSystem([f"t{i}" for i in range(rank)], codes, sorted(pairs)), g
+
+
 def reference_induced(sys, keep, keep_types):
     """List-based subsystem on the ascending ids keep, typed by keep_types."""
     tmap = {t: i for i, t in enumerate(keep_types)}
@@ -508,8 +552,20 @@ class TestArrayCore:
                 [0] * 300 + [1] * 300,
                 [[a, b] for a in range(300) for b in range(300, 600)],
             ),
+            *[_parity_system(top) for top in (9, 10, 99, 100, 999, 1000, 9999, 10000)],
+            # exactly one block, and one pair more
+            *[
+                IncidenceSystem(
+                    ["a", "b"],
+                    [0] * 257 + [1] * 256,
+                    [[a, 257 + b] for a in range(257) for b in range(256)][:k],
+                )
+                for k in (_JSON_BLOCK, _JSON_BLOCK + 1)
+            ],
         ],
-        ids=["empty", "no-incidence", "two-blocks"],
+        ids=["empty", "no-incidence", "two-blocks"]
+        + [f"ids-to-{top}" for top in (9, 10, 99, 100, 999, 1000, 9999, 10000)]
+        + ["one-block", "one-block-and-a-pair"],
     )
     def test_to_json_matches_json_dumps_edge_cases(self, sys):
         assert sys.to_json() == json.dumps(sys.to_json_dict(), indent=2) + "\n"
@@ -527,3 +583,48 @@ class TestArrayCore:
             assert (tmap is not None) == (images in correlations)
             if tmap is not None:
                 assert all(tmap[codes[x]] == codes[y] for x, y in enumerate(images))
+
+    def test_correlation_type_action_matches_pair_sets(self):
+        rng = np.random.default_rng(41)
+        outcomes = []
+        for _ in range(300):
+            sys, g = _symmetric_system(rng)
+            cases = [(sys, g.to_list())]
+            # one pair of images swapped inside a fiber
+            images = g.to_list()
+            x, y = rng.choice(sys.size, 2, replace=False).tolist()
+            if sys.type_codes[x] == sys.type_codes[y]:
+                images[x], images[y] = images[y], images[x]
+                cases.append((sys, images))
+            # one pair of the system dropped
+            if sys.pairs.shape[0]:
+                fewer = IncidenceSystem(sys.types, sys.type_codes, sys.pairs[1:])
+                cases.append((fewer, g.to_list()))
+            cases.append((sys, rng.permutation(sys.size).tolist()))
+            for system, images in cases:
+                want = reference_type_action(system, images)
+                assert correlation_type_action(system, Permutation(images)) == want
+                outcomes.append(want is not None)
+        # g itself is always accepted; the perturbed maps mostly are not
+        assert 300 < sum(outcomes) < len(outcomes) - 300
+
+    def test_correlation_type_action_on_int64_keys(self):
+        # n = 70000 > 46340, so n * n >= 2**31 and the keys need int64: the
+        # swap sends the pair (0, 20000), key 20000, to (61356, 67296), key
+        # 2**32 + 20000, which an int32 key would wrap to 20000
+        n = 70_000
+        assert 61356 * n + 67296 == 2**32 + 20000
+        codes = [0] * n
+        codes[20000] = codes[67296] = 1
+        sys = IncidenceSystem(["a", "b"], codes, [[0, 20000]])
+        swap = list(range(n))
+        swap[0], swap[61356], swap[20000], swap[67296] = 61356, 0, 67296, 20000
+        for images in (swap, list(range(n))):
+            want = reference_type_action(sys, images)
+            assert correlation_type_action(sys, Permutation(images)) == want
+        assert correlation_type_action(sys, Permutation(swap)) is None
+        # a correlation with keys above 2**31: (3, 67296) and (4, 67296) swap
+        both = IncidenceSystem(["a", "b"], codes, [[3, 67296], [4, 67296]])
+        images = list(range(n))
+        images[3], images[4] = 4, 3
+        assert correlation_type_action(both, Permutation(images)) == [0, 1]

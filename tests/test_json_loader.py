@@ -260,6 +260,9 @@ def test_round_trip_across_block_and_digit_widths(monkeypatch, offset):
     assert loaded.to_json() == text
 
 
+HEAD = '{"types": ["a", "b"], "elements": [{"id": 0, "type": "a"}, {"id": 1, "type": "b"}], '
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -268,14 +271,12 @@ def test_round_trip_across_block_and_digit_widths(monkeypatch, offset):
         '"incidences":[ \r\n\t]}',
         '\r\n{\t"incidences" :\r\n[[0,1]\r\n,\t[1 , 0]\t]\r\n, "types":["a","b"],'
         '"elements":[{"type":"b","id":1},{"id":0,"type":"a"}]}\r\n',
+        HEAD + '"incidences": [[0, 1]], "note": [[2]], "z": "]]"}',
     ],
-    ids=["empty", "empty-with-whitespace", "crlf-tab"],
+    ids=["empty", "empty-with-whitespace", "crlf-tab", "later-key-holds-end"],
 )
 def test_block_reader_accepts(text):
     assert outcome(IncidenceSystem.from_json, text) == outcome(reference_load, text) is not None
-
-
-HEAD = '{"types": ["a", "b"], "elements": [{"id": 0, "type": "a"}, {"id": 1, "type": "b"}], '
 
 
 @pytest.mark.parametrize(
@@ -292,16 +293,63 @@ HEAD = '{"types": ["a", "b"], "elements": [{"id": 0, "type": "a"}, {"id": 1, "ty
         HEAD + '"incidences": [[0, 1]',
         HEAD + '"incidences": [[0, true]], "incidences": [[0, 1]]}',
         '["types"]',
+        HEAD + '"incidences": [[0, 1], "note": [[2]]}',
     ],
     ids=["trailing-data", "extra-bracket", "trailing-comma", "missing-comma", "form-feed",
          "nbsp", "nested", "parentheses", "unterminated", "bool-before-duplicate",
-         "not-an-object"],
+         "not-an-object", "end-only-in-later-key"],
 )
 def test_block_reader_rejects(text):
     with pytest.raises(ValueError):
         reference_load(text)
     with pytest.raises(ValueError):
         IncidenceSystem.from_json(text)
+
+
+@pytest.mark.parametrize("block", [1, 2, 1 << 16])
+@pytest.mark.parametrize(
+    "incidences",
+    ['[[0, 1], [0, "x"], [1, 0]', "[[0, 1], [1, 0] [0, 1]", "[[0, 1], [1, 0], [0, 1]"],
+    ids=["bad-pair", "missing-comma", "plain"],
+)
+def test_list_without_end_is_unterminated(monkeypatch, block, incidences):
+    # whatever else is wrong with the list, it is reported as unterminated
+    monkeypatch.setattr(geomrep.incidence, "_JSON_BLOCK", block)
+    with pytest.raises(json.JSONDecodeError, match="unterminated incidences list"):
+        IncidenceSystem.from_json(HEAD + '"incidences": ' + incidences + "}")
+
+
+class _SearchSpy:
+    """_JSON_PAIRS_END, counting the characters its unanchored searches read."""
+
+    def __init__(self, pattern):
+        self.pattern, self.searched = pattern, 0
+
+    def search(self, text, pos, endpos=None):
+        endpos = len(text) if endpos is None else endpos
+        found = self.pattern.search(text, pos, endpos)
+        self.searched += (endpos if found is None else found.end()) - pos
+        return found
+
+    def match(self, text, pos):
+        return self.pattern.match(text, pos)
+
+
+@pytest.mark.parametrize("last", [True, False], ids=["list-last", "list-first"])
+def test_list_end_is_looked_for_near_the_last_block(monkeypatch, last):
+    block = 10
+    monkeypatch.setattr(geomrep.incidence, "_JSON_BLOCK", block)
+    spy = _SearchSpy(geomrep.incidence._JSON_PAIRS_END)
+    monkeypatch.setattr(geomrep.incidence, "_JSON_PAIRS_END", spy)
+    system = _spanning_system([[a, b] for a in range(0, 202, 2) for b in range(1, 23, 2)])
+    text = system.to_json()
+    if not last:
+        data = json.loads(text)
+        text = json.dumps({"incidences": data["incidences"], "types": data["types"],
+                           "elements": data["elements"]}, indent=2)
+    assert IncidenceSystem.from_json(text) == system
+    # 1111 pairs of about 30 characters: the searches read under two blocks
+    assert 0 < spy.searched < 2 * block * 30
 
 
 def _traced_peak(call):
