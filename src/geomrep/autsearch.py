@@ -47,13 +47,20 @@ class _Partition:
             cellof[u] = t + 1
         return _Partition(lab, cellof, size)
 
-    def target(self) -> int | None:
-        """Start of the first largest non-singleton cell, or None if discrete."""
+    def target(self, head: int = 0) -> int | None:
+        """Start of the cell to individualize next, or None if discrete.
+
+        The first non-singleton cell that holds one of the first head
+        positions of lab, if any; else the first largest non-singleton cell.
+        """
         best, best_size = None, 1
         i, n = 0, len(self.lab)
         while i < n:
             k = self.size[i]
             if k > best_size:
+                # no earlier cell is non-singleton, so i is the first one
+                if i < head:
+                    return i
                 best, best_size = i, k
             i += k
         return best
@@ -62,14 +69,15 @@ class _Partition:
 class _Engine:
     """Individualization-refinement search on one vertex-colored graph.
 
-    The first path (individualize the first vertex of the first largest cell
-    until the partition is discrete) is the reference.  Every other node is
-    refined against the trace of the first-path node at its level and dropped
-    at the first event that differs.  A leaf whose trace equals the first
-    leaf's gives a candidate map, which is checked against the adjacency.
+    The first path (individualize the first vertex of the target cell of
+    ``_Partition.target`` until the partition is discrete) is the reference.
+    Every other node is refined against the trace of the first-path node at
+    its level and dropped at the first event that differs.  A leaf whose
+    trace equals the first leaf's gives a candidate map, which is checked
+    against the adjacency.
     """
 
-    def __init__(self, adj: list[list[int]], cells: Cells):
+    def __init__(self, adj: list[list[int]], cells: Cells, head: int = 0):
         self.adj = adj
         self.nbrs = [frozenset(a) for a in adj]
         self.nodes = 0  # refinements done: a deterministic measure of the search
@@ -89,13 +97,15 @@ class _Engine:
             lab.extend(cell)
         self.root = _Partition(lab, cellof, size)
         self.root_trace = self._refine(self.root, starts)
-        # the first path: (node, target start, trace of its first child) per level
+        # the first path: (node, target start, trace of its first child) per
+        # level.  Its levels that split the first head positions come first.
+        self.head = head
         self.path: list[tuple[_Partition, int, list[Event]]] = []
-        node, t = self.root, self.root.target()
+        node, t = self.root, self.root.target(head)
         while t is not None:
             child = node.individualized(t, node.lab[t])
             self.path.append((node, t, self._refine(child, [t])))
-            node, t = child, child.target()
+            node, t = child, child.target(head)
         self.leaf = node
 
     def _refine(
@@ -215,21 +225,28 @@ class _Engine:
                 return None
         return image
 
-    def automorphisms(self) -> tuple[list[list[int]], int]:
+    def automorphisms(self) -> tuple[list[list[int]], int, int, int]:
         """Generators of the color-preserving automorphism group, as image
-        lists, and the group's order.
+        lists, and the group's order; then k and the order of gens[:k], which
+        generate the pointwise stabilizer of the first head positions.
 
         Bottom-up over the first path: at each level, every vertex of the
         target cell outside the orbit of the first-path choice under the
         generators found so far (all of which fix the path above) is tried.
         So the final orbit at a level is the orbit of the stabilizer of the
         path above, and the order is the product of those orbit sizes: only
-        the identity fixes the whole path, whose leaf is discrete.
+        the identity fixes the whole path, whose leaf is discrete.  The levels
+        that split the head form a prefix of the path, after which every head
+        position is a singleton: the generators found below that prefix
+        generate its stabilizer, which is the head's.
         """
         gens: list[list[int]] = []
         order = 1
+        below_head = None
         for level in reversed(range(len(self.path))):
             node, t, _ = self.path[level]
+            if below_head is None and t < self.head:
+                below_head = len(gens), order
             v0 = node.lab[t]
             orbit = _closure(v0, gens)
             for u in node.lab[t + 1 : t + node.size[t]]:
@@ -240,7 +257,9 @@ class _Engine:
                     gens.append(found)
                     orbit = _closure(v0, gens)
             order *= len(orbit)
-        return gens, order
+        if below_head is None:  # no level splits the head
+            below_head = len(gens), order
+        return gens, order, *below_head
 
 
 def _closure(seed: int, gens: list[list[int]]) -> set[int]:
@@ -271,11 +290,17 @@ def _augmented_adjacency(sys: IncidenceSystem) -> list[list[int]]:
     return adj
 
 
-def _augmented_engine(sys: IncidenceSystem) -> _Engine:
-    """Engine on the augmented graph: elements, type nodes and apex colored apart."""
+def _augmented_engine(sys: IncidenceSystem, types_first: bool = True) -> _Engine:
+    """Engine on the augmented graph: type nodes, apex and elements colored apart.
+
+    With types_first the type nodes are individualized before any element,
+    so the search's stabilizer of the type nodes, Aut_I, comes with Aut.
+    """
     n, r = sys.size, sys.rank
     return _Engine(
-        _augmented_adjacency(sys), [list(range(n)), list(range(n, n + r)), [n + r]]
+        _augmented_adjacency(sys),
+        [list(range(n, n + r)), [n + r], list(range(n))],
+        head=r if types_first else 0,
     )
 
 
@@ -295,9 +320,9 @@ class AutResult:
     type_action: PermGroup
     out_order: int
     types: tuple[str, ...]
-    # refinements made by the two searches (augmented graph and type-colored
-    # kernel); 0 when no search produced the result.  Not part of the
-    # result's value: kept out of comparisons and reports.
+    # refinements made by the one augmented-graph search; 0 when no search
+    # produced the result.  Not part of the result's value: kept out of
+    # comparisons and reports.
     search_nodes: int = dataclasses.field(default=0, compare=False)
 
     def __post_init__(self) -> None:
@@ -321,9 +346,11 @@ class AutResult:
 def correlation_group(sys: IncidenceSystem) -> AutResult:
     """Full correlation group Aut via augmented-graph search; kernel is Aut_I.
 
-    Aut and its kernel Aut_I each come from their own search, with orders
-    read off the search tree; only the action on types, a group of degree
-    rank, is built as a ``PermGroup``.
+    One search gives both: it individualizes the type nodes first, so the
+    generators it finds below those levels generate their stabilizer Aut_I.
+    Both orders are read off the search tree; only the action on types, a
+    group of degree rank, is built as a ``PermGroup``, and its order, from
+    Schreier-Sims, must be |Aut| / |Aut_I|.
     """
     empty = [repr(sys.types[t]) for t in sys.empty_types()]
     if empty:
@@ -337,9 +364,8 @@ def correlation_group(sys: IncidenceSystem) -> AutResult:
             "consider a restriction-extension pipeline",
             stacklevel=2,
         )
-    engine, kernel = _augmented_engine(sys), _kernel_engine(sys)
-    gens, aut_order = engine.automorphisms()
-    kernel_gens, aut_i_order = kernel.automorphisms()
+    engine = _augmented_engine(sys)
+    gens, aut_order, k, aut_i_order = engine.automorphisms()
     # the images of the type nodes n..n+r-1 give the action on types
     type_action = PermGroup(
         sys.rank, [Permutation([t - n for t in g[n : n + sys.rank]]) for g in gens]
@@ -347,18 +373,18 @@ def correlation_group(sys: IncidenceSystem) -> AutResult:
     return AutResult(
         correlation_gens=tuple(Permutation(g[:n]) for g in gens),
         aut_order=aut_order,
-        type_preserving_gens=tuple(Permutation(g) for g in kernel_gens),
+        type_preserving_gens=tuple(Permutation(g[:n]) for g in gens[:k]),
         aut_i_order=aut_i_order,
         type_action=type_action,
         out_order=type_action.order(),
         types=sys.types,
-        search_nodes=engine.nodes + kernel.nodes,
+        search_nodes=engine.nodes,
     )
 
 
 def type_preserving_group(sys: IncidenceSystem) -> PermGroup:
-    """Aut_I directly: search with each type fiber its own fixed color."""
-    gens, _ = _kernel_engine(sys).automorphisms()
+    """Aut_I by its own search, with each type fiber its own fixed color."""
+    gens, *_ = _kernel_engine(sys).automorphisms()
     return PermGroup(sys.size, [Permutation(g) for g in gens])
 
 
@@ -463,7 +489,10 @@ def find_isomorphism(
         return None
     if sys_a.pairs.shape[0] != sys_b.pairs.shape[0]:
         return None
-    engine_a, engine_b = _augmented_engine(sys_a), _augmented_engine(sys_b)
+    # no group is read off these searches, and the first largest cell gives
+    # the shorter search when the type nodes need not come first
+    engine_a = _augmented_engine(sys_a, types_first=False)
+    engine_b = _augmented_engine(sys_b, types_first=False)
     if engine_a.root_trace != engine_b.root_trace:
         return None
     mapping = engine_b.match(engine_a)

@@ -325,9 +325,13 @@ class IncidenceSystem:
         n = codes.shape[0]
         if n and (codes.min() < 0 or codes.max() >= len(tps)):
             raise ValueError("type code out of range")
-        arr = np.asarray(
-            pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64
-        )
+        if isinstance(pairs, np.ndarray) and pairs.dtype.kind in "iu":
+            # integer ids are read as they are, with no int64 copy
+            arr = pairs
+        else:
+            arr = np.asarray(
+                pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64
+            )
         if arr.ndim == 1 and arr.size == 0:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
@@ -338,11 +342,13 @@ class IncidenceSystem:
             a, b = arr[:, 0], arr[:, 1]
             if (a == b).any():
                 raise ValueError("self-incidence")
-            # one int64 key min*n + max per unordered pair; sorted keys are
-            # sorted pairs.  Each temporary is freed as soon as it is used.
-            keys = np.minimum(a, b)
+            # one key min*n + max per unordered pair; sorted keys are sorted
+            # pairs.  Keys are below n*n, so int32 holds them when n*n < 2**31.
+            # Each temporary is freed as soon as it is used.
+            dtype = np.int32 if n * n < 2**31 else np.int64
+            keys = np.minimum(a, b, dtype=dtype)
             keys *= n
-            keys += np.maximum(a, b)
+            keys += np.maximum(a, b, dtype=dtype)
             keys.sort()
             keep = np.empty(keys.shape[0], dtype=bool)
             keep[0] = True
@@ -490,13 +496,19 @@ class IncidenceSystem:
 
     def is_firm(self) -> bool:
         """True iff every non-maximal flag lies in at least two chambers."""
-        chambers = [frozenset(c) for c in self.chambers()]
+        codes = self.type_codes.tolist()
+        full = set(range(self.rank))
+        # chambers through each flag: every chamber counts once for each of
+        # its sub-tuples, which are flags in the walk's ascending order
+        through: collections.Counter[tuple[int, ...]] = collections.Counter()
+        open_flags = []
         for flag, ext in self._flags_with_extensions():
             if ext:
-                fs = frozenset(flag)
-                if sum(1 for c in chambers if fs <= c) < 2:
-                    return False
-        return True
+                open_flags.append(flag)
+            if {codes[x] for x in flag} == full:
+                for k in range(len(flag) + 1):
+                    through.update(itertools.combinations(flag, k))
+        return all(through[flag] >= 2 for flag in open_flags)
 
     def residue(self, flag: Iterable[int]) -> "IncidenceSystem":
         """Subsystem of elements incident to every element of the flag."""

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomrep import (
+    CosetGeometrySpec,
     IncidenceSystem,
     autsearch,
     PermGroup,
@@ -16,6 +17,7 @@ from geomrep import (
     brute_force_automorphisms,
     complete_graph_geometry,
     correlation_group,
+    coset_geometry,
     correlation_type_action,
     cube_geometry,
     dihedral_geometry,
@@ -25,6 +27,7 @@ from geomrep import (
     make_field,
     pgl_cross_ratio_geometry,
     projective_space,
+    tetrahedron_spec,
     type_preserving_group,
     verify_representation,
 )
@@ -88,6 +91,19 @@ def sympy_order(degree: int, gens) -> int:
         [combinatorics.Permutation(g.to_list()) for g in gens]
         or [combinatorics.Permutation(list(range(degree)))]
     ).order()
+
+
+def s4_spec() -> CosetGeometrySpec:
+    """S4 with a Klein four-group, a 4-cycle and a transposition: cosets with twins."""
+    s4 = PermGroup(4, [Permutation([1, 0, 2, 3]), Permutation([1, 2, 3, 0])])
+    return CosetGeometrySpec(
+        s4,
+        (
+            PermGroup(4, [Permutation([1, 0, 3, 2]), Permutation([2, 3, 0, 1])]),
+            PermGroup(4, [Permutation([1, 2, 3, 0])]),
+            PermGroup(4, [Permutation([1, 0, 2, 3])]),
+        ),
+    )
 
 
 def switched(sys: IncidenceSystem, rng: random.Random, rounds: int) -> IncidenceSystem:
@@ -211,9 +227,13 @@ class TestOrdersAgainstSympy:
     def check(sys: IncidenceSystem) -> None:
         res = correlation_group(sys)
         assert res.aut_order == sympy_order(sys.size, res.correlation_gens)
-        assert res.aut_i_order == sympy_order(sys.size, res.type_preserving_gens)
+        # Aut_I comes from the same search as Aut: its generators must be
+        # correlations fixing every type, generate a group of the order read
+        # off the tree, and agree with the independent type-colored search
         for g in res.type_preserving_gens:
             assert correlation_type_action(sys, g) == list(range(sys.rank))
+        assert res.aut_i_order == sympy_order(sys.size, res.type_preserving_gens)
+        assert res.aut_i_order == type_preserving_group(sys).order()
 
     @given(twinned_systems())
     @settings(max_examples=60, deadline=None)
@@ -233,6 +253,16 @@ class TestOrdersAgainstSympy:
     )
     def test_bundled_families(self, sys):
         self.check(sys)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_relabelled_coset_systems_with_twins(self, seed):
+        rng = random.Random(seed)
+        spec = [tetrahedron_spec(), s4_spec()][seed % 2]
+        sys = coset_geometry(spec).system
+        sys = with_twins(sys, {x: rng.randint(1, 2) for x in rng.sample(range(sys.size), 2)})
+        perm = list(range(sys.size))
+        rng.shuffle(perm)
+        self.check(relabel(sys, perm))
 
     def test_no_chain_of_element_degree(self, monkeypatch):
         degrees = []
@@ -445,12 +475,48 @@ class TestSearchNodes:
             assert second.search_nodes == first.search_nodes
             assert second.correlation_gens == first.correlation_gens
 
-    def test_search_nodes_count_both_searches(self):
+    def test_search_nodes_count_one_search(self, monkeypatch):
         sys = gq22()
-        engines = [autsearch._augmented_engine(sys), autsearch._kernel_engine(sys)]
-        for engine in engines:
-            engine.automorphisms()
-        assert correlation_group(sys).search_nodes == sum(e.nodes for e in engines)
+        engine = autsearch._augmented_engine(sys)
+        engine.automorphisms()
+        built = []
+        init = autsearch._Engine.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(autsearch._Engine, "__init__", spy)
+        assert correlation_group(sys).search_nodes == engine.nodes
+        assert len(built) == 1
+
+    @pytest.mark.parametrize(
+        "make,bound",
+        [
+            (lambda: pgl_cross_ratio_geometry(3, make_field(2, 2)).truncation, 40),
+            (gq22, 20),
+        ],
+        ids=["pg24-truncation", "gq22"],
+    )
+    def test_search_cost(self, make, bound):
+        assert 0 < correlation_group(make()).search_nodes <= bound
+
+    @pytest.mark.parametrize(
+        "sys",
+        [gq22(), cube_geometry(), hemidodecahedron_petrie(), subspace_system(3, 2, 1)],
+        ids=["gq22", "cube", "hemidodecahedron", "pg3-2"],
+    )
+    def test_type_levels_come_first(self, sys):
+        engine = autsearch._augmented_engine(sys)
+        r = sys.rank
+        type_levels = [t < r for _, t, _ in engine.path]
+        # the levels that split the type nodes are a prefix of the first path
+        assert type_levels == sorted(type_levels, reverse=True)
+        nodes = [node for node, _, _ in engine.path] + [engine.leaf]
+        node = nodes[type_levels.count(True)]
+        # below them every type node is a singleton, so fixed
+        assert all(node.size[i] == 1 for i in range(r))
+        assert sorted(node.lab[:r]) == list(range(sys.size, sys.size + r))
 
     def test_equal_traces_give_correlations(self, monkeypatch):
         # the adjacency check at a leaf whose trace equals the first leaf's

@@ -40,6 +40,20 @@ def small_systems(draw):
     return IncidenceSystem(types, codes, pairs)
 
 
+@st.composite
+def raw_data(draw):
+    """Types, codes and incidences as a caller may pass them: any orientation,
+    repeats, same-type pairs and empty type fibers allowed."""
+    rank = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 7))
+    codes = draw(st.lists(st.integers(0, rank - 1), min_size=n, max_size=n))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1]
+    )
+    pairs = draw(st.lists(pair, max_size=15))
+    return [f"t{i}" for i in range(rank)], codes, pairs
+
+
 def brute_flags(sys: IncidenceSystem) -> set[tuple[int, ...]]:
     out = set()
     for r in range(sys.size + 1):
@@ -60,6 +74,15 @@ def brute_chambers(sys: IncidenceSystem) -> set[tuple[int, ...]]:
         for f in brute_flags(sys)
         if frozenset(int(sys.type_codes[x]) for x in f) == full
     }
+
+
+def scan_is_firm(sys: IncidenceSystem) -> bool:
+    """Firmness by counting, for each flag with an extension, the chambers over it."""
+    chambers = [frozenset(c) for c in sys.chambers()]
+    for flag, ext in sys._flags_with_extensions():
+        if ext and sum(1 for c in chambers if frozenset(flag) <= c) < 2:
+            return False
+    return True
 
 
 class TestConstruction:
@@ -218,6 +241,12 @@ class TestPredicates:
                 expected = False
         assert sys.is_firm() == expected
 
+    @given(raw_data())
+    @settings(max_examples=100, deadline=None)
+    def test_firmness_matches_flag_by_chamber_scan(self, data):
+        sys = IncidenceSystem(*data)
+        assert sys.is_firm() == scan_is_firm(sys)
+
     @given(small_systems())
     @settings(max_examples=40, deadline=None)
     def test_residual_connectivity_matches_brute_force(self, sys):
@@ -364,20 +393,6 @@ class TestInterchange:
         assert g.nodes[0]["type"] == sys.types[0]
 
 
-@st.composite
-def raw_data(draw):
-    """Types, codes and incidences as a caller may pass them: any orientation,
-    repeats, same-type pairs and empty type fibers allowed."""
-    rank = draw(st.integers(1, 3))
-    n = draw(st.integers(2, 7))
-    codes = draw(st.lists(st.integers(0, rank - 1), min_size=n, max_size=n))
-    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
-        lambda p: p[0] != p[1]
-    )
-    pairs = draw(st.lists(pair, max_size=15))
-    return [f"t{i}" for i in range(rank)], codes, pairs
-
-
 def _parity_system(top):
     """Ids 0..top typed by parity, with pairs of one-digit and of top-width ids."""
     pairs = {(a, b) for a in (0, top - 1, top) for b in (1, top - 1, top) if (a + b) % 2}
@@ -449,15 +464,31 @@ class TestArrayCore:
         types, codes, pairs = data
         from_list = IncidenceSystem(types, codes, [list(p) for p in pairs])
         from_gen = IncidenceSystem(types, codes, (tuple(p) for p in pairs))
-        from_array = IncidenceSystem(
-            types, codes, np.asarray(pairs, dtype=np.int32).reshape(-1, 2)
-        )
+        from_arrays = [
+            IncidenceSystem(types, codes, np.asarray(pairs, dtype=dtype).reshape(-1, 2))
+            for dtype in (np.int32, np.int64, np.uint16)
+        ]
         want = sorted({(min(p), max(p)) for p in pairs})
-        for sys in (from_list, from_gen, from_array):
+        for sys in (from_list, from_gen, *from_arrays):
             assert [tuple(p) for p in sys.pairs.tolist()] == want
             assert sys.pairs.dtype == np.int32
             assert sys.pairs.shape == (len(want), 2)
             assert not sys.pairs.flags.writeable
+
+    @pytest.mark.parametrize("n", [46_340, 70_000])
+    def test_int32_and_int64_ids_agree(self, n):
+        # keys min*n + max fit int32 up to n = 46 340; for 70 000 ids the key
+        # of the last two is over 2**32
+        ids = [[n - 1, n - 2], [0, n - 1], [n - 2, 1]]
+        got = [
+            IncidenceSystem(["a", "b"], [0, 1] * (n // 2), np.array(ids, dtype=dtype))
+            for dtype in (np.int32, np.int64)
+        ]
+        assert got[0].pairs.tolist() == got[1].pairs.tolist() == [
+            [0, n - 1],
+            [1, n - 2],
+            [n - 2, n - 1],
+        ]
 
     def test_caller_array_is_not_frozen(self):
         pairs = np.array([[1, 0]], dtype=np.int32)
@@ -465,7 +496,7 @@ class TestArrayCore:
         assert pairs.flags.writeable
         assert pairs.tolist() == [[1, 0]]
 
-    @pytest.mark.parametrize("as_array", [False, True])
+    @pytest.mark.parametrize("as_array", [None, np.int64, np.int32])
     @pytest.mark.parametrize(
         "types,codes,pairs,message",
         [
@@ -477,8 +508,8 @@ class TestArrayCore:
         ],
     )
     def test_constructor_error_messages(self, types, codes, pairs, message, as_array):
-        if as_array:
-            pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        if as_array is not None:
+            pairs = np.asarray(pairs, dtype=as_array).reshape(-1, 2)
         with pytest.raises(ValueError) as err:
             IncidenceSystem(types, codes, pairs)
         assert str(err.value) == message
