@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
+from collections.abc import Callable
 
 import numpy as np
 
 from .incidence import IncidenceSystem
 from .perms import GroupFingerprint, PermGroup, Permutation
 
-# Above this size raw search gets slow; large structured systems should go
-# through a restriction-extension pipeline instead.
+# Above this many elements (after merging twins) the search gets slow
 _SEARCH_WARN = 600
 
 Cells = list[list[int]]
@@ -120,13 +121,50 @@ class _Engine:
         while queued:
             s = min(queued)
             queued.remove(s)
+            if size[s] == 1:
+                # every touched vertex has one neighbour in s: a touched cell
+                # splits into its untouched vertices, then its touched ones,
+                # with no counting
+                w = lab[s]
+                by_cell: dict[int, list[int]] = {}
+                for u in adj[w]:
+                    c = cellof[u]
+                    if c in by_cell:
+                        by_cell[c].append(u)
+                    else:
+                        by_cell[c] = [u]
+                around = self.nbrs[w]
+                for c in sorted(by_cell):
+                    part = by_cell[c]
+                    k, m = size[c], len(part)
+                    event = (s, c, ((1, m),) if m == k else ((0, k - m), (1, m)))
+                    if ref is not None and (
+                        len(trace) == len(ref) or ref[len(trace)] != event
+                    ):
+                        return None
+                    trace.append(event)
+                    if m == k:
+                        continue
+                    pos = c + k - m
+                    lab[c:pos] = [x for x in lab[c : c + k] if x not in around]
+                    lab[pos : c + k] = part
+                    size[c], size[pos] = k - m, m
+                    for u in part:
+                        cellof[u] = pos
+                    # both fragments are queued, except the first larger one
+                    # when the cell was not queued already
+                    if c in queued or k - m >= m:
+                        queued.add(pos)
+                    else:
+                        queued.add(c)
+                continue
             touched = []
             for w in lab[s : s + size[s]]:
                 for u in adj[w]:
                     if not count[u]:
                         touched.append(u)
                     count[u] += 1
-            by_cell: dict[int, list[int]] = {}
+            by_cell = {}
             for u in touched:
                 c = cellof[u]
                 if c in by_cell:
@@ -290,18 +328,118 @@ def _augmented_adjacency(sys: IncidenceSystem) -> list[list[int]]:
     return adj
 
 
-def _augmented_engine(sys: IncidenceSystem, types_first: bool = True) -> _Engine:
+def _augmented_engine(
+    sys: IncidenceSystem, types_first: bool = True, sizes: list[int] | None = None
+) -> _Engine:
     """Engine on the augmented graph: type nodes, apex and elements colored apart.
 
     With types_first the type nodes are individualized before any element,
     so the search's stabilizer of the type nodes, Aut_I, comes with Aut.
+    sizes, if given, splits the elements into one cell per twin class size,
+    ascending.
     """
     n, r = sys.size, sys.rank
+    by_size: dict[int, list[int]] = {}
+    for x, k in enumerate(sizes or [1] * n):
+        by_size.setdefault(k, []).append(x)
     return _Engine(
         _augmented_adjacency(sys),
-        [list(range(n, n + r)), [n + r], list(range(n))],
+        [list(range(n, n + r)), [n + r]] + [by_size[k] for k in sorted(by_size)],
         head=r if types_first else 0,
     )
+
+
+def _weights(n: int) -> np.ndarray:
+    """A fixed pseudo-random 64-bit weight for each element id below n.
+
+    The splitmix64 finalizer of the ids; array products wrap mod 2**64.
+    (numpy.random would cost its import.)
+    """
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _twin_classes(sys: IncidenceSystem) -> list[list[int]]:
+    """Classes of two or more same-type false twins, ascending, by first member.
+
+    Twins have equal type and equal neighbourhoods, so they are never
+    incident.  A fixed random 64-bit weight per element, summed over each
+    neighbourhood, narrows the candidates to runs of equal (type, degree,
+    sum); each run is then split by its exact neighbour lists.
+    """
+    n, pairs = sys.size, sys.pairs
+    if n < 2:
+        return []
+    # each element's neighbours, ascending: the reversed pairs (its smaller
+    # neighbours) sort stably before the pairs themselves (its larger ones)
+    src = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    nbrs = np.concatenate([pairs[:, 0], pairs[:, 1]])[np.argsort(src, kind="stable")]
+    bounds = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=bounds[1:])
+    del src
+    sums = np.zeros(nbrs.shape[0] + 1, dtype=np.uint64)
+    np.cumsum(_weights(n)[nbrs], out=sums[1:])  # array sums wrap mod 2**64
+    keys = (sys.type_codes, np.diff(bounds), sums[bounds[1:]] - sums[bounds[:-1]])
+    ranked = np.lexsort(keys[::-1])
+    tied = np.ones(n - 1, dtype=bool)
+    for key in keys:
+        key = key[ranked]
+        tied &= key[1:] == key[:-1]
+    if not tied.any():
+        return []
+    # runs of ties: ranked[a : b + 1] share a key for each edge pair (a, b)
+    edges = np.flatnonzero(np.diff(tied, prepend=False, append=False)).tolist()
+    classes = []
+    for a, b in zip(edges[::2], edges[1::2]):
+        exact: dict[bytes, list[int]] = {}
+        for x in sorted(ranked[a : b + 1].tolist()):
+            exact.setdefault(nbrs[bounds[x] : bounds[x + 1]].tobytes(), []).append(x)
+        classes += [c for c in exact.values() if len(c) > 1]
+    return sorted(classes)
+
+
+def _twin_quotient(
+    sys: IncidenceSystem, classes: list[list[int]]
+) -> tuple[IncidenceSystem, list[int], Callable[[list[int]], Permutation]]:
+    """sys with each twin class merged into one element, the class size of
+    each quotient element, and the lift of a quotient correlation (the images
+    of the quotient elements) to sys: the i-th member of a class goes to the
+    i-th member of its image class."""
+    n = sys.size
+    rep = np.arange(n)
+    for members in classes:
+        rep[members] = members[0]
+    keep = rep == np.arange(n)
+    qid = (np.cumsum(keep) - 1)[rep]
+    quotient = IncidenceSystem(sys.types, sys.type_codes[keep], qid[sys.pairs])
+    sizes = np.bincount(qid)
+    members = np.argsort(qid, kind="stable")
+    start = np.concatenate([[0], np.cumsum(sizes)])
+    slot = np.empty(n, dtype=np.int64)
+    slot[members] = np.arange(n) - start[qid[members]]
+
+    def lift(images: list[int]) -> Permutation:
+        return Permutation(members[start[np.asarray(images)[qid]] + slot])
+
+    return quotient, sizes.tolist(), lift
+
+
+def _symmetric_generators(n: int, members: list[int]) -> list[Permutation]:
+    """A transposition and, for three or more members, a full cycle: Sym(members)."""
+    swap = list(range(n))
+    swap[members[0]], swap[members[1]] = members[1], members[0]
+    gens = [Permutation(swap)]
+    if len(members) > 2:
+        cycle = list(range(n))
+        for x, y in zip(members, members[1:] + members[:1]):
+            cycle[x] = y
+        gens.append(Permutation(cycle))
+    return gens
 
 
 def _kernel_engine(sys: IncidenceSystem) -> _Engine:
@@ -320,10 +458,12 @@ class AutResult:
     type_action: PermGroup
     out_order: int
     types: tuple[str, ...]
-    # refinements made by the one augmented-graph search; 0 when no search
-    # produced the result.  Not part of the result's value: kept out of
-    # comparisons and reports.
+    # refinements made by the one augmented-graph search, and the number of
+    # twin classes (of two or more elements) merged before it; 0 when no
+    # search produced the result.  Not part of the result's value: kept out
+    # of comparisons and reports.
     search_nodes: int = dataclasses.field(default=0, compare=False)
+    twin_classes: int = dataclasses.field(default=0, compare=False)
 
     def __post_init__(self) -> None:
         if self.aut_order != self.aut_i_order * self.out_order:
@@ -346,39 +486,51 @@ class AutResult:
 def correlation_group(sys: IncidenceSystem) -> AutResult:
     """Full correlation group Aut via augmented-graph search; kernel is Aut_I.
 
-    One search gives both: it individualizes the type nodes first, so the
-    generators it finds below those levels generate their stabilizer Aut_I.
-    Both orders are read off the search tree; only the action on types, a
-    group of degree rank, is built as a ``PermGroup``, and its order, from
-    Schreier-Sims, must be |Aut| / |Aut_I|.
+    Same-type twins (equal neighbourhoods) are merged first: the search runs
+    on the quotient, with each element colored by its class size, and each
+    quotient generator is lifted class by class.  Each class C adds Sym(C)
+    (a transposition, and a full cycle when |C| > 2) to both groups, and
+    both orders gain the factor prod |C|!.  A system without twins is
+    searched as it is.
+
+    One search gives both groups: it individualizes the type nodes first, so
+    the generators it finds below those levels generate their stabilizer
+    Aut_I.  Both orders are read off the search tree; only the action on
+    types, a group of degree rank, is built as a ``PermGroup``, and its
+    order, from Schreier-Sims, must be |Aut| / |Aut_I|.
     """
     empty = [repr(sys.types[t]) for t in sys.empty_types()]
     if empty:
         raise ValueError(
             f"empty type fiber: no element has type {', '.join(empty)}"
         )
-    n = sys.size
-    if n > _SEARCH_WARN:
-        warnings.warn(
-            f"raw correlation search on {n} elements may be slow; "
-            "consider a restriction-extension pipeline",
-            stacklevel=2,
-        )
-    engine = _augmented_engine(sys)
+    classes = _twin_classes(sys)
+    if classes:
+        quotient, sizes, lift = _twin_quotient(sys, classes)
+    else:
+        quotient, sizes, lift = sys, None, Permutation
+    m, r = quotient.size, sys.rank
+    if m > _SEARCH_WARN:
+        warnings.warn(f"correlation search on {m} elements may be slow", stacklevel=2)
+    engine = _augmented_engine(quotient, sizes=sizes)
     gens, aut_order, k, aut_i_order = engine.automorphisms()
-    # the images of the type nodes n..n+r-1 give the action on types
+    # the images of the type nodes m..m+r-1 give the action on types
     type_action = PermGroup(
-        sys.rank, [Permutation([t - n for t in g[n : n + sys.rank]]) for g in gens]
+        r, [Permutation([t - m for t in g[m : m + r]]) for g in gens]
     )
+    lifted = [lift(g[:m]) for g in gens]
+    twins = [g for c in classes for g in _symmetric_generators(sys.size, c)]
+    factor = math.prod(math.factorial(len(c)) for c in classes)
     return AutResult(
-        correlation_gens=tuple(Permutation(g[:n]) for g in gens),
-        aut_order=aut_order,
-        type_preserving_gens=tuple(Permutation(g[:n]) for g in gens[:k]),
-        aut_i_order=aut_i_order,
+        correlation_gens=tuple(lifted + twins),
+        aut_order=aut_order * factor,
+        type_preserving_gens=tuple(lifted[:k] + twins),
+        aut_i_order=aut_i_order * factor,
         type_action=type_action,
         out_order=type_action.order(),
         types=sys.types,
         search_nodes=engine.nodes,
+        twin_classes=len(classes),
     )
 
 

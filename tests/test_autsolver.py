@@ -1,13 +1,20 @@
 """Correlation-group search, brute-force agreement, and verdict reporting."""
 
+import importlib.util
 import itertools
+import math
+import pathlib
 import random
+import warnings
+from unittest import mock
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import geomrep
 from geomrep import (
     CosetGeometrySpec,
     IncidenceSystem,
@@ -83,6 +90,141 @@ def twinned_systems(draw):
         st.lists(st.integers(0, sys.size - 1), min_size=1, max_size=3, unique=True)
     )
     return with_twins(sys, {x: draw(st.integers(1, 2)) for x in chosen})
+
+
+def counting_refine(adj, p, queue, ref=None):
+    """Refinement by neighbour counts for every splitter, singletons included.
+
+    The engine's refinement before singleton splitters had their own branch,
+    kept as the reference whose traces, partitions and early exits the
+    engine's ``_refine`` must match.
+    """
+    count = [0] * len(adj)
+    lab, cellof, size = p.lab, p.cellof, p.size
+    queued = set(queue)
+    trace = []
+    while queued:
+        s = min(queued)
+        queued.remove(s)
+        touched = []
+        for w in lab[s : s + size[s]]:
+            for u in adj[w]:
+                if not count[u]:
+                    touched.append(u)
+                count[u] += 1
+        by_cell = {}
+        for u in touched:
+            by_cell.setdefault(cellof[u], []).append(u)
+        for c in sorted(by_cell):
+            k = size[c]
+            groups = {}
+            for u in by_cell[c]:
+                groups.setdefault(count[u], []).append(u)
+            if len(by_cell[c]) < k:
+                groups[0] = [x for x in lab[c : c + k] if not count[x]]
+            keys = sorted(groups)
+            event = (s, c, tuple((n, len(groups[n])) for n in keys))
+            if ref is not None and (len(trace) == len(ref) or ref[len(trace)] != event):
+                return None
+            trace.append(event)
+            if len(keys) == 1:
+                continue
+            pos = c
+            frags = []
+            for n in keys:
+                part = groups[n]
+                lab[pos : pos + len(part)] = part
+                size[pos] = len(part)
+                if pos != c:
+                    for u in part:
+                        cellof[u] = pos
+                frags.append(pos)
+                pos += len(part)
+            if c not in queued:
+                frags.remove(max(frags, key=lambda f: (size[f], -f)))
+            queued.update(frags)
+        for u in touched:
+            count[u] = 0
+    if ref is not None and len(trace) != len(ref):
+        return None
+    return trace
+
+
+def partition(cells) -> autsearch._Partition:
+    """The ordered partition with the given cells, in order."""
+    n = sum(map(len, cells))
+    lab, cellof, size = [], [0] * n, [0] * n
+    for cell in cells:
+        size[len(lab)] = len(cell)
+        for v in cell:
+            cellof[v] = len(lab)
+        lab += cell
+    return autsearch._Partition(lab, cellof, size)
+
+
+@st.composite
+def graphs_and_partitions(draw):
+    """A graph on up to 12 vertices with adjacency lists in random order, an
+    ordered partition of its vertices and a queue of cell starts."""
+    n = draw(st.integers(1, 12))
+    edges = draw(
+        st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30)
+    )
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        if a < b:
+            adj[a].append(b)
+            adj[b].append(a)
+    adj = [draw(st.permutations(around)) for around in adj]
+    colors = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    cells = [[v for v in order if colors[v] == c] for c in range(4)]
+    cells = [cell for cell in cells if cell]
+    starts = list(itertools.accumulate([0] + [len(cell) for cell in cells[:-1]]))
+    queue = draw(st.lists(st.sampled_from(starts), min_size=1, unique=True))
+    return adj, cells, queue
+
+
+def unquotiented_group(sys: IncidenceSystem) -> autsearch.AutResult:
+    """correlation_group searched on sys itself, twins and all: the search
+    before twins were merged, kept as the reference for the quotient."""
+    n, r = sys.size, sys.rank
+    engine = autsearch._augmented_engine(sys)
+    gens, aut_order, k, aut_i_order = engine.automorphisms()
+    type_action = PermGroup(r, [Permutation([t - n for t in g[n : n + r]]) for g in gens])
+    return autsearch.AutResult(
+        correlation_gens=tuple(Permutation(g[:n]) for g in gens),
+        aut_order=aut_order,
+        type_preserving_gens=tuple(Permutation(g[:n]) for g in gens[:k]),
+        aut_i_order=aut_i_order,
+        type_action=type_action,
+        out_order=type_action.order(),
+        types=sys.types,
+        search_nodes=engine.nodes,
+    )
+
+
+def reference_twin_classes(sys: IncidenceSystem) -> list[list[int]]:
+    """Classes of two or more elements with equal type and neighbour set."""
+    classes: dict[tuple, list[int]] = {}
+    for x in range(sys.size):
+        classes.setdefault((int(sys.type_codes[x]), sys.neighbors(x)), []).append(x)
+    return sorted(c for c in classes.values() if len(c) > 1)
+
+
+def result_fields(res: autsearch.AutResult) -> tuple:
+    """Every field of res, the type action by its generators."""
+    return (
+        res.correlation_gens,
+        res.aut_order,
+        res.type_preserving_gens,
+        res.aut_i_order,
+        tuple(res.type_action.generators),
+        res.out_order,
+        res.types,
+        res.search_nodes,
+        res.twin_classes,
+    )
 
 
 def sympy_order(degree: int, gens) -> int:
@@ -546,9 +688,251 @@ class TestSearchNodes:
         res = correlation_group(dihedral_geometry(5))
         assert res.search_nodes > 0
         assert "search_nodes" not in res.to_json_dict()
+        twinned = correlation_group(with_twins(dihedral_geometry(5), {0: 1}))
+        assert twinned.twin_classes == 1
+        assert "twin_classes" not in twinned.to_json_dict()
         assert "search_nodes" not in verify_representation(
             dihedral_geometry(5), 10, 20, result=res
         ).to_json_dict()
+
+
+def bench_solver_systems() -> dict[str, IncidenceSystem]:
+    """The systems of scripts/bench_solver.py, by row name."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "bench_solver.py"
+    spec = importlib.util.spec_from_file_location("bench_solver", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return dict(module.systems(geomrep))
+
+
+# scripts/bench_solver.py rows: search_nodes, twin_classes, |Aut|, |Aut_I|
+BENCH_ROWS = {
+    "pg2-q2": (16, 0, 336, 168),
+    "pg2-q3": (24, 0, 11232, 5616),
+    "pg2-q4": (33, 0, 241920, 120960),
+    "pg2-q5": (24, 0, 744000, 372000),
+    "dihedral-3": (10, 0, 12, 6),
+    "dihedral-4": (7, 0, 8, 4),
+    "dihedral-5": (10, 0, 20, 10),
+    "dihedral-6": (7, 0, 12, 6),
+    "dihedral-7": (28, 0, 42, 14),
+    "dihedral-8": (12, 0, 32, 8),
+    "dihedral-10": (11, 0, 40, 10),
+    "dihedral-12": (12, 0, 48, 12),
+    "complete-3": (10, 0, 12, 6),
+    "complete-4": (7, 0, 24, 24),
+    "complete-5": (12, 0, 120, 120),
+    "gq22": (18, 0, 1440, 720),
+    "cube": (12, 0, 48, 24),
+    "cube-faces": (12, 0, 48, 24),
+    "hemidodecahedron": (11, 0, 120, 60),
+    "pg2-q3-twins": (8, 3, 3456, 3456),
+    "pg2-q5-twins": (21, 3, 23040, 23040),
+    "s4-coset-twins": (3, 3, 48, 48),
+}
+
+
+class TestSingletonRefinement:
+    """The singleton-splitter branch of _refine against counting_refine."""
+
+    @given(graphs_and_partitions(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_graphs_and_partitions(self, case, data):
+        adj, cells, queue = case
+        engine = autsearch._Engine(adj, cells)
+        p, q = partition(cells), partition(cells)
+        trace = engine._refine(p, queue)
+        assert trace == counting_refine(adj, q, queue)
+        assert (p.lab, p.cellof, p.size) == (q.lab, q.cellof, q.size)
+        refs = [trace, trace + [(0, 0, ())]]
+        if trace:
+            j = data.draw(st.integers(0, len(trace) - 1))
+            s, c, _ = trace[j]
+            refs += [trace[:-1], trace[:j] + [(s, c, ((0, 99),))] + trace[j + 1 :]]
+        for ref in refs:
+            p, q = partition(cells), partition(cells)
+            got = engine._refine(p, queue, ref)
+            assert got == counting_refine(adj, q, queue, ref)
+            assert (got is None) == (ref is not trace)
+            # a refinement that leaves ref stops at the same event
+            assert (p.lab, p.cellof, p.size) == (q.lab, q.cellof, q.size)
+
+    @pytest.mark.parametrize(
+        "sys",
+        [subspace_system(2, p, k) for p, k in ((2, 1), (3, 1), (2, 2))]
+        + [dihedral_geometry(n) for n in (5, 7, 8)]
+        + [complete_graph_geometry(5), gq22(), cube_geometry(), hemidodecahedron_petrie()]
+        + [with_twins(coset_geometry(s4_spec()).system, {0: 2, 9: 1})],
+    )
+    def test_searches_match(self, sys, monkeypatch):
+        def reference(engine, p, queue, ref=None):
+            engine.nodes += 1
+            return counting_refine(engine.adj, p, queue, ref)
+
+        def run(refine):
+            calls = []
+
+            def spy(engine, p, queue, ref=None):
+                out = refine(engine, p, queue, ref)
+                calls.append((out, p.lab[:], p.cellof[:], p.size[:]))
+                return out
+
+            perm = list(range(sys.size))
+            random.Random(sys.size).shuffle(perm)
+            with monkeypatch.context() as m:
+                m.setattr(autsearch._Engine, "_refine", spy)
+                res = correlation_group(sys)
+                kernel = type_preserving_group(sys).generators
+                mapping = find_isomorphism(sys, relabel(sys, perm))
+            return calls, result_fields(res), kernel, mapping
+
+        new, old = run(autsearch._Engine._refine), run(reference)
+        assert new[0] == old[0]
+        assert new[1:] == old[1:]
+
+    def test_bench_rows_keep_their_searches(self):
+        rows = {
+            name: correlation_group(sys) for name, sys in bench_solver_systems().items()
+        }
+        got = {
+            name: (r.search_nodes, r.twin_classes, r.aut_order, r.aut_i_order)
+            for name, r in rows.items()
+        }
+        assert got == BENCH_ROWS
+        assert sum(r[0] for r in BENCH_ROWS.values() if not r[1]) == 276
+
+
+class TestTwinQuotient:
+    @given(twinned_systems())
+    @settings(max_examples=60, deadline=None)
+    def test_elements_match_brute_force(self, sys):
+        res, ref = correlation_group(sys), unquotiented_group(sys)
+        assert res.twin_classes >= 1
+        assert (res.aut_order, res.aut_i_order, res.out_order) == (
+            ref.aut_order,
+            ref.aut_i_order,
+            ref.out_order,
+        )
+        group = PermGroup(sys.size, list(res.correlation_gens))
+        assert group.order() == res.aut_order
+        if res.aut_order <= 5040:  # brute force lists every element
+            brute = brute_force_automorphisms(sys)
+            # the generators lie in the group of all correlations and
+            # generate a group of its order: so the element sets are equal
+            assert set(res.correlation_gens) <= set(brute)
+            assert res.aut_order == len(brute)
+        assert res.aut_i_order == type_preserving_group(sys).order()
+        kernel = PermGroup(sys.size, list(res.type_preserving_gens))
+        assert kernel.order() == res.aut_i_order
+        for g in res.type_preserving_gens:
+            assert correlation_type_action(sys, g) == list(range(sys.rank))
+
+    @given(st.one_of(twinned_systems(), random_systems(max_size=12)))
+    @settings(max_examples=150, deadline=None)
+    def test_classes_are_exact(self, sys):
+        want = reference_twin_classes(sys)
+        assert autsearch._twin_classes(sys) == want
+        # with every weight zero the sums tie whenever type and degree do:
+        # the exact neighbour lists alone must split the runs
+        with mock.patch.object(autsearch, "_weights", lambda n: np.zeros(n, np.uint64)):
+            assert autsearch._twin_classes(sys) == want
+
+    @pytest.mark.parametrize(
+        "sys",
+        [subspace_system(2, p, k) for p, k in ((2, 1), (3, 1), (2, 2), (5, 1))]
+        + [dihedral_geometry(n) for n in (3, 4, 5, 6, 7, 8)]
+        + [complete_graph_geometry(n) for n in (3, 4, 5)]
+        + [gq22(), cube_geometry(), cube_geometry(vertex_adjacency=False)]
+        + [hemidodecahedron_petrie()],
+    )
+    def test_twin_free_systems_are_searched_as_they_are(self, sys):
+        assert autsearch._twin_classes(sys) == []
+        assert result_fields(correlation_group(sys)) == result_fields(unquotiented_group(sys))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_orders_match_the_unquotiented_search(self, seed):
+        rng = random.Random(seed)
+        base = [subspace_system(2, 3, 1), coset_geometry(s4_spec()).system, gq22()][seed]
+        sys = with_twins(base, {x: rng.randint(1, 3) for x in rng.sample(range(base.size), 3)})
+        res, ref = correlation_group(sys), unquotiented_group(sys)
+        assert res.twin_classes == 3
+        assert (res.aut_order, res.aut_i_order, res.out_order) == (
+            ref.aut_order,
+            ref.aut_i_order,
+            ref.out_order,
+        )
+        assert res.search_nodes < ref.search_nodes
+        for g in res.correlation_gens:
+            assert correlation_type_action(sys, g) is not None
+
+    def test_class_of_three_gives_sym3(self):
+        # one element of type b on three elements of type a: the a's are twins
+        sys = IncidenceSystem(["a", "b"], [0, 1, 0, 0], [[0, 1], [1, 2], [1, 3]])
+        res = correlation_group(sys)
+        assert res.twin_classes == 1
+        assert autsearch._twin_classes(sys) == [[0, 2, 3]]
+        # the quotient is one a and one b, rigid: only the transposition and
+        # the full cycle of the class remain
+        assert [g.to_list() for g in res.correlation_gens] == [[2, 1, 0, 3], [2, 1, 3, 0]]
+        assert res.type_preserving_gens == res.correlation_gens
+        assert (res.aut_order, res.aut_i_order, res.out_order) == (6, 6, 1)
+        group = PermGroup(sys.size, list(res.correlation_gens))
+        assert {tuple(g.to_list()) for g in group.enumerate_elements()} == {
+            (a, 1, b, c) for a, b, c in itertools.permutations([0, 2, 3])
+        }
+
+    def test_lift_keeps_class_order(self):
+        sys = with_twins(cube_geometry(), {0: 1, 1: 2})
+        classes = autsearch._twin_classes(sys)
+        assert classes == [[0, 26], [1, 27, 28]]
+        res = correlation_group(sys)
+        # the lifted quotient generators come first, then one transposition
+        # per class and one cycle per class of three or more
+        lifted = res.correlation_gens[:-3]
+        assert lifted
+        for g in lifted:
+            for members in classes:
+                image = [g(x) for x in members]
+                # the i-th member goes to the i-th member of its image class
+                assert sorted(image) in classes and image == sorted(image)
+
+    def test_no_twins_with_equal_types_but_other_neighbours(self):
+        sys = IncidenceSystem(["a", "b"], [0, 0, 1, 1], [[0, 2], [1, 3]])
+        assert autsearch._twin_classes(sys) == []
+        assert correlation_group(sys).twin_classes == 0
+
+    def test_isolated_twins_give_a_factorial(self):
+        sys = IncidenceSystem(["a", "b"], [0] * 1200 + [1], [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = correlation_group(sys)
+        assert res.twin_classes == 1
+        assert res.aut_order == res.aut_i_order == math.factorial(1200)
+        assert len(res.correlation_gens) == 2
+
+    def test_q4_cross_ratio_orders(self, pgl34):
+        # 210 classes of 12 ordered quadruples; the quotient has 252 elements,
+        # below the warning size
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = correlation_group(pgl34.system)
+        twins = math.factorial(12) ** 210
+        assert res.twin_classes == 210
+        assert (res.aut_order, res.aut_i_order, res.out_order) == (
+            241920 * twins,
+            120960 * twins,
+            2,
+        )
+        assert len(res.correlation_gens) == len(res.type_preserving_gens) + 1 == 429
+
+    def test_warning_counts_the_searched_elements(self):
+        n = 602
+        cycle = IncidenceSystem(
+            ["a", "b"], [i % 2 for i in range(n)], [[i, (i + 1) % n] for i in range(n)]
+        )
+        with pytest.warns(UserWarning, match=r"^correlation search on 602 elements may be slow$"):
+            res = correlation_group(cycle)
+        assert (res.aut_order, res.aut_i_order) == (1204, 602)
 
 
 class TestVerification:
