@@ -51,16 +51,16 @@ def _digest(blocks: Iterable[bytes]) -> str:
     return "sha256:" + digest.hexdigest()
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(pieces: Iterable[str], out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _emit_json(obj: dict, out: str | None) -> None:
-    _emit(json.dumps(obj, indent=2) + "\n", out)
+    _emit([json.dumps(obj, indent=2) + "\n"], out)
 
 
 def _report(
@@ -189,7 +189,8 @@ def _load_system(path: str) -> tuple[IncidenceSystem, str]:
 
 def run_build(args: argparse.Namespace) -> int:
     system = _build_system(args)
-    _emit(system.to_json(), args.out)
+    # block by block, so the whole text is never built
+    _emit((block.decode("ascii") for block in system.json_blocks()), args.out)
     return _EXIT_OK
 
 
@@ -360,7 +361,7 @@ def run_free(args: argparse.Namespace) -> int:
 
 def run_export(args: argparse.Namespace) -> int:
     system, _ = _load_system(args.file)
-    _emit(system.to_dot(), args.out)
+    _emit([system.to_dot()], args.out)
     return _EXIT_OK
 
 

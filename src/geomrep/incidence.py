@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-import gc
 import itertools
 import json
 import re
@@ -91,7 +90,7 @@ def _json_list(data: dict, field: str) -> list:
     return value
 
 
-def _int_pairs(rows: list, check_bools: bool = True) -> np.ndarray:
+def _int_pairs(rows: list) -> np.ndarray:
     """rows as an int64 (k, 2) array; ValueError unless each row is two JSON integers."""
     if not rows:
         return np.empty((0, 2), dtype=np.int64)
@@ -104,7 +103,7 @@ def _int_pairs(rows: list, check_bools: bool = True) -> np.ndarray:
         arr.ndim != 2
         or arr.shape[1] != 2
         or arr.dtype.kind not in "iu"
-        or (check_bools and bool in set(map(type, itertools.chain.from_iterable(rows))))
+        or bool in set(map(type, itertools.chain.from_iterable(rows)))
     ):
         raise ValueError("incidences must be pairs of integer element ids")
     return arr.astype(np.int64, copy=False)
@@ -208,21 +207,16 @@ def _strict_pairs(block: str) -> np.ndarray | None:
 def _read_pairs(text: str, pos: int) -> tuple[np.ndarray, int]:
     """The integer pairs of the JSON list at text[pos] == "[", and the end of the list.
 
-    The list is read in blocks of about _JSON_BLOCK pairs, so its pairs never
-    exist as Python lists all at once.  A block in the strict shape of
-    ``_strict_pairs`` (such as every block ``to_json`` writes) becomes its
-    array without ``json.loads``; any other block is parsed by ``json.loads``
-    and checked by ``_int_pairs``, which alone decide what is rejected and
-    how.  Either way the block gives the same pairs.
+    Raises StopIteration, as the JSON scanner does where it finds no value,
+    unless the list is pairs in the strict shape of ``_strict_pairs`` (such
+    as every non-empty list ``to_json`` writes), read in blocks of about
+    _JSON_BLOCK pairs so that they never exist as Python lists.
 
-    The list ends at the first "]" after text[pos] that is followed by another
-    "]"; a block is cut there when its window holds it.  A list without such
-    an end is reported as unterminated, whatever else is wrong with it.
+    A list of pairs ends at the first "]" that is followed by another "]".
+    No end lies inside a strict block, whose every "]" but its last is
+    followed by a ",", so the end is looked for only in a block that fails.
     """
     body = pos + 1
-    first = _JSON_WS(text, body).end()
-    if text.startswith("]", first):
-        return np.empty((0, 2), dtype=np.int64), first + 1
     # the int64 pairs read so far, as bytes: one growing buffer leaves no block
     # arrays among the freed temporaries of later blocks, and needs no concatenation
     out = bytearray()
@@ -230,80 +224,64 @@ def _read_pairs(text: str, pos: int) -> tuple[np.ndarray, int]:
     at = body
     # the mean width of a pair so far; the first pair's width before that
     width = text.find("]", body) + 1 - body
-    try:
-        while True:
-            # the window ends just after the "]" of the block's last pair,
-            # aimed at the middle of that pair
-            cut = text.find("]", at + max(int(width * (_JSON_BLOCK - 0.5)), 0)) + 1
-            end = None
-            if not cut:
-                end = _JSON_PAIRS_END.search(text, at)
-                if end is None:
-                    break
-                cut = end.start() + 1
-            block = text[at:cut]
-            pairs = _strict_pairs(block)
-            if pairs is None and end is None:
-                # an end that starts before cut - 1 also ends by cut, since
-                # text[cut - 1] is a "]" and an end holds only whitespace
-                # between its brackets
-                end = _JSON_PAIRS_END.search(text, at, cut)
-                if end is not None:
-                    cut = end.start() + 1
-                    block = text[at:cut]
-                    pairs = _strict_pairs(block)
-            if end is None:
-                # no end starts inside a strict block: each "]" but its last
-                # is followed by a ","
-                end = _JSON_PAIRS_END.match(text, cut - 1)
-            if pairs is None:
-                # true and false both contain an "e", which no integer pair does
-                pairs = _int_pairs(json.loads("[" + block + "]"), "e" in block)
-            out += pairs.data
-            count += pairs.shape[0]
-            if end is not None:
-                return np.frombuffer(out, dtype=np.int64).reshape(count, 2), end.end()
-            at = _JSON_WS(text, cut).end()
-            if not text.startswith(",", at):
-                raise json.JSONDecodeError("Expecting ',' delimiter", text, at)
-            at = _JSON_WS(text, at + 1).end()
-            width = (at - body) / count
-    except (ValueError, RecursionError):
-        # no end before at, so the list ends after at or never
-        if _JSON_PAIRS_END.search(text, at) is not None:
-            raise
-    raise json.JSONDecodeError("unterminated incidences list", text, pos)
-
-
-def _json_object(text: str, pos: int) -> tuple[dict, int]:
-    """The JSON object at text[pos] == "{", and the position just after it."""
-    data: dict = {}
-    pos = _JSON_WS(text, pos + 1).end()
-    if text.startswith("}", pos):
-        return data, pos + 1
     while True:
-        if not text.startswith('"', pos):
-            raise json.JSONDecodeError(
-                "Expecting property name enclosed in double quotes", text, pos
-            )
-        key, pos = json.decoder.scanstring(text, pos + 1)
-        pos = _JSON_WS(text, pos).end()
-        if not text.startswith(":", pos):
-            raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
-        pos = _JSON_WS(text, pos + 1).end()
-        if key == "incidences" and text.startswith("[", pos):
-            data[key], pos = _read_pairs(text, pos)
+        # the window ends just after the "]" of the block's last pair,
+        # aimed at the middle of that pair
+        cut = text.find("]", at + max(int(width * (_JSON_BLOCK - 0.5)), 0)) + 1 or len(text)
+        pairs = _strict_pairs(text[at:cut])
+        if pairs is None:
+            # an end that starts before cut - 1 also ends by cut, since
+            # text[cut - 1] is a "]" and an end holds only whitespace
+            # between its brackets
+            end = _JSON_PAIRS_END.search(text, at, cut)
+            pairs = end and _strict_pairs(text[at : end.start() + 1])
+            if pairs is None:
+                raise StopIteration(at)
         else:
-            try:
+            end = _JSON_PAIRS_END.match(text, cut - 1)
+        out += pairs.data
+        count += pairs.shape[0]
+        if end is not None:
+            return np.frombuffer(out, dtype=np.int64).reshape(count, 2), end.end()
+        at = _JSON_WS(text, cut).end()
+        if not text.startswith(",", at):
+            raise StopIteration(at)
+        at = _JSON_WS(text, at + 1).end()
+        width = (at - body) / count
+
+
+def _json_object(text: str) -> dict | None:
+    """json.loads(text) with each top-level incidences list read by _read_pairs.
+
+    None unless text is one JSON object whose every top-level incidences
+    list ``_read_pairs`` reads, so that json.loads decides every other text.
+    """
+    data: dict = {}
+    pos = _JSON_WS(text, 0).end()
+    # each member after a "{" or a ","; json.loads decides the empty object
+    more = text.startswith("{", pos)
+    try:
+        while more:
+            pos = _JSON_WS(text, pos + 1).end()
+            if not text.startswith('"', pos):
+                return None
+            key, pos = json.decoder.scanstring(text, pos + 1)
+            pos = _JSON_WS(text, pos).end()
+            if not text.startswith(":", pos):
+                return None
+            pos = _JSON_WS(text, pos + 1).end()
+            if key == "incidences" and text.startswith("[", pos):
+                data[key], pos = _read_pairs(text, pos)
+            else:
                 data[key], pos = _JSON_VALUE(text, pos)
-            except StopIteration as exc:
-                raise json.JSONDecodeError("Expecting value", text, exc.value) from None
-        pos = _JSON_WS(text, pos).end()
-        if text.startswith("}", pos):
-            return data, pos + 1
-        if not text.startswith(",", pos):
-            raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
-        pos = _JSON_WS(text, pos + 1).end()
+            pos = _JSON_WS(text, pos).end()
+            more = text.startswith(",", pos)
+    except (ValueError, StopIteration, RecursionError):
+        # a key, value or incidences list that the scanners decline
+        return None
+    if not data or not text.startswith("}", pos) or _JSON_WS(text, pos + 1).end() != len(text):
+        return None
+    return data
 
 
 class IncidenceSystem:
@@ -670,33 +648,18 @@ class IncidenceSystem:
 
     @classmethod
     def from_json(cls, text: str) -> "IncidenceSystem":
-        """The system of an interchange text.
+        """The system of an interchange text: ``from_json_dict(json.loads(text))``.
 
-        Every top-level member is parsed as ``json.loads`` parses it, the last
-        of duplicate keys winning, except that a list under ``incidences`` is
-        read in blocks of about ``_JSON_BLOCK`` pairs (see ``_read_pairs``) and
-        must hold integer pairs even where a later duplicate key replaces it.
-        A block of plain integer pairs, such as every block ``to_json``
-        writes, is read with array operations instead of ``json.loads``; every
-        other block is parsed by ``json.loads``, and the pairs are the same
-        either way.
+        A text in which every top-level ``incidences`` list is plain integer
+        pairs, as ``to_json`` writes them, is read without ``json.loads``:
+        each such list in blocks of array operations (see ``_read_pairs``),
+        every other member by the JSON scanner.  Any other text, such as one
+        whose list is empty, is parsed by one ``json.loads`` of the whole
+        text, which decides what is rejected and how.  The system, or the
+        error, is the same either way.
         """
-        pos = _JSON_WS(text, 0).end()
-        if not text.startswith("{", pos):
-            raise ValueError("interchange data must be a JSON object")
-        # json.loads makes one small list per pair of a block it parses; none
-        # can be part of a cycle, so the cyclic collector's passes are wasted
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            data, pos = _json_object(text, pos)
-        finally:
-            if enabled:
-                gc.enable()
-        pos = _JSON_WS(text, pos).end()
-        if pos != len(text):
-            raise json.JSONDecodeError("Extra data", text, pos)
-        return cls.from_json_dict(data)
+        data = _json_object(text)
+        return cls.from_json_dict(json.loads(text) if data is None else data)
 
     def to_dot(self) -> str:
         lines = ["graph incidence {"]

@@ -58,6 +58,17 @@ class TestBuild:
         data = json.loads(target.read_text())
         assert len(data["elements"]) == 26
 
+    def test_text_is_written_in_blocks(self, capsys, tmp_path, monkeypatch):
+        # 45 incidences in blocks of 7: the text is written in several pieces
+        monkeypatch.setattr(geomrep.incidence, "_JSON_BLOCK", 7)
+        target = tmp_path / "system.json"
+        assert run(capsys, "build", "gq22", "--out", str(target))[0] == 0
+        _, out, _ = run(capsys, "build", "gq22")
+        text = target.read_text()
+        system = IncidenceSystem.from_json(text)
+        assert system.pairs.shape[0] == 45
+        assert out == text == json.dumps(system.to_json_dict(), indent=2) + "\n"
+
     def test_coset_default_tetrahedron(self, capsys):
         code, out, _ = run(capsys, "build", "coset")
         assert code == 0
