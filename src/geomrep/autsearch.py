@@ -314,7 +314,9 @@ def _closure(seed: int, gens: list[list[int]]) -> set[int]:
 
 
 def _element_adjacency(sys: IncidenceSystem) -> list[list[int]]:
-    return [sorted(sys.neighbors(x)) for x in range(sys.size)]
+    bounds, nbrs = sys._neighbour_index()
+    nbrs, bounds = nbrs.tolist(), bounds.tolist()
+    return [nbrs[i:j] for i, j in zip(bounds, bounds[1:])]
 
 
 def _augmented_adjacency(sys: IncidenceSystem) -> list[list[int]]:
@@ -349,58 +351,18 @@ def _augmented_engine(
     )
 
 
-def _weights(n: int) -> np.ndarray:
-    """A fixed pseudo-random 64-bit weight for each element id below n.
-
-    The splitmix64 finalizer of the ids; array products wrap mod 2**64.
-    (numpy.random would cost its import.)
-    """
-    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return z
-
-
 def _twin_classes(sys: IncidenceSystem) -> list[list[int]]:
     """Classes of two or more same-type false twins, ascending, by first member.
 
     Twins have equal type and equal neighbourhoods, so they are never
-    incident.  A fixed random 64-bit weight per element, summed over each
-    neighbourhood, narrows the candidates to runs of equal (type, degree,
-    sum); each run is then split by its exact neighbour lists.
+    incident: each class is one (type, neighbour list) key.
     """
-    n, pairs = sys.size, sys.pairs
-    if n < 2:
-        return []
-    # each element's neighbours, ascending: the reversed pairs (its smaller
-    # neighbours) sort stably before the pairs themselves (its larger ones)
-    src = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    nbrs = np.concatenate([pairs[:, 0], pairs[:, 1]])[np.argsort(src, kind="stable")]
-    bounds = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=bounds[1:])
-    del src
-    sums = np.zeros(nbrs.shape[0] + 1, dtype=np.uint64)
-    np.cumsum(_weights(n)[nbrs], out=sums[1:])  # array sums wrap mod 2**64
-    keys = (sys.type_codes, np.diff(bounds), sums[bounds[1:]] - sums[bounds[:-1]])
-    ranked = np.lexsort(keys[::-1])
-    tied = np.ones(n - 1, dtype=bool)
-    for key in keys:
-        key = key[ranked]
-        tied &= key[1:] == key[:-1]
-    if not tied.any():
-        return []
-    # runs of ties: ranked[a : b + 1] share a key for each edge pair (a, b)
-    edges = np.flatnonzero(np.diff(tied, prepend=False, append=False)).tolist()
-    classes = []
-    for a, b in zip(edges[::2], edges[1::2]):
-        exact: dict[bytes, list[int]] = {}
-        for x in sorted(ranked[a : b + 1].tolist()):
-            exact.setdefault(nbrs[bounds[x] : bounds[x + 1]].tobytes(), []).append(x)
-        classes += [c for c in exact.values() if len(c) > 1]
-    return sorted(classes)
+    bounds, nbrs = sys._neighbour_index()
+    bounds = bounds.tolist()
+    classes: dict[tuple[int, bytes], list[int]] = {}
+    for x, t in enumerate(sys.type_codes.tolist()):
+        classes.setdefault((t, nbrs[bounds[x] : bounds[x + 1]].tobytes()), []).append(x)
+    return [c for c in classes.values() if len(c) > 1]
 
 
 def _twin_quotient(
@@ -409,14 +371,15 @@ def _twin_quotient(
     """sys with each twin class merged into one element, the class size of
     each quotient element, and the lift of a quotient correlation (the images
     of the quotient elements) to sys: the i-th member of a class goes to the
-    i-th member of its image class."""
+    i-th member of its image class.  Twins have equal neighbourhoods, so
+    the quotient is the subsystem induced on each class's first member."""
     n = sys.size
     rep = np.arange(n)
     for members in classes:
         rep[members] = members[0]
-    keep = rep == np.arange(n)
-    qid = (np.cumsum(keep) - 1)[rep]
-    quotient = IncidenceSystem(sys.types, sys.type_codes[keep], qid[sys.pairs])
+    keep = np.flatnonzero(rep == np.arange(n))
+    quotient = sys._induced(keep, list(range(sys.rank)))
+    qid = np.searchsorted(keep, rep)
     sizes = np.bincount(qid)
     members = np.argsort(qid, kind="stable")
     start = np.concatenate([[0], np.cumsum(sizes)])
@@ -431,20 +394,8 @@ def _twin_quotient(
 
 def _symmetric_generators(n: int, members: list[int]) -> list[Permutation]:
     """A transposition and, for three or more members, a full cycle: Sym(members)."""
-    swap = list(range(n))
-    swap[members[0]], swap[members[1]] = members[1], members[0]
-    gens = [Permutation(swap)]
-    if len(members) > 2:
-        cycle = list(range(n))
-        for x, y in zip(members, members[1:] + members[:1]):
-            cycle[x] = y
-        gens.append(Permutation(cycle))
-    return gens
-
-
-def _kernel_engine(sys: IncidenceSystem) -> _Engine:
-    """Engine on the element graph with each type fiber its own color: Aut_I."""
-    return _Engine(_element_adjacency(sys), sys.fibers())
+    cycles = [members[:2], members] if len(members) > 2 else [members]
+    return [Permutation.from_cycles(n, [c]) for c in cycles]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -490,8 +441,8 @@ def correlation_group(sys: IncidenceSystem) -> AutResult:
     on the quotient, with each element colored by its class size, and each
     quotient generator is lifted class by class.  Each class C adds Sym(C)
     (a transposition, and a full cycle when |C| > 2) to both groups, and
-    both orders gain the factor prod |C|!.  A system without twins is
-    searched as it is.
+    both orders gain the factor prod |C|!.  A system without twins is its
+    own quotient, every class of size 1.
 
     One search gives both groups: it individualizes the type nodes first, so
     the generators it finds below those levels generate their stabilizer
@@ -505,10 +456,7 @@ def correlation_group(sys: IncidenceSystem) -> AutResult:
             f"empty type fiber: no element has type {', '.join(empty)}"
         )
     classes = _twin_classes(sys)
-    if classes:
-        quotient, sizes, lift = _twin_quotient(sys, classes)
-    else:
-        quotient, sizes, lift = sys, None, Permutation
+    quotient, sizes, lift = _twin_quotient(sys, classes)
     m, r = quotient.size, sys.rank
     if m > _SEARCH_WARN:
         warnings.warn(f"correlation search on {m} elements may be slow", stacklevel=2)
@@ -536,7 +484,7 @@ def correlation_group(sys: IncidenceSystem) -> AutResult:
 
 def type_preserving_group(sys: IncidenceSystem) -> PermGroup:
     """Aut_I by its own search, with each type fiber its own fixed color."""
-    gens, *_ = _kernel_engine(sys).automorphisms()
+    gens, *_ = _Engine(_element_adjacency(sys), sys.fibers()).automorphisms()
     return PermGroup(sys.size, [Permutation(g) for g in gens])
 
 

@@ -110,17 +110,25 @@ def _coset_spec(args: argparse.Namespace) -> CosetGeometrySpec:
         return tetrahedron_spec()
     with open(args.group_file, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    degree = int(data["degree"])
-    group = PermGroup(degree, [Permutation(images) for images in data["generators"]])
-    labels = []
-    subgroups = []
-    for sub in data["subgroups"]:
-        labels.append(str(sub["label"]))
-        subgroups.append(
-            PermGroup(degree, [Permutation(images) for images in sub["generators"]])
-        )
+
+    def field(obj: object, name: str, kind: type, where: str = "group file"):
+        if not isinstance(obj, dict):
+            raise ValueError(f"{where} must be a JSON object")
+        # type, not isinstance: true is not a degree
+        if type(obj.get(name)) is not kind:
+            raise ValueError(f"{where}: {name} must be a JSON {kind.__name__}")
+        return obj[name]
+
+    def group(obj: object, where: str = "group file") -> PermGroup:
+        gens = field(obj, "generators", list, where)
+        return PermGroup(degree, [Permutation(images) for images in gens])
+
+    degree = field(data, "degree", int)
+    subs = field(data, "subgroups", list)
     return CosetGeometrySpec(
-        group=group, subgroups=tuple(subgroups), labels=tuple(labels)
+        group=group(data),
+        subgroups=tuple(group(sub, f"subgroup {i}") for i, sub in enumerate(subs)),
+        labels=tuple(str(sub["label"]) for sub in subs),
     )
 
 
@@ -196,23 +204,24 @@ def run_build(args: argparse.Namespace) -> int:
 
 def run_check(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    # validate holds once the system passes the validation below
+    known = {
+        "validate": lambda system: True,
+        "geometry": IncidenceSystem.is_geometry,
+        "firm": IncidenceSystem.is_firm,
+        "rc": IncidenceSystem.is_residually_connected,
+    }
+    names = [p.strip() for p in args.properties.split(",") if p.strip()]
+    for name in names:
+        if name not in known:
+            raise ValueError(f"unknown property: {name}")
     system, digest = _load_system(args.file)
     validation = system.validate()
     if not validation.ok:
         for name, where in validation.violations:
             print(f"error: validation: {name} at {where}", file=sys.stderr)
         return _EXIT_USAGE
-    known = {
-        "validate": lambda: validation.ok,
-        "geometry": system.is_geometry,
-        "firm": system.is_firm,
-        "rc": system.is_residually_connected,
-    }
-    names = [p.strip() for p in args.properties.split(",") if p.strip()]
-    for name in names:
-        if name not in known:
-            raise ValueError(f"unknown property: {name}")
-    checks = [{"property": name, "value": bool(known[name]())} for name in names]
+    checks = [{"property": name, "value": bool(known[name](system))} for name in names]
     report = _report(
         args, "check", digest, checks, time.perf_counter() - started
     )
@@ -465,7 +474,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     except RuntimeError as exc:

@@ -377,12 +377,21 @@ class IncidenceSystem:
     def fiber(self, type_label: str) -> list[int]:
         return self.fibers()[self.types.index(type_label)]
 
+    def _neighbour_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each element's neighbours, ascending: x's are nbrs[bounds[x] : bounds[x + 1]]."""
+        pairs = self.pairs
+        # the reversed pairs (each element's smaller neighbours) sort stably
+        # before the pairs themselves (its larger ones)
+        src = np.concatenate([pairs[:, 1], pairs[:, 0]])
+        nbrs = np.concatenate([pairs[:, 0], pairs[:, 1]])[np.argsort(src, kind="stable")]
+        bounds = np.zeros(self.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=self.size), out=bounds[1:])
+        return bounds, nbrs
+
     def _adjacency(self) -> list[frozenset[int]]:
         if self._adj is None:
-            ends = np.concatenate([self.pairs, self.pairs[:, ::-1]])
-            ends = ends[np.argsort(ends[:, 0])]
-            bounds = np.searchsorted(ends[:, 0], np.arange(self.size + 1)).tolist()
-            nbrs = ends[:, 1].tolist()
+            bounds, nbrs = self._neighbour_index()
+            nbrs, bounds = nbrs.tolist(), bounds.tolist()
             adj = [frozenset(nbrs[i:j]) for i, j in zip(bounds, bounds[1:])]
             object.__setattr__(self, "_adj", adj)
         return self._adj

@@ -6,7 +6,6 @@ import math
 import pathlib
 import random
 import warnings
-from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -830,12 +829,35 @@ class TestTwinQuotient:
     @given(st.one_of(twinned_systems(), random_systems(max_size=12)))
     @settings(max_examples=150, deadline=None)
     def test_classes_are_exact(self, sys):
-        want = reference_twin_classes(sys)
-        assert autsearch._twin_classes(sys) == want
-        # with every weight zero the sums tie whenever type and degree do:
-        # the exact neighbour lists alone must split the runs
-        with mock.patch.object(autsearch, "_weights", lambda n: np.zeros(n, np.uint64)):
-            assert autsearch._twin_classes(sys) == want
+        assert autsearch._twin_classes(sys) == reference_twin_classes(sys)
+
+    @given(twinned_systems())
+    @settings(max_examples=60, deadline=None)
+    def test_quotient_is_the_merged_system(self, sys):
+        classes = autsearch._twin_classes(sys)
+        quotient, sizes, lift = autsearch._twin_quotient(sys, classes)
+        # the merged system built directly: each element renumbered to its
+        # class's quotient id, the pairs de-duplicated by the constructor
+        n = sys.size
+        rep = np.arange(n)
+        for members in classes:
+            rep[members] = members[0]
+        keep = rep == np.arange(n)
+        qid = (np.cumsum(keep) - 1)[rep]
+        assert quotient == IncidenceSystem(sys.types, sys.type_codes[keep], qid[sys.pairs])
+        assert sizes == np.bincount(qid).tolist()
+        assert sorted(len(c) for c in classes) == sorted(k for k in sizes if k > 1)
+        # the identity lifts to the identity; a quotient correlation that
+        # keeps class sizes lifts to a correlation mapping each class onto
+        # its image class (test_lift_keeps_class_order checks the order)
+        assert lift(list(range(quotient.size))) == Permutation.identity(n)
+        for g in correlation_group(quotient).correlation_gens:
+            if any(sizes[g(x)] != sizes[x] for x in range(quotient.size)):
+                continue  # swaps classes of different sizes: no lift
+            lifted = lift(g.to_list())
+            assert correlation_type_action(sys, lifted) is not None
+            for x in range(n):
+                assert qid[lifted(x)] == g(int(qid[x]))
 
     @pytest.mark.parametrize(
         "sys",

@@ -109,6 +109,28 @@ class TestBuild:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([1, 2], "group file must be a JSON object"),
+            ({**KLEIN_SPEC, "degree": None}, "group file: degree must be a JSON int"),
+            ({**KLEIN_SPEC, "subgroups": 5}, "group file: subgroups must be a JSON list"),
+        ],
+    )
+    def test_coset_malformed_group_field(self, capsys, tmp_path, data, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(data))
+        code, out, err = run(capsys, "build", "coset", "--group-file", str(spec))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_out_directory_exits_usage(self, capsys, tmp_path):
+        code, out, err = run(capsys, "build", "gq22", "--out", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "directory" in err
+
     def test_degenerate_pgl(self, capsys):
         code, out, _ = run(capsys, "build", "pgl", "--q", "2", "--dimension", "3")
         assert code == 0
@@ -241,6 +263,22 @@ class TestCheck:
         )
         assert code == 2
         assert "unknown property" in err
+
+    def test_unknown_property_is_rejected_before_loading(self, capsys, monkeypatch, triangle_file):
+        def load(path):
+            raise AssertionError("the file was loaded")
+
+        monkeypatch.setattr(geomrep.cli, "_load_system", load)
+        code, out, err = run(capsys, "check", str(triangle_file), "--properties", "shiny")
+        assert code == 2
+        assert out == ""
+        assert err == "error: unknown property: shiny\n"
+
+    def test_directory_input_exits_usage(self, capsys, tmp_path):
+        code, out, err = run(capsys, "check", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "directory" in err
 
     def test_invalid_json_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
