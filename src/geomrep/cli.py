@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import errno
 import hashlib
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from typing import Iterable
@@ -473,6 +475,9 @@ def main(argv: list[str] | None = None) -> int:
         _parser = _make_parser()
     args = _parser.parse_args(argv)
     try:
+        # the error open() would raise at the end, before any work
+        if args.out and os.path.isdir(args.out):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -778,12 +778,12 @@ class RcReport:
 def check_rc_condition(spec: CosetGeometrySpec) -> RcReport:
     """Verify G_J = <G_{J+i} : i outside J> whenever at least two types are outside J.
 
-    Every G_{J+i} lies in G_J, so the two are equal exactly when their orders are.
+    G_{J+i} z = G_J ∩ G_i z, so joining elements of G_J that share a G_i-coset for
+    some i outside J makes the class of the identity (element 0) the right side.
     """
-    elements, labels = _coset_labels(spec)
+    _, labels = _coset_labels(spec)
     r = len(labels)
     subgroups = labels == 0
-    degree = spec.group.degree
     failures = []
     checked = 0
     for size in range(r - 1):
@@ -791,14 +791,14 @@ def check_rc_condition(spec: CosetGeometrySpec) -> RcReport:
             checked += 1
             g_j = subgroups[list(j_set)].all(axis=0)
             outside = [i for i in range(r) if i not in j_set]
-            # an element the group lacks at least doubles its order when added
-            gens: list[Permutation] = []
-            generated = PermGroup(degree, gens)
-            for z in np.flatnonzero(g_j & subgroups[outside].any(axis=0)):
-                if not generated.contains(elements[z]):
-                    gens.append(elements[z])
-                    generated = PermGroup(degree, gens)
-            if generated.order() != np.count_nonzero(g_j):
+            reach = np.arange(len(g_j)) == 0
+            while True:
+                before = np.count_nonzero(reach)
+                for i in outside:
+                    reach = g_j & _cosets_meeting(labels[i], reach[None])[0][labels[i]]
+                if np.count_nonzero(reach) == before:
+                    break
+            if before != np.count_nonzero(g_j):
                 failures.append(j_set)
     return RcReport(ok=not failures, failures=tuple(failures), checked=checked)
 

@@ -482,20 +482,22 @@ class IncidenceSystem:
         return True
 
     def is_firm(self) -> bool:
-        """True iff every non-maximal flag lies in at least two chambers."""
+        """True iff every non-maximal flag lies in at least two chambers.
+
+        Each lies inside a flag G whose extension set is non-empty with no two
+        members incident, and whose chambers, G itself if it has full type and
+        G + v for each v in that set that completes the type, are among its own.
+        """
+        adj = self._adjacency()
         codes = self.type_codes.tolist()
         full = set(range(self.rank))
-        # chambers through each flag: every chamber counts once for each of
-        # its sub-tuples, which are flags in the walk's ascending order
-        through: collections.Counter[tuple[int, ...]] = collections.Counter()
-        open_flags = []
         for flag, ext in self._flags_with_extensions():
-            if ext:
-                open_flags.append(flag)
-            if {codes[x] for x in flag} == full:
-                for k in range(len(flag) + 1):
-                    through.update(itertools.combinations(flag, k))
-        return all(through[flag] >= 2 for flag in open_flags)
+            if not ext or any(not ext.isdisjoint(adj[v]) for v in ext):
+                continue
+            missing = full.difference(codes[x] for x in flag)
+            if (not missing) + sum(missing <= {codes[v]} for v in ext) < 2:
+                return False
+        return True
 
     def residue(self, flag: Iterable[int]) -> "IncidenceSystem":
         """Subsystem of elements incident to every element of the flag."""

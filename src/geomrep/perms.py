@@ -181,13 +181,13 @@ class PermGroup:
                 gens.append(g)
         self.generators = tuple(gens)
         self._identity = Permutation.identity(degree)
-        self._levels = self._build_chain(tuple(base_prefix))
+        self._build_chain(tuple(base_prefix))
         self._base_prefix_len = len(base_prefix)
 
     # chain construction
 
-    def _build_chain(self, base_prefix: tuple[int, ...]) -> list[_Level]:
-        levels = [_Level(p) for p in base_prefix]
+    def _build_chain(self, base_prefix: tuple[int, ...]) -> None:
+        levels = self._levels = [_Level(p) for p in base_prefix]
 
         def first_moved(g: Permutation) -> int:
             diff = np.nonzero(g.images != np.arange(self.degree))[0]
@@ -219,18 +219,6 @@ class PermGroup:
                         queue.append(q)
             level.transversal = trans
 
-        def sift(g: Permutation, start: int) -> tuple[Permutation, int]:
-            h = g
-            for i in range(start, len(levels)):
-                lv = levels[i]
-                p = h(lv.point)
-                if p == lv.point:
-                    continue
-                if p not in lv.transversal:
-                    return h, i
-                h = h * lv.transversal[p].inverse()
-            return h, len(levels)
-
         i = len(levels) - 1
         while i >= 0:
             lv = levels[i]
@@ -243,7 +231,7 @@ class PermGroup:
                     schreier = up * g * lv.transversal[q].inverse()
                     if schreier.is_identity:
                         continue
-                    h, j = sift(schreier, i + 1)
+                    h, _ = self._sift(schreier, i + 1)
                     if not h.is_identity:
                         found = (h, i + 1)
                         break
@@ -257,7 +245,6 @@ class PermGroup:
                 i = j
             else:
                 i -= 1
-        return levels
 
     # queries
 
@@ -267,21 +254,23 @@ class PermGroup:
             n *= len(lv.transversal)
         return n
 
-    def _sift(self, g: Permutation) -> Permutation:
+    def _sift(self, g: Permutation, start: int = 0) -> tuple[Permutation, int]:
+        """Sift g through levels start.. of the chain: the residue and the level it stops at."""
         h = g
-        for lv in self._levels:
+        for i in range(start, len(self._levels)):
+            lv = self._levels[i]
             p = h(lv.point)
             if p == lv.point:
                 continue
             if p not in lv.transversal:
-                return h
+                return h, i
             h = h * lv.transversal[p].inverse()
-        return h
+        return h, len(self._levels)
 
     def contains(self, g: Permutation) -> bool:
         if g.degree != self.degree:
             raise ValueError("degree mismatch")
-        return self._sift(g).is_identity
+        return self._sift(g)[0].is_identity
 
     def __contains__(self, g: Permutation) -> bool:
         return self.contains(g)

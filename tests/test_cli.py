@@ -274,6 +274,22 @@ class TestCheck:
         assert out == ""
         assert err == "error: unknown property: shiny\n"
 
+    @pytest.mark.parametrize("command", ["check", "aut"])
+    def test_directory_out_is_rejected_before_loading(
+        self, capsys, monkeypatch, triangle_file, tmp_path, command
+    ):
+        def load(path):
+            raise AssertionError("the file was loaded")
+
+        monkeypatch.setattr(geomrep.cli, "_load_system", load)
+        code, out, err = run(capsys, command, str(triangle_file), "--out", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        # the message open() gives for a directory
+        with pytest.raises(IsADirectoryError) as opened:
+            open(tmp_path, "w")
+        assert err == f"error: {opened.value}\n"
+
     def test_directory_input_exits_usage(self, capsys, tmp_path):
         code, out, err = run(capsys, "check", str(tmp_path))
         assert code == 2

@@ -3,7 +3,9 @@
 import dataclasses
 import hashlib
 import itertools
+import json
 import math
+import os
 import random
 
 import networkx as nx
@@ -14,6 +16,7 @@ from geomrep import (
     IncidenceSystem,
     PermGroup,
     Permutation,
+    RcReport,
     brute_force_automorphisms,
     check_ft_condition,
     check_rc_condition,
@@ -39,6 +42,7 @@ from geomrep import (
     tetrahedron_spec,
     totient_pairs,
 )
+from geomrep.constructions import _coset_labels
 
 
 class TestTotientPairs:
@@ -537,6 +541,12 @@ def klein_four_spec() -> CosetGeometrySpec:
     )
 
 
+def duplicated_subgroup_spec() -> CosetGeometrySpec:
+    s3 = PermGroup(3, [Permutation([1, 0, 2]), Permutation([1, 2, 0])])
+    sub = PermGroup(3, [Permutation([1, 0, 2])])
+    return CosetGeometrySpec(s3, (sub, sub))
+
+
 def type_ordered_flags(sys: IncidenceSystem, typeset: set[int]):
     return [
         tuple(sorted(f, key=lambda x: int(sys.type_codes[x])))
@@ -608,9 +618,7 @@ class TestCosetGeometries:
 
     def test_duplicated_subgroup_spec(self):
         # the same subgroup twice: disconnected digon fan, flag-transitive
-        s3 = PermGroup(3, [Permutation([1, 0, 2]), Permutation([1, 2, 0])])
-        sub = PermGroup(3, [Permutation([1, 0, 2])])
-        spec = CosetGeometrySpec(s3, (sub, sub))
+        spec = duplicated_subgroup_spec()
         cg = coset_geometry(spec)
         assert [len(f) for f in cg.system.fibers()] == [3, 3]
         assert cg.action.order() == 6
@@ -745,14 +753,17 @@ def _symmetric(n: int) -> PermGroup:
                          Permutation.from_cycles(n, [tuple(range(n))])])
 
 
-def random_coset_specs() -> list[tuple[str, CosetGeometrySpec]]:
-    """Seeded specs over S4, A5, S5 and S6 with small random subgroups."""
+def _coset_groups() -> dict[str, PermGroup]:
     a5 = PermGroup(5, [Permutation.from_cycles(5, [(0, 1, 2)]),
                        Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])])
-    groups = [("S4", _symmetric(4)), ("A5", a5), ("S5", _symmetric(5)), ("S6", _symmetric(6))]
+    return {"S4": _symmetric(4), "A5": a5, "S5": _symmetric(5), "S6": _symmetric(6)}
+
+
+def random_coset_specs() -> list[tuple[str, CosetGeometrySpec]]:
+    """Seeded specs over S4, A5, S5 and S6 with small random subgroups."""
     rng = random.Random(2013)
     specs = []
-    for name, group in groups:
+    for name, group in _coset_groups().items():
         elements = group.enumerate_elements()
         drawn = 0
         while drawn < 8:
@@ -768,6 +779,60 @@ def random_coset_specs() -> list[tuple[str, CosetGeometrySpec]]:
 
 
 RANDOM_COSET_SPECS = random_coset_specs()
+
+
+def coset_family_specs(seed: int) -> list[tuple[str, CosetGeometrySpec]]:
+    """The benchmark's coset spec family, each spec's subgroup generators
+    conjugated by one seeded random permutation."""
+    groups = _coset_groups()
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "coset_family.json")
+    with open(path, encoding="utf-8") as fh:
+        family = json.load(fh)
+    rng = random.Random(seed)
+    specs = []
+    for k, entry in enumerate(family):
+        group = groups[entry["group"]]
+        images = list(range(group.degree))
+        rng.shuffle(images)
+        sigma = Permutation(images)
+        subgroups = tuple(
+            PermGroup(group.degree, [sigma.inverse() * Permutation(h) * sigma for h in gens])
+            for gens in entry["subgroups"]
+        )
+        specs.append((f"{entry['group']}-{k}", CosetGeometrySpec(group, subgroups)))
+    return specs
+
+
+def generated_order_rc(spec: CosetGeometrySpec) -> RcReport:
+    """RC by orders: |G_J| against the Schreier-Sims order of the group that the
+    G_{J+i} generate, grown by each element of theirs it does not yet contain."""
+    elements, labels = _coset_labels(spec)
+    r = len(labels)
+    subgroups = labels == 0
+    failures = []
+    checked = 0
+    for size in range(r - 1):
+        for j_set in itertools.combinations(range(r), size):
+            checked += 1
+            g_j = subgroups[list(j_set)].all(axis=0)
+            outside = [i for i in range(r) if i not in j_set]
+            gens: list[Permutation] = []
+            generated = PermGroup(spec.group.degree, gens)
+            for z in (g_j & subgroups[outside].any(axis=0)).nonzero()[0]:
+                if not generated.contains(elements[z]):
+                    gens.append(elements[z])
+                    generated = PermGroup(spec.group.degree, gens)
+            if generated.order() != g_j.sum():
+                failures.append(j_set)
+    return RcReport(ok=not failures, failures=tuple(failures), checked=checked)
+
+
+RC_SPECS = (
+    RANDOM_COSET_SPECS
+    + [("tetrahedron", tetrahedron_spec()), ("klein", klein_four_spec()),
+       ("duplicated", duplicated_subgroup_spec())]
+    + coset_family_specs(seed=31)
+)
 
 
 class TestCosetsAgainstReference:
@@ -787,6 +852,10 @@ class TestCosetsAgainstReference:
         rc = check_rc_condition(spec)
         assert list(rc.failures) == ref.rc_failures()
         assert (rc.ok, rc.checked) == (not rc.failures, sum(math.comb(r, k) for k in range(r - 1)))
+
+    @pytest.mark.parametrize("name,spec", RC_SPECS, ids=[n for n, _ in RC_SPECS])
+    def test_rc_matches_generated_order(self, name, spec):
+        assert check_rc_condition(spec) == generated_order_rc(spec)
 
     def test_family_has_failing_specs(self):
         ft = [check_ft_condition(spec).ok for _, spec in RANDOM_COSET_SPECS]
