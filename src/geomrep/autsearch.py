@@ -75,12 +75,11 @@ class _Engine:
     Every other node is refined against the trace of the first-path node at
     its level and dropped at the first event that differs.  A leaf whose
     trace equals the first leaf's gives a candidate map, which is checked
-    against the adjacency.
+    against the adjacency.  Each vertex's neighbour list is ascending.
     """
 
     def __init__(self, adj: list[list[int]], cells: Cells, head: int = 0):
         self.adj = adj
-        self.nbrs = [frozenset(a) for a in adj]
         self.nodes = 0  # refinements done: a deterministic measure of the search
         self._count = [0] * len(adj)
         lab: list[int] = []
@@ -133,7 +132,6 @@ class _Engine:
                         by_cell[c].append(u)
                     else:
                         by_cell[c] = [u]
-                around = self.nbrs[w]
                 for c in sorted(by_cell):
                     part = by_cell[c]
                     k, m = size[c], len(part)
@@ -146,11 +144,11 @@ class _Engine:
                     if m == k:
                         continue
                     pos = c + k - m
-                    lab[c:pos] = [x for x in lab[c : c + k] if x not in around]
-                    lab[pos : c + k] = part
-                    size[c], size[pos] = k - m, m
                     for u in part:
                         cellof[u] = pos
+                    lab[c:pos] = [x for x in lab[c : c + k] if cellof[x] == c]
+                    lab[pos : c + k] = part
+                    size[c], size[pos] = k - m, m
                     # both fragments are queued, except the first larger one
                     # when the cell was not queued already
                     if c in queued or k - m >= m:
@@ -257,9 +255,8 @@ class _Engine:
         image = [0] * len(lab)
         for v, w in zip(lab, other_lab):
             image[v] = w
-        nbrs = other.nbrs
         for v, around in enumerate(self.adj):
-            if nbrs[image[v]] != {image[u] for u in around}:
+            if other.adj[image[v]] != sorted([image[u] for u in around]):
                 return None
         return image
 
@@ -541,21 +538,17 @@ def brute_force_automorphisms(
 def correlation_type_action(
     sys: IncidenceSystem, g: Permutation
 ) -> list[int] | None:
-    """Induced type map (by type index) if g is a correlation of sys, else None."""
+    """Induced type map (by index; -1 for an empty type) if g is a correlation, else None."""
     n, r = sys.size, sys.rank
     if g.degree != n:
         return None
+    # the two agree iff g maps each fibre into one type; as g is onto, each
+    # nonempty type then receives a whole fibre's images, so tmap is one to one
     codes = sys.type_codes
     image_codes = codes[g.images]
-    tmap = [-1] * r
-    for t in range(r):
-        values = np.unique(image_codes[codes == t])
-        if values.size > 1:
-            return None
-        if values.size == 1:
-            tmap[t] = int(values[0])
-    seen = [t for t in tmap if t != -1]
-    if len(set(seen)) != len(seen):
+    tmap = np.full(r, -1, dtype=codes.dtype)
+    tmap[codes] = image_codes
+    if not np.array_equal(tmap[codes], image_codes):
         return None
     pairs = sys.pairs
     if pairs.shape[0]:
@@ -573,7 +566,7 @@ def correlation_type_action(
         want += pairs[:, 1]
         if not np.array_equal(keys, want):
             return None
-    return tmap
+    return tmap.tolist()
 
 
 def find_isomorphism(

@@ -12,7 +12,7 @@ import math
 import os
 import sys
 import time
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import __version__
 from .autsearch import correlation_group, verify_representation
@@ -42,8 +42,6 @@ from .incidence import IncidenceSystem
 from .perms import PermGroup, Permutation
 
 _EXIT_OK, _EXIT_MISMATCH, _EXIT_USAGE = 0, 1, 2
-
-_CONSTRUCTIONS = ("dihedral", "complete", "gq22", "cube", "hemidodeca", "pgl", "coset")
 
 
 def _digest(blocks: Iterable[bytes]) -> str:
@@ -134,41 +132,29 @@ def _coset_spec(args: argparse.Namespace) -> CosetGeometrySpec:
     )
 
 
-def _build_system(args: argparse.Namespace) -> IncidenceSystem:
-    name = args.construction
-    if name == "dihedral":
-        return dihedral_geometry(args.n)
-    if name == "complete":
-        return complete_graph_geometry(args.n)
-    if name == "gq22":
-        return gq22()
-    if name == "cube":
-        return cube_geometry(vertex_adjacency=not args.no_vertex_adjacency)
-    if name == "hemidodeca":
-        return hemidodecahedron_petrie(args.rule)
-    if name == "pgl":
-        return _pgl_geometry(args).system
-    if name == "coset":
-        return coset_geometry(_coset_spec(args)).system
-    raise ValueError(f"unknown construction: {name}")
-
-
-def _describe(args: argparse.Namespace) -> str:
-    name = args.construction
-    if name in ("dihedral", "complete"):
-        return f"{name} n={args.n}"
-    if name == "cube":
-        return f"cube vertex_adjacency={not args.no_vertex_adjacency}"
-    if name == "hemidodeca":
-        return f"hemidodeca rule={args.rule}"
-    if name == "pgl":
-        return (
-            f"pgl n={args.dimension} q={args.q} base_degree={args.base_degree}"
-            f" truncated={args.truncate}"
-        )
-    if name == "coset":
-        return "coset " + (args.group_file or "tetrahedron")
-    return name
+# each construction's builder and its description in reports, both of the
+# parsed arguments
+_CONSTRUCTIONS: dict[str, tuple[Callable[..., IncidenceSystem], Callable[..., str]]] = {
+    "dihedral": (lambda a: dihedral_geometry(a.n), lambda a: f"dihedral n={a.n}"),
+    "complete": (lambda a: complete_graph_geometry(a.n), lambda a: f"complete n={a.n}"),
+    "gq22": (lambda a: gq22(), lambda a: "gq22"),
+    "cube": (
+        lambda a: cube_geometry(vertex_adjacency=not a.no_vertex_adjacency),
+        lambda a: f"cube vertex_adjacency={not a.no_vertex_adjacency}",
+    ),
+    "hemidodeca": (
+        lambda a: hemidodecahedron_petrie(a.rule), lambda a: f"hemidodeca rule={a.rule}"
+    ),
+    "pgl": (
+        lambda a: _pgl_geometry(a).system,
+        lambda a: f"pgl n={a.dimension} q={a.q} base_degree={a.base_degree}"
+        f" truncated={a.truncate}",
+    ),
+    "coset": (
+        lambda a: coset_geometry(_coset_spec(a)).system,
+        lambda a: "coset " + (a.group_file or "tetrahedron"),
+    ),
+}
 
 
 def _load_system(path: str) -> tuple[IncidenceSystem, str]:
@@ -198,7 +184,7 @@ def _load_system(path: str) -> tuple[IncidenceSystem, str]:
 
 
 def run_build(args: argparse.Namespace) -> int:
-    system = _build_system(args)
+    system = _CONSTRUCTIONS[args.construction][0](args)
     # block by block, so the whole text is never built
     _emit((block.decode("ascii") for block in system.json_blocks()), args.out)
     return _EXIT_OK
@@ -250,15 +236,16 @@ def run_verify(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     extra_checks: list[dict] = []
     result = None
+    build, describe = _CONSTRUCTIONS[args.construction]
     if args.construction == "pgl":
         geom = _pgl_geometry(args)
         pipeline = pgl_aut_via_extension(geom)
         system, result = geom.system, pipeline.result
         extra_checks.append(pipeline.to_json_dict())
     else:
-        system = _build_system(args)
+        system = build(args)
     report = verify_representation(
-        system, args.inn, args.aut, description=_describe(args), result=result
+        system, args.inn, args.aut, description=describe(args), result=result
     )
     payload = _report(
         args,

@@ -30,16 +30,32 @@ class ValidationReport:
         return cls(ok=not vs, violations=vs)
 
 
+def _int_array(values: Iterable) -> np.ndarray | None:
+    """values as an integer array, or None unless every entry is an integer.
+
+    An integer array is returned as it is.  Other values, such as JSON
+    lists, are read by np.asarray, which folds true and false into an
+    integer array that also holds ints, so their entries' types are checked
+    too; an empty list gives an empty int64 array.
+    """
+    if isinstance(values, np.ndarray):
+        return values if values.dtype.kind in "iu" else None
+    values = list(values)
+    try:
+        arr = np.asarray(values, dtype=None if values else np.int64)
+    except ValueError:  # rows of different lengths
+        return None
+    if arr.dtype.kind not in "iu":
+        return None
+    flat = itertools.chain.from_iterable(values) if arr.ndim == 2 else values
+    # bool is a subclass of int, but true is not an id
+    return None if {bool, np.bool_} & set(map(type, flat)) else arr
+
+
 def _id_pair(row: Iterable[int]) -> tuple[int, int] | None:
     """row as two int ids, or None unless it is exactly two integers."""
-    try:
-        a, b = row
-    except (TypeError, ValueError):
-        return None
-    # bool is a subclass of int, but true is not an id
-    if all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (a, b)):
-        return int(a), int(b)
-    return None
+    arr = _int_array([row])
+    return None if arr is None or arr.shape != (1, 2) else tuple(arr[0].tolist())
 
 
 def validate_data(
@@ -88,25 +104,6 @@ def _json_list(data: dict, field: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{field} must be a JSON list")
     return value
-
-
-def _int_pairs(rows: list) -> np.ndarray:
-    """rows as an int64 (k, 2) array; ValueError unless each row is two JSON integers."""
-    if not rows:
-        return np.empty((0, 2), dtype=np.int64)
-    try:
-        arr = np.asarray(rows)
-    except ValueError:  # rows of different lengths
-        arr = np.empty(0)
-    # numpy folds true and false into an integer array that also holds ints
-    if (
-        arr.ndim != 2
-        or arr.shape[1] != 2
-        or arr.dtype.kind not in "iu"
-        or bool in set(map(type, itertools.chain.from_iterable(rows)))
-    ):
-        raise ValueError("incidences must be pairs of integer element ids")
-    return arr.astype(np.int64, copy=False)
 
 
 # json.dumps(..., indent=2) of one incidence [a, b] at its depth in to_json,
@@ -299,21 +296,19 @@ class IncidenceSystem:
         tps = tuple(str(t) for t in types)
         if len(set(tps)) != len(tps):
             raise ValueError("duplicate type label")
-        codes = np.asarray(list(type_codes), dtype=np.int32)
+        codes = _int_array(type_codes)
+        if codes is None or codes.ndim != 1:
+            raise ValueError("type codes must be integers")
+        codes = codes.astype(np.int32)
         n = codes.shape[0]
         if n and (codes.min() < 0 or codes.max() >= len(tps)):
             raise ValueError("type code out of range")
-        if isinstance(pairs, np.ndarray) and pairs.dtype.kind in "iu":
-            # integer ids are read as they are, with no int64 copy
-            arr = pairs
-        else:
-            arr = np.asarray(
-                pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64
-            )
-        if arr.ndim == 1 and arr.size == 0:
+        # integer arrays are read as they are, with no int64 copy
+        arr = _int_array(pairs)
+        if arr is not None and arr.ndim == 1 and arr.size == 0:
             arr = arr.reshape(0, 2)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError("incidences must be pairs of element ids")
+        if arr is None or arr.ndim != 2 or arr.shape[1] != 2:
+            raise ValueError("incidences must be pairs of element ids, each an integer")
         if arr.shape[0]:
             if arr.min() < 0 or arr.max() >= n:
                 raise ValueError("incidence references unknown element id")
@@ -398,6 +393,8 @@ class IncidenceSystem:
 
     def neighbors(self, x: int) -> frozenset[int]:
         """Elements incident to x."""
+        if not 0 <= x < self.size:
+            raise ValueError(f"no element {x}: ids are 0..{self.size - 1}")
         return self._adjacency()[x]
 
     def __eq__(self, other: object) -> bool:
@@ -632,7 +629,7 @@ class IncidenceSystem:
             codes[e["id"]] = index[lab]
         pairs = data.get("incidences")
         if not isinstance(pairs, np.ndarray):
-            pairs = _int_pairs(_json_list(data, "incidences"))
+            pairs = _json_list(data, "incidences")
         return cls(types=types, type_codes=codes, pairs=pairs)
 
     def to_json(self) -> str:

@@ -231,7 +231,7 @@ class PermGroup:
                     schreier = up * g * lv.transversal[q].inverse()
                     if schreier.is_identity:
                         continue
-                    h, _ = self._sift(schreier, i + 1)
+                    h = self._sift(schreier, i + 1)
                     if not h.is_identity:
                         found = (h, i + 1)
                         break
@@ -254,8 +254,8 @@ class PermGroup:
             n *= len(lv.transversal)
         return n
 
-    def _sift(self, g: Permutation, start: int = 0) -> tuple[Permutation, int]:
-        """Sift g through levels start.. of the chain: the residue and the level it stops at."""
+    def _sift(self, g: Permutation, start: int = 0) -> Permutation:
+        """The residue of sifting g through levels start.. of the chain."""
         h = g
         for i in range(start, len(self._levels)):
             lv = self._levels[i]
@@ -263,14 +263,14 @@ class PermGroup:
             if p == lv.point:
                 continue
             if p not in lv.transversal:
-                return h, i
+                return h
             h = h * lv.transversal[p].inverse()
-        return h, len(self._levels)
+        return h
 
     def contains(self, g: Permutation) -> bool:
         if g.degree != self.degree:
             raise ValueError("degree mismatch")
-        return self._sift(g)[0].is_identity
+        return self._sift(g).is_identity
 
     def __contains__(self, g: Permutation) -> bool:
         return self.contains(g)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import itertools
+import json
 import math
 import pathlib
 import random
@@ -506,6 +507,14 @@ class TestTypeAction:
         sys = IncidenceSystem(["a", "b"], [0, 0, 1, 1], [])
         assert correlation_type_action(sys, Permutation([0, 2, 1, 3])) is None
 
+    def test_empty_type_maps_to_minus_one(self):
+        sys = IncidenceSystem(["a", "b", "c"], [0, 0, 1, 1], [])
+        assert correlation_type_action(sys, Permutation.identity(4)) == [0, 1, -1]
+        assert correlation_type_action(sys, Permutation([2, 3, 0, 1])) == [1, 0, -1]
+        # a bijection that splits a fibre induces no type map
+        assert correlation_type_action(sys, Permutation([0, 2, 1, 3])) is None
+        assert correlation_type_action(sys, Permutation([2, 0, 1, 3])) is None
+
 
 class TestIsomorphism:
     def test_identity_isomorphism(self):
@@ -799,6 +808,18 @@ class TestSingletonRefinement:
         }
         assert got == BENCH_ROWS
         assert sum(r[0] for r in BENCH_ROWS.values() if not r[1]) == 276
+
+    def test_committed_bench_table_has_these_searches(self):
+        # BENCH_solver.json, as scripts/bench_solver.py last wrote it, holds
+        # the same counters: a change in search order fails here and above,
+        # not only on wall time
+        path = pathlib.Path(__file__).resolve().parents[1] / "BENCH_solver.json"
+        rows = json.loads(path.read_text())["rows"]
+        got = {
+            r["system"]: (r["search_nodes"], r["twin_classes"], r["aut_order"], r["aut_i_order"])
+            for r in rows
+        }
+        assert got == BENCH_ROWS
 
 
 class TestTwinQuotient:

@@ -117,6 +117,39 @@ class TestConstruction:
         b = IncidenceSystem(["a", "b"], [0, 1], [[1, 0]], source_ids=[5, 7])
         assert a == b
 
+    @pytest.mark.parametrize(
+        "codes,pairs,message",
+        [
+            ([0.9, 1, 1], [], "type codes must be integers"),
+            ([True, 1, 1], [], "type codes must be integers"),
+            (np.array([0.0, 1.0, 1.0]), [], "type codes must be integers"),
+            (np.array([False, True, True]), [], "type codes must be integers"),
+            ([0, 1, 1], [[0.7, 1.2], [True, 2]], "pairs of element ids"),
+            ([0, 1, 1], [[0, 1], [True, 2]], "pairs of element ids"),
+            ([0, 1, 1], np.array([[0.0, 1.0]]), "pairs of element ids"),
+            ([0, 1, 1], np.array([[False, True]]), "pairs of element ids"),
+        ],
+        ids=[
+            "float-codes", "bool-code", "float-code-array", "bool-code-array",
+            "float-and-bool-ids", "bool-id", "float-id-array", "bool-id-array",
+        ],
+    )
+    def test_rejects_ids_that_are_not_integers(self, codes, pairs, message):
+        with pytest.raises(ValueError, match=message):
+            IncidenceSystem(["a", "b"], codes, pairs)
+
+    def test_accepts_numpy_integer_ids(self):
+        codes = [np.int64(0), np.int32(1)]
+        sys = IncidenceSystem(["a", "b"], codes, [[np.uint8(1), np.int64(0)]])
+        assert sys.type_codes.tolist() == [0, 1]
+        assert sys.pairs.tolist() == [[0, 1]]
+
+    @pytest.mark.parametrize("x", [-1, -6, 6, 7])
+    def test_neighbors_rejects_ids_outside_the_system(self, x):
+        # -1 is not the last element
+        with pytest.raises(ValueError, match="no element"):
+            dihedral_geometry(3).neighbors(x)
+
     def test_empty_system(self):
         sys = IncidenceSystem([], [], [])
         assert sys.rank == 0
@@ -580,6 +613,11 @@ class TestArrayCore:
                 {"id": 1, "type": "b"}], "incidences": [[0, 1], row]}
         with pytest.raises(ValueError, match="incidences must be pairs"):
             IncidenceSystem.from_json(json.dumps(data))
+        # and so does the constructor, as a list or as an array
+        with pytest.raises(ValueError, match="incidences must be pairs"):
+            IncidenceSystem(["a", "b"], [0, 1], [[0, 1], row])
+        with pytest.raises(ValueError, match="incidences must be pairs"):
+            IncidenceSystem(["a", "b"], [0, 1], np.array([[0, 1], row], dtype=object))
 
     @given(raw_data())
     @settings(max_examples=60, deadline=None)
