@@ -538,7 +538,12 @@ def brute_force_automorphisms(
 def correlation_type_action(
     sys: IncidenceSystem, g: Permutation
 ) -> list[int] | None:
-    """Induced type map (by index; -1 for an empty type) if g is a correlation, else None."""
+    """Induced type map (by index; -1 for an empty type) if g is a correlation, else None.
+
+    g maps each fibre onto a fibre of equal size, so each type pair's full
+    block onto its image's: g is a correlation iff the type map keeps the
+    complete type pairs and g the other pairs (``_complete_blocks``).
+    """
     n, r = sys.size, sys.rank
     if g.degree != n:
         return None
@@ -550,7 +555,10 @@ def correlation_type_action(
     tmap[codes] = image_codes
     if not np.array_equal(tmap[codes], image_codes):
         return None
-    pairs = sys.pairs
+    complete, pairs = sys._complete_blocks()
+    t = np.flatnonzero(tmap >= 0)
+    if not np.array_equal(complete[np.ix_(t, t)], complete[np.ix_(tmap[t], tmap[t])]):
+        return None
     if pairs.shape[0]:
         # key min*n + max per pair: the image keys are distinct (g is a
         # bijection), and the sorted system pairs have ascending keys.  Keys

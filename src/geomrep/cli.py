@@ -60,7 +60,8 @@ def _emit(pieces: Iterable[str], out: str | None) -> None:
 
 
 def _emit_json(obj: dict, out: str | None) -> None:
-    _emit([json.dumps(obj, indent=2) + "\n"], out)
+    # the pieces json.dump writes: the text of json.dumps, never built whole
+    _emit(itertools.chain(json.JSONEncoder(indent=2).iterencode(obj), "\n"), out)
 
 
 def _report(

@@ -284,7 +284,7 @@ def _json_object(text: str) -> dict | None:
 class IncidenceSystem:
     """Immutable multipartite incidence system over dense element ids 0..n-1."""
 
-    __slots__ = ("types", "type_codes", "pairs", "source_ids", "_adj")
+    __slots__ = ("types", "type_codes", "pairs", "source_ids", "_adj", "_blocks")
 
     def __init__(
         self,
@@ -338,12 +338,14 @@ class IncidenceSystem:
         object.__setattr__(self, "types", tps)
         object.__setattr__(self, "type_codes", codes)
         object.__setattr__(self, "pairs", arr)
-        object.__setattr__(
-            self,
-            "source_ids",
-            None if source_ids is None else tuple(int(x) for x in source_ids),
-        )
+        if source_ids is not None:
+            ids = _int_array(source_ids)
+            if ids is None or ids.shape != (n,):
+                raise ValueError("source ids must be one integer per element")
+            source_ids = tuple(ids.tolist())
+        object.__setattr__(self, "source_ids", source_ids)
         object.__setattr__(self, "_adj", None)
+        object.__setattr__(self, "_blocks", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("IncidenceSystem is immutable")
@@ -391,8 +393,36 @@ class IncidenceSystem:
             object.__setattr__(self, "_adj", adj)
         return self._adj
 
+    def _complete_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """(complete, rest): complete[t, u] says that type pair t, u has all its
+        possible pairs, at least one (|T|·|U| for t != u, |T|(|T| - 1)/2 for
+        t == u); rest holds the ascending pairs of the other type pairs, ``pairs``
+        itself when none is complete.  Filled once, by one pass over ``pairs``.
+        """
+        if self._blocks is None:
+            r = self.rank
+            sizes = np.bincount(self.type_codes, minlength=r)
+            possible = np.triu(np.outer(sizes, sizes)) - np.diag(sizes * (sizes + 1) // 2)
+            # each pair's type pair t * r + u, t <= u
+            ends = self.type_codes.astype(np.min_scalar_type(r * r))[self.pairs]
+            block = np.minimum(ends[:, 0], ends[:, 1])
+            block *= r
+            block += np.maximum(ends[:, 0], ends[:, 1])
+            present = np.bincount(block, minlength=r * r).reshape(r, r)
+            complete = (present == possible) & (possible > 0)
+            complete |= complete.T
+            rest = self.pairs
+            if complete.any():
+                rest = rest.compress(~complete.ravel().take(block), axis=0)
+            complete.flags.writeable = rest.flags.writeable = False
+            object.__setattr__(self, "_blocks", (complete, rest))
+        return self._blocks
+
     def neighbors(self, x: int) -> frozenset[int]:
         """Elements incident to x."""
+        # bool is a subclass of int, but true is not an id (np.bool_ is neither)
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+            raise ValueError(f"element ids are integers, not {x!r}")
         if not 0 <= x < self.size:
             raise ValueError(f"no element {x}: ids are 0..{self.size - 1}")
         return self._adjacency()[x]
@@ -540,7 +570,7 @@ class IncidenceSystem:
             types=[self.types[t] for t in keep_types],
             type_codes=tmap[self.type_codes[keep]],
             pairs=np.stack([a[inside], b[inside]], axis=1),
-            source_ids=keep.tolist(),
+            source_ids=keep,
         )
 
     def _connected(self, nodes: list[int]) -> bool:

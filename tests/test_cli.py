@@ -317,6 +317,43 @@ class TestCheck:
         assert "validation: empty type fiber" in err
 
 
+class TestEmitJson:
+    OBJ = {
+        "tool": "geomrep",
+        "text": "café → \"q\"\n\t\\",
+        "numbers": [0, -1, 2**70, 1.5, 1e-300, float("inf"), float("nan")],
+        "empty": {"list": [], "dict": {}},
+        "nested": [[1, [2, [3]]], {"a": None, "b": True, "c": False}],
+    }
+
+    def test_file_bytes_equal_json_dumps(self, tmp_path):
+        target = tmp_path / "report.json"
+        geomrep.cli._emit_json(self.OBJ, str(target))
+        assert target.read_bytes() == (json.dumps(self.OBJ, indent=2) + "\n").encode()
+
+    def test_stdout_is_written_in_pieces(self, capsys, monkeypatch):
+        pieces = []
+        writelines = sys.stdout.writelines
+
+        def record(lines):
+            lines = list(lines)
+            pieces.extend(lines)
+            writelines(lines)
+
+        monkeypatch.setattr(sys.stdout, "writelines", record)
+        geomrep.cli._emit_json(self.OBJ, None)
+        assert capsys.readouterr().out == json.dumps(self.OBJ, indent=2) + "\n"
+        assert len(pieces) > 10
+        assert max(map(len, pieces)) < 40
+
+    def test_aut_report_equals_json_dumps(self, capsys, tmp_path):
+        path = tmp_path / "gq22.json"
+        run(capsys, "build", "gq22", "--out", str(path))
+        code, out, _ = run(capsys, "aut", str(path))
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 class TestAut:
     def test_square_system(self, capsys, tmp_path):
         path = tmp_path / "square.json"

@@ -150,6 +150,51 @@ class TestConstruction:
         with pytest.raises(ValueError, match="no element"):
             dihedral_geometry(3).neighbors(x)
 
+    @pytest.mark.parametrize(
+        "x", [True, False, np.bool_(True), 1.0, np.float64(1.0), "1", None],
+        ids=["true", "false", "np-true", "float", "np-float", "str", "none"],
+    )
+    def test_neighbors_rejects_ids_that_are_not_integers(self, x):
+        sys = IncidenceSystem(["a", "b"], [0, 1], [[0, 1]])
+        with pytest.raises(ValueError, match="element ids are integers"):
+            sys.neighbors(x)
+
+    def test_neighbors_accepts_numpy_integer_ids(self):
+        sys = IncidenceSystem(["a", "b"], [0, 1], [[0, 1]])
+        assert sys.neighbors(np.int64(1)) == sys.neighbors(1) == {0}
+        assert sys.neighbors(np.uint8(0)) == {1}
+
+    @pytest.mark.parametrize(
+        "size,source_ids",
+        [
+            (1, [0.7]),
+            (1, [True]),
+            (1, np.array([0.0])),
+            (1, np.array([True])),
+            (1, [True, 5]),
+            (1, [3, 5]),
+            (2, [3]),
+            (1, []),
+            (1, [[3]]),
+        ],
+        ids=[
+            "float", "bool", "float-array", "bool-array", "bool-and-extra",
+            "one-too-many", "one-too-few", "none-for-one", "nested",
+        ],
+    )
+    def test_rejects_source_ids_that_are_not_one_integer_per_element(
+        self, size, source_ids
+    ):
+        with pytest.raises(ValueError, match="source ids must be one integer per element"):
+            IncidenceSystem(["a"], [0] * size, [], source_ids=source_ids)
+
+    def test_source_ids_are_python_ints(self):
+        for source_ids in ([7, np.int64(9)], np.array([7, 9], dtype=np.uint16)):
+            sys = IncidenceSystem(["a"], [0, 0], [], source_ids=source_ids)
+            assert sys.source_ids == (7, 9)
+            assert all(type(x) is int for x in sys.source_ids)
+        assert IncidenceSystem([], [], [], source_ids=[]).source_ids == ()
+
     def test_empty_system(self):
         sys = IncidenceSystem([], [], [])
         assert sys.rank == 0
@@ -466,7 +511,8 @@ def _symmetric_system(rng):
     """A random system and a correlation of it that may permute the types.
 
     Every fiber has m elements, t * m + i for i < m; g sends t * m + i to
-    sigma(t) * m + pi_t(i), and the pairs are random cross-type pairs closed
+    sigma(t) * m + pi_t(i).  The pairs are random cross-type pairs and every
+    pair of up to two type pairs (a type with itself among them), closed
     under g.
     """
     rank = int(rng.integers(1, 5))
@@ -475,13 +521,58 @@ def _symmetric_system(rng):
     images = np.concatenate([sigma[t] * m + rng.permutation(m) for t in range(rank)])
     g = Permutation(images)
     codes = np.repeat(np.arange(rank), m)
-    pairs = set()
+    seeds = []
     for _ in range(int(rng.integers(0, 3 * m))):
         a, b = rng.integers(0, rank * m, 2).tolist()
-        while codes[a] != codes[b] and (min(a, b), max(a, b)) not in pairs:
+        if codes[a] != codes[b]:
+            seeds.append((a, b))
+    fibers = np.arange(rank * m).reshape(rank, m).tolist()
+    for t, u in rng.integers(0, rank, (int(rng.integers(0, 3)), 2)).tolist():
+        seeds += [(a, b) for a in fibers[t] for b in fibers[u] if a < b or t != u]
+    pairs = set()
+    for a, b in seeds:
+        while (min(a, b), max(a, b)) not in pairs:
             pairs.add((min(a, b), max(a, b)))
             a, b = int(images[a]), int(images[b])
     return IncidenceSystem([f"t{i}" for i in range(rank)], codes, sorted(pairs)), g
+
+
+def full_key_action(sys, g):
+    """correlation_type_action by the sorted image keys of every pair of the system."""
+    n, codes = sys.size, sys.type_codes
+    if g.degree != n:
+        return None
+    tmap = np.full(sys.rank, -1, dtype=np.int64)
+    tmap[codes] = codes[g.images]
+    if not np.array_equal(tmap[codes], codes[g.images]):
+        return None
+    ends = g.images.astype(np.int64)[sys.pairs]
+    keys = np.sort(ends.min(axis=1) * n + ends.max(axis=1))
+    if not np.array_equal(keys, sys.pairs[:, 0].astype(np.int64) * n + sys.pairs[:, 1]):
+        return None
+    return tmap.tolist()
+
+
+def plant_blocks(sys, blocks):
+    """Copy of sys with every possible pair of each type pair (t, u) in blocks."""
+    fibers = sys.fibers()
+    extra = [
+        (a, b) for t, u in blocks for a in fibers[t] for b in fibers[u] if a < b or t != u
+    ]
+    return IncidenceSystem(sys.types, sys.type_codes, sys.pairs.tolist() + extra)
+
+
+def reference_blocks(sys):
+    """The complete type pairs t <= u, and the other pairs, by Python sets."""
+    codes, fibers = sys.type_codes.tolist(), sys.fibers()
+    present = {frozenset(p) for p in sys.pairs.tolist()}
+    complete = set()
+    for t, u in itertools.combinations_with_replacement(range(sys.rank), 2):
+        possible = {frozenset((a, b)) for a in fibers[t] for b in fibers[u] if a != b}
+        if possible and possible <= present:
+            complete.add((t, u))
+    rest = {p for p in present if tuple(sorted(codes[x] for x in p)) not in complete}
+    return complete, rest
 
 
 def reference_induced(sys, keep, keep_types):
@@ -654,10 +745,13 @@ class TestArrayCore:
     def test_to_json_matches_json_dumps_edge_cases(self, sys):
         assert sys.to_json() == json.dumps(sys.to_json_dict(), indent=2) + "\n"
 
-    @given(small_systems())
+    @given(small_systems(), st.data())
     @settings(max_examples=25, deadline=None)
-    def test_correlation_type_action_matches_brute_force(self, sys):
+    def test_correlation_type_action_matches_brute_force(self, sys, data):
         assume(sys.size <= 6)
+        # complete type pairs planted, a type with itself among them
+        block = st.tuples(st.integers(0, sys.rank - 1), st.integers(0, sys.rank - 1))
+        sys = plant_blocks(sys, data.draw(st.lists(block, max_size=2)))
         correlations = {
             tuple(g.to_list()) for g in brute_force_automorphisms(sys)
         }
@@ -687,6 +781,7 @@ class TestArrayCore:
             cases.append((sys, rng.permutation(sys.size).tolist()))
             for system, images in cases:
                 want = reference_type_action(system, images)
+                assert full_key_action(system, Permutation(images)) == want
                 assert correlation_type_action(system, Permutation(images)) == want
                 outcomes.append(want is not None)
         # g itself is always accepted; the perturbed maps mostly are not
@@ -712,3 +807,104 @@ class TestArrayCore:
         images = list(range(n))
         images[3], images[4] = 4, 3
         assert correlation_type_action(both, Permutation(images)) == [0, 1]
+
+
+class TestCompleteBlocks:
+    """The record of complete type pairs, and the correlation check that reads it."""
+
+    def test_cross_type_block(self):
+        base = IncidenceSystem(["a", "b", "c"], [0, 0, 1, 1, 1, 2], [[0, 5]])
+        sys = plant_blocks(base, [(1, 0)])
+        complete, rest = sys._complete_blocks()
+        assert complete.tolist() == [[False, True, False], [True, False, False], [False] * 3]
+        assert rest.tolist() == [[0, 5]]
+        assert sys._complete_blocks()[1] is rest
+
+    def test_same_type_block(self):
+        # type a: all three of its pairs; type b: one of its three
+        pairs = [[0, 1], [0, 2], [1, 2], [3, 4], [0, 3]]
+        sys = IncidenceSystem(["a", "b"], [0, 0, 0, 1, 1, 1], pairs)
+        complete, rest = sys._complete_blocks()
+        assert complete.tolist() == [[True, False], [False, False]]
+        assert rest.tolist() == [[0, 3], [3, 4]]
+
+    def test_no_complete_block_keeps_pairs(self):
+        sys = gq22()
+        complete, rest = sys._complete_blocks()
+        assert not complete.any()
+        assert rest is sys.pairs
+        assert not complete.flags.writeable and not rest.flags.writeable
+
+    def test_empty_and_singleton_types(self):
+        # a singleton type has no possible pair with itself, an empty type none at all
+        sys = IncidenceSystem(["a", "b", "c"], [0, 2], [[0, 1]])
+        complete, rest = sys._complete_blocks()
+        assert complete.tolist() == [[False, False, True], [False] * 3, [True, False, False]]
+        assert rest.shape == (0, 2)
+        assert correlation_type_action(sys, Permutation.identity(2)) == [0, -1, 2]
+        assert correlation_type_action(sys, Permutation([1, 0])) == [2, -1, 0]
+
+    def test_rank_one(self):
+        full = IncidenceSystem(["a"], [0, 0, 0], [[0, 1], [0, 2], [1, 2]])
+        partial = IncidenceSystem(["a"], [0, 0, 0], [[0, 1], [1, 2]])
+        assert full._complete_blocks()[0].tolist() == [[True]]
+        assert partial._complete_blocks()[1] is partial.pairs
+        for sys in (full, partial):
+            for images in itertools.permutations(range(3)):
+                want = reference_type_action(sys, images)
+                assert correlation_type_action(sys, Permutation(images)) == want
+        assert correlation_type_action(full, Permutation([2, 0, 1])) == [0]
+        empty = IncidenceSystem([], [], [])
+        assert empty._complete_blocks()[0].shape == (0, 0)
+        assert correlation_type_action(empty, Permutation.identity(0)) == []
+
+    def test_degree_mismatch(self):
+        sys = plant_blocks(IncidenceSystem(["a", "b"], [0, 0, 1], []), [(0, 1)])
+        assert correlation_type_action(sys, Permutation.identity(3)) == [0, 1]
+        for degree in (2, 4):
+            assert correlation_type_action(sys, Permutation.identity(degree)) is None
+
+    def test_complete_block_onto_an_incomplete_block_of_its_size(self):
+        # four types of two elements each, a-b complete; g swaps a with c and b with d
+        codes = [0, 0, 1, 1, 2, 2, 3, 3]
+        g = Permutation([4, 5, 6, 7, 0, 1, 2, 3])
+        # c-d with none of its 4 pairs, then with 3 of them
+        for cd in ([], [[4, 6], [4, 7], [5, 6]]):
+            sys = plant_blocks(IncidenceSystem(list("abcd"), codes, cd), [(0, 1)])
+            assert full_key_action(sys, g) is None
+            assert correlation_type_action(sys, g) is None
+        # with a-d and c-b pairs that g swaps, only the flags reject g: it maps
+        # the other pairs onto themselves
+        sys = plant_blocks(IncidenceSystem(list("abcd"), codes, [[0, 6], [2, 4]]), [(0, 1)])
+        rest = sys._complete_blocks()[1]
+        assert sorted(map(sorted, g.images[rest].tolist())) == rest.tolist()
+        assert full_key_action(sys, g) is None
+        assert correlation_type_action(sys, g) is None
+        # once c-d is complete too, g is a correlation
+        both = plant_blocks(sys, [(2, 3)])
+        assert correlation_type_action(both, g) == full_key_action(both, g) == [2, 3, 0, 1]
+
+    @given(raw_data(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_record_matches_pair_sets(self, raw, data):
+        types, codes, pairs = raw
+        block = st.tuples(st.integers(0, len(types) - 1), st.integers(0, len(types) - 1))
+        sys = plant_blocks(IncidenceSystem(types, codes, pairs), data.draw(st.lists(block, max_size=3)))
+        complete, rest = sys._complete_blocks()
+        want_complete, want_rest = reference_blocks(sys)
+        assert {(t, u) for t, u in np.argwhere(complete).tolist() if t <= u} == want_complete
+        assert np.array_equal(complete, complete.T)
+        assert {frozenset(p) for p in rest.tolist()} == want_rest
+        assert rest.tolist() == sorted(rest.tolist())
+        assert (rest is sys.pairs) == (not want_complete)
+
+    def test_q4_record(self, pgl34, pgl34_pipeline):
+        sys = pgl34.system
+        complete, rest = sys._complete_blocks()
+        assert sys.types == ("0", "1", "Q(w)", "Q(w+1)")
+        assert np.argwhere(complete).tolist() == [[2, 3], [3, 2]]
+        assert rest.shape == (12705, 2)
+        assert sys.pairs.shape[0] - rest.shape[0] == 1260 * 1260
+        for g in pgl34_pipeline.result.correlation_gens[:3]:
+            assert correlation_type_action(sys, g) == full_key_action(sys, g)
+            assert correlation_type_action(sys, g) is not None
