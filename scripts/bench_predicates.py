@@ -10,9 +10,9 @@ the specs in perfbench/coset_family.json, taken with the generators listed
 there.  For each row the script records the values of ``is_geometry``,
 ``is_firm`` and ``is_residually_connected``, for the coset rows also the
 ``check_ft_condition`` and ``check_rc_condition`` reports, and the best of
-REPEAT wall times of each; it writes them as JSON to FILE (default:
-BENCH_predicates.json).  Pointing --src at another checkout's src gives the
-same table for that version.
+REPEAT wall times of each, and of ``coset_geometry`` on the coset rows; it
+writes them as JSON to FILE (default: BENCH_predicates.json).  Pointing --src
+at another checkout's src gives the same table for that version.
 """
 
 import argparse
@@ -86,9 +86,13 @@ def report(rep) -> dict:
     return {"ok": rep.ok, "failures": [list(f) for f in rep.failures], "checked": rep.checked}
 
 
-def row(gr, name: str, system, spec=None) -> dict:
-    out = {"system": name, "elements": system.size}
+def row(gr, name: str, system=None, spec=None) -> dict:
+    """The row of a system, or of the coset system of spec."""
     times = {}
+    if spec is not None:
+        geometry, times["coset_geometry"] = best(lambda: gr.coset_geometry(spec))
+        system = geometry.system
+    out = {"system": name, "elements": system.size}
     for pred in PREDICATES:
         out[pred], times[pred] = best(getattr(system, pred))
     if spec is not None:
@@ -108,9 +112,7 @@ def main() -> None:
     import geomrep as gr
 
     rows = [row(gr, name, system) for name, system in planes_and_families(gr)]
-    rows += [
-        row(gr, name, gr.coset_geometry(spec).system, spec) for name, spec in coset_specs(gr)
-    ]
+    rows += [row(gr, name, spec=spec) for name, spec in coset_specs(gr)]
     totals = {}
     for r in rows:
         for key, t in r["best_s"].items():

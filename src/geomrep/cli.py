@@ -129,7 +129,7 @@ def _coset_spec(args: argparse.Namespace) -> CosetGeometrySpec:
     return CosetGeometrySpec(
         group=group(data),
         subgroups=tuple(group(sub, f"subgroup {i}") for i, sub in enumerate(subs)),
-        labels=tuple(str(sub["label"]) for sub in subs),
+        labels=tuple(field(sub, "label", str, f"subgroup {i}") for i, sub in enumerate(subs)),
     )
 
 

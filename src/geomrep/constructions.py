@@ -19,7 +19,7 @@ from .galois import (
     projective_space,
 )
 from .incidence import IncidenceSystem
-from .perms import PermGroup, Permutation
+from .perms import PermGroup, Permutation, _ElementTable
 
 _GROUP_GUARD = 100_000
 _PGL_ELEMENT_GUARD = 100_000
@@ -665,24 +665,33 @@ def _check_spec(spec: CosetGeometrySpec) -> None:
                 raise ValueError(f"subgroup {i} is not contained in the group")
 
 
-def _coset_labels(spec: CosetGeometrySpec) -> tuple[list[Permutation], np.ndarray]:
-    """The sorted elements of G and labels[i, z], the number of the coset G_i z.
+def _coset_labels(spec: CosetGeometrySpec) -> tuple[_ElementTable, np.ndarray]:
+    """The element table of G and labels[i, z], the number of the coset G_i z.
 
-    Cosets are numbered in order of their least element. The identity is the
-    least element of G, so G_i itself is the coset labelled 0.
+    G_i z is the orbit of z under the steps z -> h z for the generators h of
+    G_i; h z has images z.images[h.images], so each step is one gather of the
+    table and one lookup. Each element takes the least element of its orbit
+    by min-label propagation with pointer jumping, and cosets are numbered in
+    order of their least element. The identity is the least element of G, so
+    G_i itself is the coset labelled 0.
     """
     _check_spec(spec)
-    elements = spec.group.enumerate_elements(bound=_GROUP_GUARD)
-    index = {g: k for k, g in enumerate(elements)}
-    labels = np.full((len(spec.subgroups), len(elements)), -1, dtype=np.int64)
+    table = spec.group._element_table(_GROUP_GUARD)
+    labels = np.empty((len(spec.subgroups), len(table.rows)), dtype=np.int64)
     for label, sub in zip(labels, spec.subgroups):
-        members = sub.enumerate_elements(bound=_GROUP_GUARD)
-        count = 0
-        for k, x in enumerate(elements):
-            if label[k] < 0:
-                label[[index[h * x] for h in members]] = count
-                count += 1
-    return elements, labels
+        steps = [table.index(table.rows[:, h.images]) for h in sub.generators]
+        least = np.arange(len(table.rows))
+        while True:
+            merged = least
+            for step in steps:
+                merged = np.minimum(merged, least[step])
+            merged = merged[merged]
+            if np.array_equal(merged, least):
+                break
+            least = merged
+        # each orbit's least element is the one that is its own least
+        label[:] = (np.cumsum(least == np.arange(len(least))) - 1)[least]
+    return table, labels
 
 
 def _cosets_meeting(label: np.ndarray, parts: np.ndarray) -> np.ndarray:
@@ -705,29 +714,33 @@ class CosetGeometry:
 
 def coset_geometry(spec: CosetGeometrySpec) -> CosetGeometry:
     """All cosets G_i x; two of different types are incident when they share an element."""
-    elements, labels = _coset_labels(spec)
+    table, labels = _coset_labels(spec)
     sizes = labels.max(axis=1) + 1
     # ids[i, z] is the element id of the type-i coset that contains element z
     ids = labels + (np.cumsum(sizes) - sizes)[:, None]
     pairs = [np.stack([a, b], axis=1) for a, b in itertools.combinations(ids, 2)]
     codes = np.repeat(np.arange(len(sizes)), sizes)
     system = IncidenceSystem(spec.type_labels(), codes, np.concatenate(pairs) if pairs else [])
-    members: list[list[int]] = [[] for _ in codes]
-    for row in ids.tolist():
-        for z, x in enumerate(row):
-            members[x].append(z)
-    reps = [elements[m[0]] for m in members]
-    index = {g: k for k, g in enumerate(elements)}
-    # right multiplication by g maps the coset of rep to the coset of rep * g
+    n = len(table.rows)
+    # the members of each coset, ascending, cosets in id order; a type-i
+    # coset has n / sizes[i] members
+    members = (np.argsort(ids, axis=None, kind="stable") % n).tolist()
+    ends = np.cumsum(np.repeat(n // sizes, sizes)).tolist()
+    firsts = [0, *ends[:-1]]
+    rep_rows = table.rows[[members[a] for a in firsts]]
+    # right multiplication by g maps the coset of rep to the coset of rep * g,
+    # whose images are g.images[rep.images]
     action_gens = [
-        Permutation([ids[t, index[rep * g]] for t, rep in zip(codes.tolist(), reps)])
-        for g in spec.group.generators
+        Permutation(ids[codes, table.index(g.images[rep_rows])]) for g in spec.group.generators
     ]
+    elements = [Permutation._from_bijection(row) for row in table.rows]
     return CosetGeometry(
         system=system,
-        action=PermGroup(len(reps), action_gens),
-        cosets=tuple(frozenset(elements[z] for z in m) for m in members),
-        reps=tuple(reps),
+        action=PermGroup(len(firsts), action_gens),
+        cosets=tuple(
+            frozenset(map(elements.__getitem__, members[a:b])) for a, b in zip(firsts, ends)
+        ),
+        reps=tuple(elements[members[a]] for a in firsts),
     )
 
 

@@ -167,6 +167,54 @@ class BlockAction:
     kernel: "PermGroup"
 
 
+class _ElementTable:
+    """The elements of a group as one read-only int64 (order, degree) array of
+    image rows in lexicographic order, with an exact row -> index lookup.
+
+    The rows are formed level by level: after level j, every u_j * ... * u_0
+    with u_i in level i's transversal (sorted by point), where u * p has
+    images p.images[u.images], so one gather per level forms all products
+    with that level's transversal. The product with positions t_0, t_1, ...
+    is formed at place code = (t_0 |T_1| + t_1) |T_2| + ..., which is below
+    the order, so sifting a row through the chain numbers it exactly at any
+    degree.
+    """
+
+    __slots__ = ("rows", "base", "_inverses", "_positions", "_rank")
+
+    def __init__(self, degree: int, levels: Sequence[_Level]):
+        rows = np.arange(degree, dtype=np.int64)[np.newaxis, :]
+        self._inverses, self._positions = [], []
+        for lv in levels:
+            points = sorted(lv.transversal)
+            trans = np.stack([lv.transversal[p].images for p in points])
+            rows = rows[:, trans].reshape(-1, degree)
+            inverses = np.empty_like(trans)
+            inverses[np.arange(len(points))[:, None], trans] = np.arange(degree)
+            position = np.full(degree, -1, dtype=np.int64)
+            position[points] = np.arange(len(points))
+            self._inverses.append(inverses)
+            self._positions.append(position)
+        order = np.lexsort(rows.T[::-1]) if degree else np.arange(len(rows))
+        self._rank = np.empty(len(rows), dtype=np.int64)
+        self._rank[order] = np.arange(len(rows))
+        self.rows = rows[order]
+        self.rows.setflags(write=False)
+        self.base = np.array([lv.point for lv in levels], dtype=np.int64)
+
+    def index(self, rows: np.ndarray) -> np.ndarray:
+        """The table index of each row of rows; every row must be a group element."""
+        # an element is fixed by its base images; sifting h -> h * u_t^-1 at a
+        # level moves the later base images through u_t^-1
+        images = rows[:, self.base]
+        code = np.zeros(len(rows), dtype=np.int64)
+        for j, (inverses, position) in enumerate(zip(self._inverses, self._positions)):
+            t = position[images[:, j]]
+            code = code * len(inverses) + t
+            images[:, j + 1:] = inverses[t[:, None], images[:, j + 1:]]
+        return self._rank[code]
+
+
 class PermGroup:
     """Permutation group with an eagerly built deterministic stabilizer chain."""
 
@@ -299,34 +347,43 @@ class PermGroup:
             out.append(orb)
         return out
 
-    def enumerate_elements(self, bound: int = 10000) -> list[Permutation]:
-        """All elements, sorted lexicographically by image arrays."""
+    def _element_table(self, bound: int) -> _ElementTable:
+        """The sorted element table of the group (at most bound elements)."""
         n = self.order()
         if n > bound:
             raise ValueError(f"group too large: order {n} exceeds bound {bound}")
-        # rows of images: after level j, every u_j * ... * u_0 with u_i in
-        # level i's transversal; u * p has images p.images[u.images], so one
-        # gather per level forms all products with that level's transversal
-        images = self._identity.images[np.newaxis, :]
-        for lv in self._levels:
-            trans = np.stack([lv.transversal[p].images for p in sorted(lv.transversal)])
-            images = images[:, trans].reshape(-1, self.degree)
-        images = images[np.lexsort(images.T[::-1])] if self.degree else images
-        return [Permutation._from_bijection(row) for row in images]
+        return _ElementTable(self.degree, self._levels)
+
+    def enumerate_elements(self, bound: int = 10000) -> list[Permutation]:
+        """All elements, sorted lexicographically by image arrays."""
+        return [Permutation._from_bijection(row) for row in self._element_table(bound).rows]
 
     def fingerprint(self, bound: int = 10000) -> GroupFingerprint:
         """Order, element-order histogram, center order (≤ bound elements)."""
-        elements = self.enumerate_elements(bound)
-        histogram: dict[int, int] = {}
-        center = 0
-        for g in elements:
-            histogram[g.order()] = histogram.get(g.order(), 0) + 1
-            if all(g * s == s * g for s in self.generators):
-                center += 1
+        table = self._element_table(bound)
+        rows, base = table.rows, table.base
+        # an element is fixed by its base images: x^m is the identity when it
+        # fixes the base, and x^(m+1)(b) = x(x^m(b)) is one gather per power
+        orders = np.zeros(len(rows), dtype=np.int64)
+        todo = np.arange(len(rows))
+        power = rows[:, base]
+        m = 1
+        while todo.size:
+            done = (power == base).all(axis=1)
+            orders[todo[done]] = m
+            todo, power = todo[~done], power[~done]
+            power = rows[todo[:, None], power]
+            m += 1
+        # x * s has images s.images[x.images], s * x has x.images[s.images]
+        central = np.ones(len(rows), dtype=bool)
+        for s in self.generators:
+            central &= (s.images[rows] == rows[:, s.images]).all(axis=1)
+        counts = np.bincount(orders)
+        values = np.flatnonzero(counts)
         return GroupFingerprint(
-            order=len(elements),
-            order_histogram=tuple(sorted(histogram.items())),
-            center_order=center,
+            order=len(rows),
+            order_histogram=tuple(zip(values.tolist(), counts[values].tolist())),
+            center_order=int(np.count_nonzero(central)),
         )
 
     def is_transitive_on(self, tuples: Sequence[tuple[int, ...]]) -> bool:

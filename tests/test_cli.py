@@ -115,6 +115,14 @@ class TestBuild:
             ([1, 2], "group file must be a JSON object"),
             ({**KLEIN_SPEC, "degree": None}, "group file: degree must be a JSON int"),
             ({**KLEIN_SPEC, "subgroups": 5}, "group file: subgroups must be a JSON list"),
+            (
+                {**KLEIN_SPEC, "subgroups": [KLEIN_SPEC["subgroups"][0], {"generators": []}]},
+                "subgroup 1: label must be a JSON str",
+            ),
+            (
+                {**KLEIN_SPEC, "subgroups": [{"label": 1, "generators": []}]},
+                "subgroup 0: label must be a JSON str",
+            ),
         ],
     )
     def test_coset_malformed_group_field(self, capsys, tmp_path, data, message):
@@ -124,6 +132,16 @@ class TestBuild:
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("verb", [["build"], ["verify", "--inn", "4", "--aut", "8"]])
+    def test_coset_missing_label_names_the_subgroup(self, capsys, tmp_path, verb):
+        subgroups = [{"label": "a", "generators": [[1, 0, 3, 2]]}, {"generators": [[2, 3, 0, 1]]}]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**KLEIN_SPEC, "subgroups": subgroups}))
+        code, out, err = run(capsys, *verb[:1], "coset", *verb[1:], "--group-file", str(spec))
+        assert code == 2
+        assert out == ""
+        assert err == "error: subgroup 1: label must be a JSON str\n"
 
     def test_out_directory_exits_usage(self, capsys, tmp_path):
         code, out, err = run(capsys, "build", "gq22", "--out", str(tmp_path))

@@ -9,7 +9,10 @@ import os
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomrep import (
     CosetGeometrySpec,
@@ -748,6 +751,26 @@ class CosetReference:
         return failures
 
 
+def assert_matches_reference(spec: CosetGeometrySpec) -> CosetReference:
+    """Labels, cosets, reps, incidences and action against the element-set
+    reference, which is returned."""
+    ref = CosetReference(spec)
+    table, labels = _coset_labels(spec)
+    rows = [tuple(row) for row in table.rows.tolist()]
+    assert rows == sorted(ref.group)
+    for t, label in enumerate(labels):
+        cosets = [c for c, code in zip(ref.cosets, ref.codes) if code == t]
+        number = {x: k for k, c in enumerate(cosets) for x in c}
+        assert label.tolist() == [number[x] for x in rows]
+    cg = coset_geometry(spec)
+    assert cg.system.type_codes.tolist() == ref.codes
+    assert cg.system.pairs.tolist() == ref.pairs()
+    assert [frozenset(tuple(g.to_list()) for g in c) for c in cg.cosets] == ref.cosets
+    assert [tuple(g.to_list()) for g in cg.reps] == [min(c) for c in ref.cosets]
+    assert [g.to_list() for g in cg.action.generators] == ref.action()
+    return ref
+
+
 def _symmetric(n: int) -> PermGroup:
     return PermGroup(n, [Permutation.from_cycles(n, [(0, 1)]),
                          Permutation.from_cycles(n, [tuple(range(n))])])
@@ -806,7 +829,7 @@ def coset_family_specs(seed: int) -> list[tuple[str, CosetGeometrySpec]]:
 def generated_order_rc(spec: CosetGeometrySpec) -> RcReport:
     """RC by orders: |G_J| against the Schreier-Sims order of the group that the
     G_{J+i} generate, grown by each element of theirs it does not yet contain."""
-    elements, labels = _coset_labels(spec)
+    table, labels = _coset_labels(spec)
     r = len(labels)
     subgroups = labels == 0
     failures = []
@@ -819,8 +842,9 @@ def generated_order_rc(spec: CosetGeometrySpec) -> RcReport:
             gens: list[Permutation] = []
             generated = PermGroup(spec.group.degree, gens)
             for z in (g_j & subgroups[outside].any(axis=0)).nonzero()[0]:
-                if not generated.contains(elements[z]):
-                    gens.append(elements[z])
+                element = Permutation(table.rows[z])
+                if not generated.contains(element):
+                    gens.append(element)
                     generated = PermGroup(spec.group.degree, gens)
             if generated.order() != g_j.sum():
                 failures.append(j_set)
@@ -838,13 +862,7 @@ RC_SPECS = (
 class TestCosetsAgainstReference:
     @pytest.mark.parametrize("name,spec", RANDOM_COSET_SPECS, ids=[n for n, _ in RANDOM_COSET_SPECS])
     def test_geometry_and_conditions(self, name, spec):
-        ref = CosetReference(spec)
-        cg = coset_geometry(spec)
-        assert cg.system.type_codes.tolist() == ref.codes
-        assert cg.system.pairs.tolist() == ref.pairs()
-        assert [frozenset(tuple(g.to_list()) for g in c) for c in cg.cosets] == ref.cosets
-        assert [tuple(g.to_list()) for g in cg.reps] == [min(c) for c in ref.cosets]
-        assert [g.to_list() for g in cg.action.generators] == ref.action()
+        ref = assert_matches_reference(spec)
         r = len(spec.subgroups)
         ft = check_ft_condition(spec)
         assert list(ft.failures) == ref.ft_failures()
@@ -862,3 +880,77 @@ class TestCosetsAgainstReference:
         rc = [check_rc_condition(spec).ok for _, spec in RANDOM_COSET_SPECS]
         # 8 of the 32 fail FT and 22 fail RC
         assert ft.count(False) >= 2 and rc.count(False) >= 2
+
+
+# -- the labelling: orbits of generator steps on the element table ---------------
+
+
+def _dihedral(n: int) -> PermGroup:
+    return PermGroup(n, [Permutation.from_cycles(n, [tuple(range(n))]),
+                         Permutation([(-k) % n for k in range(n)])])
+
+
+LABEL_GROUPS = {
+    "trivial-3": PermGroup(3, []),
+    "C6": PermGroup(6, [Permutation.from_cycles(6, [tuple(range(6))])]),
+    "D5": _dihedral(5),
+    "S4": _symmetric(4),
+    "A5": _coset_groups()["A5"],
+    "C2xS3": PermGroup(5, [Permutation.from_cycles(5, [(0, 1)]),
+                           Permutation.from_cycles(5, [(2, 3)]),
+                           Permutation.from_cycles(5, [(2, 3, 4)])]),
+}
+
+
+@st.composite
+def label_specs(draw) -> CosetGeometrySpec:
+    """A group with up to three subgroups, each generated by up to two drawn
+    elements (none gives the trivial subgroup) or by the group's generators."""
+    group = LABEL_GROUPS[draw(st.sampled_from(sorted(LABEL_GROUPS)))]
+    elements = group.enumerate_elements()
+    gens = st.one_of(
+        st.lists(st.sampled_from(elements), max_size=2), st.just(list(group.generators))
+    )
+    subgroups = draw(st.lists(gens, min_size=1, max_size=3))
+    return CosetGeometrySpec(group, tuple(PermGroup(group.degree, g) for g in subgroups))
+
+
+class TestCosetLabels:
+    @given(label_specs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(self, spec):
+        assert_matches_reference(spec)
+
+    def test_trivial_and_whole_subgroups(self):
+        s4 = _symmetric(4)
+        spec = CosetGeometrySpec(s4, (PermGroup(4, []), PermGroup(4, s4.generators)))
+        _, labels = _coset_labels(spec)
+        assert labels[0].tolist() == list(range(24))
+        assert labels[1].tolist() == [0] * 24
+        assert_matches_reference(spec)
+
+    def test_degree_zero(self):
+        spec = CosetGeometrySpec(PermGroup(0, []), (PermGroup(0, []), PermGroup(0, [])))
+        table, labels = _coset_labels(spec)
+        assert table.rows.shape == (1, 0)
+        assert labels.tolist() == [[0], [0]]
+        assert_matches_reference(spec)
+
+    def test_long_base(self):
+        # (C2)^14 as 14 disjoint transpositions on 28 points: base length 14,
+        # and 28 ** 14 > 2 ** 63.  Element k of the table is the bit vector k,
+        # with transposition i at bit 13 - i, and products are xors.
+        degree = 28
+        flips = [Permutation.from_cycles(degree, [(2 * i, 2 * i + 1)]) for i in range(14)]
+        group = PermGroup(degree, flips)
+        gens = ([flips[0], flips[3] * flips[9], flips[13]], [flips[i] * flips[i + 1] for i in range(6)], [])
+        spec = CosetGeometrySpec(group, tuple(PermGroup(degree, g) for g in gens))
+        _, labels = _coset_labels(spec)
+        elements = np.arange(2 ** 14)
+        for label, sub in zip(labels, gens):
+            span = {0}
+            for h in sub:
+                code = sum(1 << (13 - i) for i in range(14) if h(2 * i) != 2 * i)
+                span |= {x ^ code for x in span}
+            least = np.min([elements ^ x for x in sorted(span)], axis=0)
+            assert label.tolist() == np.unique(least, return_inverse=True)[1].tolist()

@@ -6,9 +6,12 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.combinatorics import Permutation as SympyPermutation
+from sympy.combinatorics import PermutationGroup
 
 from geomrep import (
     PermGroup,
@@ -29,6 +32,29 @@ def c(degree: int, *cycles: tuple[int, ...]) -> Permutation:
 def permutations(draw, degree: int = 6) -> Permutation:
     images = draw(st.permutations(list(range(degree))))
     return Permutation(list(images))
+
+
+@st.composite
+def groups(draw, max_degree: int = 7) -> PermGroup:
+    degree = draw(st.integers(0, max_degree))
+    gens = draw(st.lists(permutations(degree), max_size=3))
+    return PermGroup(degree, gens)
+
+
+def disjoint_transpositions(count: int) -> PermGroup:
+    """(C2)^count as count disjoint transpositions on 2 * count points."""
+    degree = 2 * count
+    return PermGroup(degree, [c(degree, (2 * i, 2 * i + 1)) for i in range(count)])
+
+
+def reference_fingerprint(grp: PermGroup) -> tuple:
+    """Order histogram and centre order from one Permutation per element."""
+    elements = grp.enumerate_elements(bound=5040)
+    histogram: dict[int, int] = {}
+    for g in elements:
+        histogram[g.order()] = histogram.get(g.order(), 0) + 1
+    center = sum(all(g * s == s * g for s in grp.generators) for g in elements)
+    return tuple(sorted(histogram.items())), center
 
 
 class TestPermutation:
@@ -149,6 +175,37 @@ class TestPermGroup:
         with pytest.raises(ValueError, match="exceeds bound"):
             grp.enumerate_elements(bound=100)
 
+    @given(groups())
+    @settings(max_examples=80, deadline=None)
+    def test_element_table_lookup(self, grp):
+        table = grp._element_table(bound=5040)
+        elements = grp.enumerate_elements(bound=5040)
+        assert table.rows.tolist() == [g.to_list() for g in elements]
+        assert table.index(table.rows).tolist() == list(range(len(elements)))
+        where = {g: k for k, g in enumerate(elements)}
+        for s in grp.generators:
+            # s * x and x * s for every element x, each in one gather
+            assert table.index(table.rows[:, s.images]).tolist() == [where[s * g] for g in elements]
+            assert table.index(s.images[table.rows]).tolist() == [where[g * s] for g in elements]
+
+    def test_element_table_long_base(self):
+        # base length 14 on 28 points: 28 ** 14 > 2 ** 63, and the rows are
+        # still numbered exactly; (C2)^14 is the bit vectors under xor
+        grp = disjoint_transpositions(14)
+        table = grp._element_table(bound=2 ** 14)
+        bits = table.rows[:, 0::2] % 2
+        codes = bits @ (1 << np.arange(13, -1, -1))
+        assert codes.tolist() == list(range(2 ** 14))
+        rng = np.random.default_rng(5)
+        x, y = rng.integers(0, 2 ** 14, size=(2, 500))
+        products = table.rows[x][np.arange(500)[:, None], table.rows[y]]
+        assert table.index(products).tolist() == (x ^ y).tolist()
+
+    def test_element_table_degree_zero(self):
+        table = PermGroup(0, [])._element_table(bound=1)
+        assert table.rows.shape == (1, 0)
+        assert table.index(table.rows).tolist() == [0]
+
     def test_orbits(self):
         grp = PermGroup(6, [c(6, (0, 1, 2)), c(6, (4, 5))])
         assert grp.orbits() == [[0, 1, 2], [3], [4, 5]]
@@ -219,6 +276,37 @@ class TestFingerprints:
             a5c2.center_order,
             a5c2.order_histogram,
         )
+
+    @pytest.mark.parametrize(
+        "name, degree, gens",
+        [
+            ("S4", 4, [(1, 0, 2, 3), (1, 2, 3, 0)]),
+            ("A5", 5, [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)]),
+            ("S6", 6, [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)]),
+        ],
+    )
+    def test_matches_sympy(self, name, degree, gens):
+        fp = PermGroup(degree, [Permutation(g) for g in gens]).fingerprint()
+        ref = PermutationGroup([SympyPermutation(list(g)) for g in gens])
+        histogram: dict[int, int] = {}
+        for g in ref.elements:
+            histogram[g.order()] = histogram.get(g.order(), 0) + 1
+        assert fp.order == ref.order()
+        assert fp.order_histogram == tuple(sorted(histogram.items()))
+        assert fp.center_order == ref.center().order()
+
+    @given(groups())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_element_orders_and_products(self, grp):
+        fp = grp.fingerprint(bound=5040)
+        assert fp.order == grp.order()
+        assert (fp.order_histogram, fp.center_order) == reference_fingerprint(grp)
+
+    def test_long_base(self):
+        # a base of 14 points: every other element is an involution, all central
+        fp = disjoint_transpositions(14).fingerprint(bound=2 ** 14)
+        assert fp.order_histogram == ((1, 1), (2, 2 ** 14 - 1))
+        assert fp.center_order == 2 ** 14
 
     def test_fingerprint_json(self):
         fp = PermGroup(3, [c(3, (0, 1, 2))]).fingerprint()
