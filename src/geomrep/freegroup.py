@@ -9,6 +9,8 @@ import itertools
 import re
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .perms import PermGroup, Permutation
 
 # A word is a tuple of nonzero ints: i means x_i, -i means x_i^-1 (1-indexed).
@@ -86,7 +88,7 @@ def _adjacency(
     return trans
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def _transitions(graph: StallingsGraph) -> collections.defaultdict[int, dict[int, int]]:
     return _adjacency(graph.arcs)
 
@@ -265,7 +267,7 @@ def _fiber_walk(
     return index, arcs
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=512)
 def _fiber_reach(h: StallingsGraph, k: StallingsGraph) -> frozenset[tuple[int, int]]:
     """Pairs jointly reachable from both basepoints by a common word."""
     return frozenset(_fiber_walk(h, k)[0])
@@ -316,6 +318,21 @@ def _product_words_bulk(
             )
         )
     return out
+
+
+@functools.lru_cache(maxsize=256)
+def _product_column(
+    h: StallingsGraph, k: StallingsGraph, length_bound: int
+) -> np.ndarray:
+    """Read-only H*K membership of every reduced word up to the length bound,
+    in the order of `all_reduced_words`; one bool (byte) per word.
+
+    Keyed by canonical graphs, so every (J, i) pair of a bounded FT sweep
+    that meets the same two subgroups reads one column."""
+    words = all_reduced_words(max(h.alphabet, k.alphabet), length_bound)
+    column = np.array(_product_words_bulk(h, k, words), dtype=bool)
+    column.flags.writeable = False
+    return column
 
 
 def all_reduced_words(alphabet: int, max_len: int) -> list[Word]:
@@ -455,28 +472,24 @@ def bounded_ft_check(
     j_set = tuple(sorted(set(j_set)))
     if i in j_set:
         raise ValueError("i must lie outside J")
-    if length_bound > 10:
-        raise ValueError("length bound must be <= 10")
+    if not 0 <= length_bound <= 10:
+        raise ValueError(f"length bound must be >= 0 and <= 10, not {length_bound}")
     alphabet, graphs = _family_graphs(family)
     g_j = stallings_graph(itertools.chain.from_iterable(family), alphabet)
     for j in j_set:
         g_j = intersection(g_j, graphs[j])
-    words = all_reduced_words(alphabet, length_bound)
-    lhs = _product_words_bulk(g_j, graphs[i], words)
-    if j_set:
-        rhs_cols = [_product_words_bulk(graphs[j], graphs[i], words) for j in j_set]
-        rhs = [all(col[wi] for col in rhs_cols) for wi in range(len(words))]
-    else:
-        rhs = lhs
-    counterexamples = tuple(
-        format_word(w) for w, a, b in zip(words, lhs, rhs) if a != b
-    )
+    lhs = _product_column(g_j, graphs[i], length_bound)
+    columns = [_product_column(graphs[j], graphs[i], length_bound) for j in j_set]
+    rhs = np.logical_and.reduce(columns) if columns else lhs
+    differ = np.flatnonzero(lhs != rhs)
+    words = all_reduced_words(alphabet, length_bound) if differ.size else []
+    counterexamples = tuple(format_word(words[w]) for w in differ)
     return BoundedFtReport(
         ok=not counterexamples,
         j_set=j_set,
         i=i,
         length_bound=length_bound,
-        words_checked=len(words),
+        words_checked=len(lhs),
         counterexamples=counterexamples,
     )
 

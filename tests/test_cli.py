@@ -533,6 +533,14 @@ class TestFree:
         assert checks[4]["checked"] == 4083
         assert checks[4]["failures"] == []
 
+    def test_negative_length_bound_is_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "free", "rose", "--check", "ft", "--length-bound", "-2"
+        )
+        assert code == 2
+        assert out == ""
+        assert "length bound must be >= 0 and <= 10, not -2" in err
+
     def test_unknown_check(self, capsys):
         code, _, err = run(capsys, "free", "rose", "--check", "sparkle")
         assert code == 2

@@ -1,5 +1,6 @@
 """Reduced words, folded subgroup graphs, intersections, and rose-cover actions."""
 
+import itertools
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from geomrep import (
 from geomrep.freegroup import (
     _canonical,
     _folded,
+    _product_column,
     _product_words_bulk,
     _trimmed,
     all_reduced_words,
@@ -457,6 +459,107 @@ class TestBoundedFt:
         _, parabolics, _ = rose2
         with pytest.raises(ValueError, match="<= 10"):
             bounded_ft_check(parabolics, (), 0, 11)
+
+    def test_negative_length_bound_rejected(self, rose2):
+        _, parabolics, _ = rose2
+        with pytest.raises(ValueError, match=">= 0"):
+            bounded_ft_check(parabolics, (), 0, -3)
+
+    def test_failing_family_counterexamples_in_word_order(self):
+        # G_0 and G_1 meet trivially, so G_J G_2 is <x1 x2> alone, while
+        # x1^-1 = x2 (x1 x2)^-1 lies in both G_0 G_2 and G_1 G_2
+        report = bounded_ft_check(FAILING_FAMILY, (0, 1), 2, 4)
+        assert not report.ok
+        assert report.words_checked == 161
+        assert report.counterexamples == (
+            "x1^-1",
+            "x2",
+            "x1^-1 x2^-1 x1^-1",
+            "x2 x1 x2",
+        )
+
+
+FAILING_FAMILY = [[(1,)], [(2,)], [(1, 2)]]
+
+
+def _ft_pairs(family, n):
+    """The (J, i) pairs that `geomrep free rose --check ft` visits at rank n."""
+    r = len(family)
+    if n == 2:
+        j_sets = [j for size in range(r) for j in itertools.combinations(range(r), size)]
+    else:
+        j_sets = [()] + [(j,) for j in range(r)]
+    return [(j_set, i) for j_set in j_sets for i in range(r) if i not in j_set]
+
+
+def _ft_oracle(family, length_bound):
+    """(J, i) -> (ok, words checked, counterexamples) from per-word product
+    membership, recomputing every product set for the pair at hand."""
+    alphabet = max(abs(l) for gens in family for w in gens for l in w)
+    graphs = [stallings_graph(gens, alphabet) for gens in family]
+    whole = stallings_graph([w for gens in family for w in gens], alphabet)
+    words = all_reduced_words(alphabet, length_bound)
+
+    def check(j_set, i):
+        g_j = whole
+        for j in j_set:
+            g_j = intersection(g_j, graphs[j])
+        lhs = _product_words_bulk(g_j, graphs[i], words)
+        rhs = [
+            all(_product_words_bulk(graphs[j], graphs[i], [w])[0] for j in j_set)
+            if j_set
+            else a
+            for w, a in zip(words, lhs)
+        ]
+        bad = tuple(format_word(w) for w, a, b in zip(words, lhs, rhs) if a != b)
+        return not bad, len(words), bad
+
+    return check
+
+
+class TestFtColumns:
+    """bounded_ft_check reads shared product-set columns; it must report what a
+    per-word evaluation reports, whatever the columns already cached."""
+
+    @pytest.mark.parametrize(
+        "family,n,bounds",
+        [
+            (rose_cover_generators(2)[1], 2, (6,)),
+            (rose_cover_generators(3)[1], 3, (3,)),
+            (FAILING_FAMILY, 2, (0, 2, 4)),
+        ],
+        ids=["rose2", "rose3", "failing"],
+    )
+    def test_matches_oracle_cold_then_shuffled_warm(self, family, n, bounds):
+        cases = [(j_set, i, b) for j_set, i in _ft_pairs(family, n) for b in bounds]
+        oracles = {b: _ft_oracle(family, b) for b in bounds}
+        want = {(j_set, i, b): oracles[b](j_set, i) for j_set, i, b in cases}
+        _product_column.cache_clear()
+        for order in (cases, random.Random(n).sample(cases, len(cases))):
+            for case in order:
+                report = bounded_ft_check(family, *case)
+                got = (report.ok, report.words_checked, report.counterexamples)
+                assert got == want[case], case
+
+    @pytest.mark.parametrize(
+        "n,bound,reads,columns", [(2, 6, 80, 32), (3, 3, 276, 144)]
+    )
+    def test_one_column_per_subgroup_pair(self, n, bound, reads, columns):
+        family = rose_cover_generators(n)[1]
+        _product_column.cache_clear()
+        for j_set, i in _ft_pairs(family, n):
+            bounded_ft_check(family, j_set, i, bound)
+        info = _product_column.cache_info()
+        assert info.hits + info.misses == reads
+        assert info.misses == columns
+
+    def test_column_is_read_only(self, rose2):
+        _, _, graphs = rose2
+        column = _product_column(graphs[0], graphs[1], 3)
+        assert column.dtype == bool
+        assert len(column) == len(all_reduced_words(2, 3))
+        with pytest.raises(ValueError):
+            column[0] = not column[0]
 
 
 class TestRcExact:
