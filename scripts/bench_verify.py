@@ -1,4 +1,4 @@
-"""Time `geomrep verify pgl` and its full-system correlation checks.
+"""Time `geomrep verify pgl`, the q = 4 `check`, report encoding and small-file loads.
 
 Usage, from the root of a source checkout:
 
@@ -11,26 +11,59 @@ null for a version without that record), and how many
 ``correlation_type_action`` calls of one `verify` check the full system.  It
 also records the best of REPEAT wall times of the one-time pass that fills the
 record (null without it), of one full-system ``correlation_type_action`` call
-on the identity once the record is filled, and of `verify` run in process by
-``geomrep.cli.main`` with its report written to os.devnull.  It writes them as
-JSON to FILE (default: BENCH_verify.json).  Pointing --src at another
-checkout's src gives the same table for that version.
+on the identity once the record is filled, of building the geometry
+(``pgl_cross_ratio_geometry``), of the extension pipeline
+(``pgl_aut_via_extension``), of the digest of the system's interchange bytes,
+and of `verify` run in process by ``geomrep.cli.main`` with its report written
+to os.devnull.
+
+On the q = 4 file that `build pgl --q 4` writes (56 MB) it records the best
+of REPEAT times of `check --properties validate` in process, and the best wall
+time and the largest peak resident set (``ru_maxrss``) of REPEAT fresh
+processes running it; the best of REPEAT times to encode the `aut` report of
+that system (``geomrep.cli._emit_json`` to a file); and, for each small file
+that `build` writes, the best of REPEAT mean times of LOOPS loads by
+``geomrep.cli._load_system``.  It writes everything as JSON to FILE (default:
+BENCH_verify.json).  Pointing --src at another checkout's src gives the same
+table for that version.
 """
 
 import argparse
 import json
 import os
 import platform
+import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPEAT = 5
+LOOPS = 100
 CASES = (
     ("pgl-q2", ["--q", "2"]),
     ("pgl-q3", ["--q", "3"]),
     ("pgl-q4", ["--q", "4"]),
     ("pgl-q4-truncate", ["--q", "4", "--truncate"]),
+)
+# files that `build` writes at the sizes the benchmark's small workloads load
+SMALL_FILES = (
+    ("dihedral-5", ["dihedral", "--n", "5"]),
+    ("complete-5", ["complete", "--n", "5"]),
+    ("gq22", ["gq22"]),
+    ("cube", ["cube"]),
+    ("hemidodeca", ["hemidodeca"]),
+    ("pgl-q3", ["pgl", "--q", "3"]),
+    ("coset-tetrahedron", ["coset"]),
+)
+CLI = "import sys; from geomrep.cli import main; sys.exit(main())"
+# runs its arguments as a child and prints the child's wall time and peak
+# resident set in kB; a small process starts each fresh run because a child's
+# ru_maxrss also counts the memory it shared with its parent before exec
+PROBE = (
+    "import resource, subprocess, sys, time; t = time.perf_counter(); "
+    "subprocess.run(sys.argv[1:], check=True); "
+    "print(time.perf_counter() - t, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
 )
 
 
@@ -45,7 +78,9 @@ def best(call) -> float:
 
 def row(gr, name: str, params: list[str]) -> dict:
     argv = ["verify", "pgl", *params, "--inn", "1", "--aut", "1", "--out", os.devnull]
-    system = gr.cli._pgl_geometry(gr.cli._make_parser().parse_args(argv)).system
+    args = gr.cli._make_parser().parse_args(argv)
+    geom = gr.cli._pgl_geometry(args)
+    system = geom.system
     record = getattr(system, "_complete_blocks", None)
     complete = incomplete = pass_s = None
     if record is not None:
@@ -83,8 +118,62 @@ def row(gr, name: str, params: list[str]) -> dict:
         "full_system_checks": checks,
         "record_pass_best_s": pass_s,
         "check_best_s": check_s,
+        "build_best_s": best(lambda: gr.cli._pgl_geometry(args)),
+        "extension_best_s": best(lambda: gr.pgl_aut_via_extension(geom)),
+        "digest_best_s": best(lambda: gr.cli._digest(system.json_blocks())),
         "run_verify_best_s": best(lambda: gr.cli.main(argv)),
     }
+
+
+def check_q4(gr, src: str, workdir: str) -> dict:
+    path = os.path.join(workdir, "pgl-q4.json")
+    gr.cli.main(["build", "pgl", "--q", "4", "--out", path])
+    argv = ["check", path, "--properties", "validate", "--out", os.devnull]
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    runs = []
+    for _ in range(REPEAT):
+        probe = [sys.executable, "-c", PROBE, sys.executable, "-c", CLI, *argv]
+        out = subprocess.run(probe, env=env, check=True, capture_output=True, text=True)
+        seconds, maxrss_kb = out.stdout.split()
+        runs.append((float(seconds), int(maxrss_kb)))
+    return {
+        "file_bytes": os.path.getsize(path),
+        "in_process_best_s": best(lambda: gr.cli.main(argv)),
+        "fresh_process_best_s": round(min(s for s, _ in runs), 6),
+        "fresh_process_maxrss_mb": round(max(kb for _, kb in runs) / 1024, 1),
+    }
+
+
+def aut_encode(gr, path: str) -> dict:
+    system, digest = gr.cli._load_system(path)
+    result = gr.correlation_group(system)
+    args = gr.cli._make_parser().parse_args(["aut", path])
+    report = gr.cli._report(args, "aut", digest, [result.to_json_dict()], 0.0)
+    out = path + ".aut"
+    encode_s = best(lambda: gr.cli._emit_json(report, out))
+    size = os.path.getsize(out)
+    os.remove(out)
+    return {"report_bytes": size, "encode_best_s": encode_s}
+
+
+def small_loads(gr, workdir: str) -> list[dict]:
+    rows = []
+    for name, argv in SMALL_FILES:
+        path = os.path.join(workdir, name + ".json")
+        gr.cli.main(["build", *argv, "--out", path])
+        system, _ = gr.cli._load_system(path)
+
+        def loads():
+            for _ in range(LOOPS):
+                gr.cli._load_system(path)
+
+        rows.append({
+            "file": name,
+            "bytes": os.path.getsize(path),
+            "pairs": system.pairs.shape[0],
+            "load_best_s": round(best(loads) / LOOPS, 7),
+        })
+    return rows
 
 
 def main() -> None:
@@ -97,11 +186,18 @@ def main() -> None:
     import geomrep.cli
 
     rows = [row(gr, name, params) for name, params in CASES]
+    with tempfile.TemporaryDirectory() as workdir:
+        check = check_q4(gr, args.src, workdir)
+        aut = aut_encode(gr, os.path.join(workdir, "pgl-q4.json"))
+        small = small_loads(gr, workdir)
     bench = {
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
         "repeat": REPEAT,
         "rows": rows,
+        "check_q4_validate": check,
+        "aut_q4_encode": aut,
+        "small_file_loads": small,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(bench, fh, indent=2)
@@ -109,10 +205,18 @@ def main() -> None:
     for r in rows:
         print(
             f"{r['case']:>16} {r['elements']:>5} elements {r['pairs']:>8} pairs "
-            f"complete {r['complete_type_pairs']} incomplete {r['incomplete_pairs']} "
-            f"checks {r['full_system_checks']} pass {r['record_pass_best_s']} "
-            f"check {r['check_best_s'] * 1e3:.2f} ms verify {r['run_verify_best_s']:.3f} s"
+            f"checks {r['full_system_checks']} build {r['build_best_s'] * 1e3:.1f} ms "
+            f"extension {r['extension_best_s'] * 1e3:.1f} ms "
+            f"digest {r['digest_best_s'] * 1e3:.1f} ms verify {r['run_verify_best_s']:.3f} s"
         )
+    print(
+        f"check q=4: {check['in_process_best_s']:.3f} s in process, "
+        f"{check['fresh_process_best_s']:.3f} s and {check['fresh_process_maxrss_mb']} MB fresh"
+    )
+    print(f"aut q=4 report: {aut['report_bytes']} bytes encoded in {aut['encode_best_s']:.3f} s")
+    for r in small:
+        print(f"{r['file']:>18} {r['bytes']:>7} bytes {r['pairs']:>5} pairs "
+              f"load {r['load_best_s'] * 1e6:.0f} us")
 
 
 if __name__ == "__main__":

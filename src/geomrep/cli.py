@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import codecs
 import errno
 import hashlib
 import itertools
@@ -12,7 +11,7 @@ import math
 import os
 import sys
 import time
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import __version__
 from .autsearch import correlation_group, verify_representation
@@ -38,7 +37,7 @@ from .freegroup import (
     subgroup_action,
 )
 from .galois import make_field
-from .incidence import IncidenceSystem
+from .incidence import _READ_CHUNK, IncidenceSystem, _json_object
 from .perms import PermGroup, Permutation
 
 _EXIT_OK, _EXIT_MISMATCH, _EXIT_USAGE = 0, 1, 2
@@ -59,9 +58,48 @@ def _emit(pieces: Iterable[str], out: str | None) -> None:
         sys.stdout.writelines(pieces)
 
 
+# the text json.dumps gives a value that is neither a list nor a dict
+_JSON_SCALAR = json.JSONEncoder().encode
+
+
+def _json_pieces(obj: object, indent: str = "") -> Iterator[str]:
+    """The text of ``json.JSONEncoder(indent=2).iterencode(obj)`` in pieces.
+
+    A list of plain ints (``type(x) is int``) is one piece, one join of its
+    ids; containers are walked here, every other value is encoded by json.
+    """
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            yield "[]"
+        elif all(type(x) is int for x in obj):
+            yield "[\n" + inner + (",\n" + inner).join(map(str, obj)) + "\n" + indent + "]"
+        else:
+            for i, value in enumerate(obj):
+                yield ",\n" + inner if i else "[\n" + inner
+                yield from _json_pieces(value, inner)
+            yield "\n" + indent + "]"
+    elif isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        for i, (key, value) in enumerate(obj.items()):
+            if not isinstance(key, (str, int, float)) and key is not None:
+                raise TypeError(
+                    f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+                )
+            # a key that is not a str is written as the JSON text of its value
+            key = _JSON_SCALAR(key if isinstance(key, str) else _JSON_SCALAR(key))
+            yield (",\n" if i else "{\n") + inner + key + ": "
+            yield from _json_pieces(value, inner)
+        yield "\n" + indent + "}"
+    else:
+        yield _JSON_SCALAR(obj)
+
+
 def _emit_json(obj: dict, out: str | None) -> None:
-    # the pieces json.dump writes: the text of json.dumps, never built whole
-    _emit(itertools.chain(json.JSONEncoder(indent=2).iterencode(obj), "\n"), out)
+    # the text of json.dumps(obj, indent=2), never built whole
+    _emit(itertools.chain(_json_pieces(obj), "\n"), out)
 
 
 def _report(
@@ -158,30 +196,33 @@ _CONSTRUCTIONS: dict[str, tuple[Callable[..., IncidenceSystem], Callable[..., st
 }
 
 
-def _load_system(path: str) -> tuple[IncidenceSystem, str]:
+def _load_system(path: str, chunk_size: int = _READ_CHUNK) -> tuple[IncidenceSystem, str]:
     """The system of an interchange file and the digest of the file's bytes.
 
-    The file is hashed and decoded a megabyte at a time, so its bytes never
-    sit beside its text: the decoded pieces fit in heap that earlier work in
-    the process freed, where the whole file's bytes would need fresh memory.
+    The file is hashed and read as bytes, chunk_size bytes at a time, by the
+    byte reader of ``IncidenceSystem.from_json``; its text is never built.
+    A file that the reader declines is decoded whole and parsed by one
+    ``json.loads``, which decides every error; a file that is not UTF-8 fails
+    with the position that one decode of the whole file reports.
     """
     digest = hashlib.sha256()
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    pieces = []
-    try:
-        with open(path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 20), b""):
-                digest.update(chunk)
-                pieces.append(decoder.decode(chunk))
-        pieces.append(decoder.decode(b"", final=True))
-    except UnicodeDecodeError:
-        # report the position in the whole file, as one decode of it does
-        with open(path, "rb") as fh:
-            fh.read().decode("utf-8")
-        raise
-    text = "".join(pieces)
-    del pieces
-    return IncidenceSystem.from_json(text), "sha256:" + digest.hexdigest()
+
+    def hashed(fh):
+        for chunk in iter(lambda: fh.read(chunk_size), b""):
+            digest.update(chunk)
+            yield chunk
+
+    with open(path, "rb") as fh:
+        data = _json_object(hashed(fh))
+        if data is None:
+            fh.seek(0)
+            raw = fh.read()
+            digest = hashlib.sha256(raw)
+            text = raw.decode("utf-8")
+            del raw
+            data = json.loads(text)
+            del text
+    return IncidenceSystem.from_json_dict(data), "sha256:" + digest.hexdigest()
 
 
 def run_build(args: argparse.Namespace) -> int:

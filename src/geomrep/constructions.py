@@ -405,23 +405,10 @@ def pgl_cross_ratio_geometry(
             ]
             if hs_pairs:
                 chunks.append(np.asarray(hs_pairs, dtype=np.int32))
-        # quad-quad across distinct-lambda blocks
-        for b1, b2 in itertools.combinations(range(len(lams)), 2):
-            s1, e1 = block_ranges[b1]
-            s2, e2 = block_ranges[b2]
-            if s1 == e1 or s2 == e2:
-                continue
-            a_ids = np.arange(s1, e1, dtype=np.int32) + quad_offset
-            b_ids = np.arange(s2, e2, dtype=np.int32) + quad_offset
-            chunks.append(
-                np.stack(
-                    [np.repeat(a_ids, len(b_ids)), np.tile(b_ids, len(a_ids))], axis=1
-                )
-            )
-    pairs = (
-        np.concatenate(chunks, axis=0) if chunks else np.zeros((0, 2), dtype=np.int32)
+    # the array is freed once the system is built, before its truncation
+    system = IncidenceSystem(
+        types, codes, _pair_array(chunks, block_ranges, quad_offset, total_cross)
     )
-    system = IncidenceSystem(types, codes, pairs)
     return PglGeometry(
         system=system,
         truncation=system.truncation(subspace_labels),
@@ -440,6 +427,27 @@ def pgl_cross_ratio_geometry(
         quad_block=tuple(quad_block),
         quad_line=tuple(quad_line),
     )
+
+
+def _pair_array(
+    chunks: list[np.ndarray],
+    block_ranges: list[tuple[int, int]],
+    quad_offset: int,
+    total_cross: int,
+) -> np.ndarray:
+    """One int32 array of every pair: the chunks, then the quad-quad pairs
+    across distinct-lambda blocks, each pair of blocks broadcast into its rows."""
+    pairs = np.empty((sum(map(len, chunks)) + total_cross, 2), dtype=np.int32)
+    at = 0
+    for chunk in chunks:
+        pairs[at : at + len(chunk)] = chunk
+        at += len(chunk)
+    for (s1, e1), (s2, e2) in itertools.combinations(block_ranges, 2):
+        rows = pairs[at : at + (e1 - s1) * (e2 - s2)].reshape(e1 - s1, e2 - s2, 2)
+        rows[:, :, 0] = np.arange(s1, e1, dtype=np.int32)[:, None] + quad_offset
+        rows[:, :, 1] = np.arange(s2, e2, dtype=np.int32) + quad_offset
+        at += (e1 - s1) * (e2 - s2)
+    return pairs
 
 
 def point_perm_to_truncation(geom: PglGeometry, point_perm: Permutation) -> Permutation:
@@ -612,15 +620,33 @@ def pgl_aut_via_extension(geom: PglGeometry) -> PglAutReport:
             duality_extends = dual_ext is not None
             if dual_ext is not None:
                 ext_gens.append(dual_ext)
-        full = PermGroup(sys.size, ext_gens)
-        action = full.induced_action(sys.fibers())
+        # an extended correlation maps points to points and each quad to the
+        # quad of its image points, so its truncation part fixes it: the group
+        # acts faithfully on the r type nodes followed by the m truncation
+        # elements, and its chain is built there, the type nodes first
+        r, m = sys.rank, geom.truncation.size
+        codes = sys.type_codes
+        small_gens = []
+        for e in ext_gens:
+            tmap = np.full(r, -1, dtype=np.int64)
+            tmap[codes] = codes[e.images]
+            small_gens.append(Permutation(np.concatenate([tmap, r + e.images[:m]])))
+        small = PermGroup(r + m, small_gens, base_prefix=range(r))
+        type_action = PermGroup(r, [g.restricted(range(r)) for g in small.generators])
+        kernel_gens = []
+        for g in small.stabilizer_generators(r):
+            e = extend_truncation_correlation(geom, g.restricted(range(r, r + m)))
+            if e is None:
+                raise RuntimeError("type-preserving correlation failed to extend")
+            kernel_gens.append(e)
+        out_order = type_action.order()
         result = AutResult(
             correlation_gens=tuple(ext_gens),
-            aut_order=full.order(),
-            type_preserving_gens=tuple(action.kernel.generators),
-            aut_i_order=action.kernel.order(),
-            type_action=action.image,
-            out_order=action.image.order(),
+            aut_order=small.order(),
+            type_preserving_gens=tuple(kernel_gens),
+            aut_i_order=small.order() // out_order,
+            type_action=type_action,
+            out_order=out_order,
             types=sys.types,
         )
     return PglAutReport(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import collections
 import dataclasses
 import itertools
@@ -114,10 +115,16 @@ _PAD = 0xFF
 # a block's temporaries (about 2 MB when writing) fit in the heap that freeing a
 # large system leaves, where blocks of 65 536 pairs made the heap grow
 _JSON_BLOCK = 1 << 14
-_JSON_WS = json.decoder.WHITESPACE.match
+# bytes of interchange text read at a time
+_READ_CHUNK = 1 << 20
+# a text of at most this many bytes is parsed by one json.loads, which is faster
+# there than the byte reader: to_json's text of 180 pairs (7 KB) loads in about
+# 190 us against 205 us, one of 300 pairs (11 KB) in 280 us against 250 us
+_SMALL_TEXT = 1 << 13
+_JSON_WS = re.compile(rb"[ \t\n\r]*").match
 _JSON_VALUE = json.JSONDecoder().scan_once
 # in a list of integer pairs, only the last pair's "]" is followed by another "]"
-_JSON_PAIRS_END = re.compile(r"\][ \t\n\r]*\]")
+_JSON_PAIRS_END = re.compile(rb"\][ \t\n\r]*\]")
 
 
 def _pairs_text(block: np.ndarray) -> bytes:
@@ -150,30 +157,28 @@ def _pairs_text(block: np.ndarray) -> bytes:
     return text.tobytes().translate(None, bytes([_PAD]))
 
 
-def _strict_pairs(block: str) -> np.ndarray | None:
+def _strict_pairs(block: bytes) -> np.ndarray | None:
     """The int64 (k, 2) array of a block of pairs in the strict shape, else None.
 
     A block is in the strict shape when it is k pairs ``[a, b]`` joined by
     ``,``, each id a JSON integer of at most 18 digits (no sign, no leading
     zero), with the JSON whitespace `` \t\n\r`` anywhere except inside an
-    id.  ``json.loads("[" + block + "]")`` reads such a block as exactly these
-    k pairs of ints, so the array equals what the JSON path returns.  The
-    shape is checked, and the ids read, with byte and array operations.
+    id.  ``json.loads(b"[" + block + b"]")`` reads such a block as exactly
+    these k pairs of ints, so the array equals what the JSON path returns.
+    The shape is checked, and the ids read, with byte and array operations.
     """
-    if not block.isascii():
-        return None
-    raw = block.encode("ascii")
-    packed = raw.translate(None, b" \t\n\r")
+    packed = block.translate(None, b" \t\n\r")
+    # any byte but the marks, such as one of a multi-byte character, stays here
     marks = packed.translate(None, b"0123456789")
     k = len(marks) // 4 + 1
     if marks != (b"[,]," * k)[:-1]:
         return None
     # the raw text must hold 2k runs of digits: whitespace inside an id would
     # split a run there that the packed text shows as one
-    raw_digit = (np.frombuffer(raw, dtype=np.uint8) - 48) < 10  # other bytes wrap to >= 10
+    raw_digit = (np.frombuffer(block, dtype=np.uint8) - 48) < 10  # other bytes wrap to >= 10
     if np.count_nonzero(raw_digit[1:] > raw_digit[:-1]) != 2 * k:
         return None
-    del raw, raw_digit  # the largest arrays of a block: free them before making more
+    del raw_digit  # the largest array of a block: free it before making more
     dense = np.frombuffer(packed, dtype=np.uint8)
     digit = (dense - 48) < 10
     # from the "[" at 0, runs of digits start and end by turns
@@ -201,84 +206,182 @@ def _strict_pairs(block: str) -> np.ndarray | None:
     return values.reshape(k, 2)
 
 
-def _read_pairs(text: str, pos: int) -> tuple[np.ndarray, int]:
-    """The integer pairs of the JSON list at text[pos] == "[", and the end of the list.
+class _Declined(Exception):
+    """Raised where the byte reader leaves a text to json.loads."""
 
-    Raises StopIteration, as the JSON scanner does where it finds no value,
-    unless the list is pairs in the strict shape of ``_strict_pairs`` (such
-    as every non-empty list ``to_json`` writes), read in blocks of about
-    _JSON_BLOCK pairs so that they never exist as Python lists.
+
+class _ByteStream:
+    """The bytes of an iterable of chunks, read as they are needed.
+
+    buf[pos:] is what has been read and not yet consumed.  Reading more drops
+    the consumed bytes, so only pos stays valid across ``more``.
+    """
+
+    __slots__ = ("buf", "pos", "eof", "_chunks")
+
+    def __init__(self, chunks: Iterable[bytes]) -> None:
+        self._chunks = iter(chunks)
+        self.buf = bytearray()
+        self.pos = 0
+        self.eof = False
+
+    def more(self) -> bool:
+        """Append the next non-empty chunk; False once there is none."""
+        for chunk in self._chunks:
+            if chunk:
+                # deleting a bytearray's head moves its start, not its bytes
+                del self.buf[: self.pos]
+                self.pos = 0
+                self.buf += chunk
+                return True
+        self.eof = True
+        return False
+
+    def fill(self, size: int) -> None:
+        """Read until size bytes past pos are buffered, or the chunks end."""
+        while len(self.buf) - self.pos < size and self.more():
+            pass
+
+    def skip_ws(self) -> int | None:
+        """Move pos past JSON whitespace; the next byte, None at the end."""
+        while True:
+            self.pos = _JSON_WS(self.buf, self.pos).end()
+            if self.pos < len(self.buf):
+                return self.buf[self.pos]
+            if not self.more():
+                return None
+
+    def value(self) -> object:
+        """The JSON value at pos, read by the JSON scanner; pos moves past it.
+
+        The scanner reads a window of the decoded bytes at pos, widened until
+        the value ends inside it.  A number is taken only where it cannot go
+        on past the window.  Raises _Declined where no value ends anywhere.
+        """
+        width = 1 << 16
+        while True:
+            self.fill(width)
+            final = self.eof and len(self.buf) - self.pos <= width
+            window = self.buf[self.pos : self.pos + width]
+            try:
+                # a character cut at the window's end is left out, not an error
+                text, used = codecs.utf_8_decode(window, "strict", final)
+            except UnicodeDecodeError:
+                raise _Declined from None
+            try:
+                value, end = _JSON_VALUE(text, 0)
+            except (ValueError, StopIteration, RecursionError):
+                end = None
+            if end is not None and (final or end < len(text) and text[end] not in ".eE"):
+                self.pos += end if used == len(text) else len(text[:end].encode("utf-8"))
+                return value
+            if final:
+                raise _Declined
+            width *= 4
+
+
+def _read_pairs(src: _ByteStream) -> np.ndarray:
+    """The incidences list at src.pos (a "["), and src.pos moved past it.
+
+    The list is read in blocks of about _JSON_BLOCK pairs in the strict
+    shape of ``_strict_pairs``, as an int32 (k, 2) array that never exists
+    as Python lists; a list in any other shape, or with an id of 2**31 or
+    more (which no system has), raises _Declined.
 
     A list of pairs ends at the first "]" that is followed by another "]".
     No end lies inside a strict block, whose every "]" but its last is
     followed by a ",", so the end is looked for only in a block that fails.
     """
-    body = pos + 1
-    # the int64 pairs read so far, as bytes: one growing buffer leaves no block
+    src.pos += 1
+    # the pairs read so far as int32 bytes: one growing buffer leaves no block
     # arrays among the freed temporaries of later blocks, and needs no concatenation
     out = bytearray()
     count = 0
-    at = body
-    # the mean width of a pair so far; the first pair's width before that
-    width = text.find("]", body) + 1 - body
+    # the mean width of a pair in the last block; 0 makes the first block one pair
+    width = 0.0
     while True:
-        # the window ends just after the "]" of the block's last pair,
-        # aimed at the middle of that pair
-        cut = text.find("]", at + max(int(width * (_JSON_BLOCK - 0.5)), 0)) + 1 or len(text)
-        pairs = _strict_pairs(text[at:cut])
+        if src.skip_ws() is None:
+            raise _Declined
+        buf, at = src.buf, src.pos
+        # the block ends just after the "]" of the pair about _JSON_BLOCK pairs
+        # on, else of the last whole pair read
+        target = at + max(int(width * (_JSON_BLOCK - 0.5)), 0)
+        cut = buf.find(b"]", target) + 1 or buf.rfind(b"]", at) + 1
+        if not cut:
+            if not src.more():
+                raise _Declined
+            continue
+        pairs = _strict_pairs(bytes(buf[at:cut]))
+        end = None
         if pairs is None:
             # an end that starts before cut - 1 also ends by cut, since
-            # text[cut - 1] is a "]" and an end holds only whitespace
-            # between its brackets
-            end = _JSON_PAIRS_END.search(text, at, cut)
-            pairs = end and _strict_pairs(text[at : end.start() + 1])
+            # buf[cut - 1] is a "]" and an end holds only whitespace between
+            # its brackets
+            end = _JSON_PAIRS_END.search(buf, at, cut)
+            pairs = end and _strict_pairs(bytes(buf[at : end.start() + 1]))
             if pairs is None:
-                raise StopIteration(at)
-        else:
-            end = _JSON_PAIRS_END.match(text, cut - 1)
-        out += pairs.data
+                raise _Declined
+        if pairs.max() >= 2**31:
+            # an id that no system has: json.loads decides the error
+            raise _Declined
+        out += pairs.astype(np.int32).data
         count += pairs.shape[0]
+        width = (cut - at) / pairs.shape[0]
         if end is not None:
-            return np.frombuffer(out, dtype=np.int64).reshape(count, 2), end.end()
-        at = _JSON_WS(text, cut).end()
-        if not text.startswith(",", at):
-            raise StopIteration(at)
-        at = _JSON_WS(text, at + 1).end()
-        width = (at - body) / count
+            src.pos = end.end()
+            break
+        src.pos = cut
+        after = src.skip_ws()
+        src.pos += 1
+        if after == ord("]"):
+            break
+        if after != ord(","):
+            raise _Declined
+    return np.frombuffer(out, dtype=np.int32).reshape(count, 2)
 
 
-def _json_object(text: str) -> dict | None:
-    """json.loads(text) with each top-level incidences list read by _read_pairs.
+def _json_object(chunks: Iterable[bytes]) -> dict | None:
+    """json.loads of the UTF-8 text of the chunks, or None where it declines.
 
-    None unless text is one JSON object whose every top-level incidences
-    list ``_read_pairs`` reads, so that json.loads decides every other text.
+    A text of at most _SMALL_TEXT bytes is decoded and parsed whole.  A longer
+    one is read as bytes: each top-level incidences list by ``_read_pairs``,
+    every other key and value by the JSON scanner on its decoded bytes alone.
+    None unless the text is one non-empty JSON object that this reads to its
+    end, so that json.loads of the whole text decides every other text, and
+    every error.
     """
+    src = _ByteStream(chunks)
     data: dict = {}
-    pos = _JSON_WS(text, 0).end()
-    # each member after a "{" or a ","; json.loads decides the empty object
-    more = text.startswith("{", pos)
     try:
-        while more:
-            pos = _JSON_WS(text, pos + 1).end()
-            if not text.startswith('"', pos):
+        src.fill(_SMALL_TEXT + 1)
+        if src.eof and len(src.buf) <= _SMALL_TEXT:
+            return json.loads(src.buf.decode("utf-8"))
+        if src.skip_ws() != ord("{"):
+            return None
+        src.pos += 1
+        while True:
+            # json.loads decides the empty object
+            if src.skip_ws() != ord('"'):
                 return None
-            key, pos = json.decoder.scanstring(text, pos + 1)
-            pos = _JSON_WS(text, pos).end()
-            if not text.startswith(":", pos):
+            key = src.value()
+            if src.skip_ws() != ord(":"):
                 return None
-            pos = _JSON_WS(text, pos + 1).end()
-            if key == "incidences" and text.startswith("[", pos):
-                data[key], pos = _read_pairs(text, pos)
+            src.pos += 1
+            if src.skip_ws() == ord("[") and key == "incidences":
+                data[key] = _read_pairs(src)
             else:
-                data[key], pos = _JSON_VALUE(text, pos)
-            pos = _JSON_WS(text, pos).end()
-            more = text.startswith(",", pos)
-    except (ValueError, StopIteration, RecursionError):
-        # a key, value or incidences list that the scanners decline
+                data[key] = src.value()
+            after = src.skip_ws()
+            src.pos += 1
+            if after == ord("}"):
+                break
+            if after != ord(","):
+                return None
+        return data if src.skip_ws() is None else None
+    except (_Declined, ValueError, RecursionError):
+        # ValueError also stands for a chunk that failed to encode, as
+        # from_json makes them from a text with a lone surrogate
         return None
-    if not data or not text.startswith("}", pos) or _JSON_WS(text, pos + 1).end() != len(text):
-        return None
-    return data
 
 
 class IncidenceSystem:
@@ -559,17 +662,18 @@ class IncidenceSystem:
     ) -> "IncidenceSystem":
         """Subsystem on the ascending element ids keep, typed by keep_types."""
         keep = np.asarray(keep, dtype=np.int64)
-        emap = np.full(self.size, -1, dtype=np.int64)
+        # ids are below 2**31 (the pairs are int32), and so are the new ones
+        emap = np.full(self.size, -1, dtype=np.int32)
         emap[keep] = np.arange(keep.shape[0])
         tmap = np.full(self.rank, -1, dtype=np.int32)
         tmap[keep_types] = np.arange(len(keep_types))
         # emap is increasing on keep, so the kept pairs stay sorted
-        a, b = emap[self.pairs[:, 0]], emap[self.pairs[:, 1]]
-        inside = (a >= 0) & (b >= 0)
+        # one int32 gather (emap.take would first copy the ids to int64)
+        mapped = emap[self.pairs]
         return IncidenceSystem(
             types=[self.types[t] for t in keep_types],
             type_codes=tmap[self.type_codes[keep]],
-            pairs=np.stack([a[inside], b[inside]], axis=1),
+            pairs=mapped[(mapped[:, 0] >= 0) & (mapped[:, 1] >= 0)],
             source_ids=keep,
         )
 
@@ -631,7 +735,7 @@ class IncidenceSystem:
     def from_json_dict(cls, data: dict) -> "IncidenceSystem":
         """The system of parsed interchange data.
 
-        ``incidences`` is a list of pairs, or the int64 (k, 2) array that
+        ``incidences`` is a list of pairs, or the int32 (k, 2) array that
         ``from_json`` reads.
         """
         if not isinstance(data, dict):
@@ -688,15 +792,17 @@ class IncidenceSystem:
     def from_json(cls, text: str) -> "IncidenceSystem":
         """The system of an interchange text: ``from_json_dict(json.loads(text))``.
 
-        A text in which every top-level ``incidences`` list is plain integer
-        pairs, as ``to_json`` writes them, is read without ``json.loads``:
-        each such list in blocks of array operations (see ``_read_pairs``),
-        every other member by the JSON scanner.  Any other text, such as one
-        whose list is empty, is parsed by one ``json.loads`` of the whole
-        text, which decides what is rejected and how.  The system, or the
-        error, is the same either way.
+        The text's UTF-8 bytes go, a megabyte at a time, through the byte
+        reader ``_json_object``.  A text of more than 8 KiB is read member by
+        member: a top-level ``incidences`` list of plain integer pairs, as
+        ``to_json`` writes them, in blocks of array operations (see
+        ``_read_pairs``), every other member by the JSON scanner.  Any other
+        text, such as a short one, malformed JSON or a list of other values,
+        is parsed by one ``json.loads`` of the whole text, which decides what
+        is rejected and how.  The system, or the error, is the same either way.
         """
-        data = _json_object(text)
+        step = _READ_CHUNK
+        data = _json_object(text[i : i + step].encode("utf-8") for i in range(0, len(text), step))
         return cls.from_json_dict(json.loads(text) if data is None else data)
 
     def to_dot(self) -> str:

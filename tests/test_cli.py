@@ -372,6 +372,139 @@ class TestEmitJson:
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
+class TestJsonPieces:
+    """The report encoder against json.JSONEncoder(indent=2), byte for byte."""
+
+    @staticmethod
+    def reports(capsys, monkeypatch, *argv):
+        """The report objects that one CLI run writes, checked against its output."""
+        written = []
+        emit = geomrep.cli._emit_json
+        monkeypatch.setattr(
+            geomrep.cli, "_emit_json", lambda obj, out: written.append(obj) or emit(obj, out)
+        )
+        _, out, _ = run(capsys, *argv)
+        assert len(written) == 1
+        assert out == json.JSONEncoder(indent=2).encode(written[0]) + "\n"
+        return written[0]
+
+    @pytest.mark.parametrize(
+        "construction", [["gq22"], ["pgl", "--q", "3"], ["cube"], ["coset"]]
+    )
+    def test_aut_and_check_reports(self, capsys, monkeypatch, tmp_path, construction):
+        path = tmp_path / "system.json"
+        run(capsys, "build", *construction, "--out", str(path))
+        aut = self.reports(capsys, monkeypatch, "aut", str(path), "--timings")
+        assert aut["checks"][0]["correlation_gens"]
+        self.reports(capsys, monkeypatch, "check", str(path), "--properties", "validate,rc")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "pgl", "--q", "2", "--inn", "168", "--aut", "336"],
+            ["verify", "hemidodeca", "--inn", "60", "--aut", "120", "--seed", "7"],
+            ["free", "rose", "--n", "2", "--check", "rank,rc,ft", "--length-bound", "3"],
+        ],
+        ids=["verify-pgl", "verify-hemidodeca", "free"],
+    )
+    def test_verify_and_free_reports(self, capsys, monkeypatch, argv):
+        self.reports(capsys, monkeypatch, *argv)
+
+    class Tagged(int):
+        def __repr__(self):
+            return "tagged"
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {},
+            [],
+            7,
+            "plain",
+            None,
+            [[]],
+            [{}],
+            {"ids": [0, 1, -2, 2**70], "one": [5], "none": []},
+            {"bools": [1, True, 0, False], "flags": [True, False], "floats": [1, 2.0, 1e-300]},
+            {"special": [float("inf"), float("-inf"), float("nan"), -0.0], "n": None},
+            {"text": ["café", "型", "→ \"q\"\n\t\\", "\u0000\ud800"], "é": {"ü": ["ß"]}},
+            {1: "int key", 2.5: "float key", True: "bool key", None: "none key", "s": 0},
+            {"tuple": (1, 2, (3, [4, {"x": ()}])), "nested": [[1, [2, [3]]], [[], [[]]]]},
+            {"subclass": [Tagged(3), 4], "alone": Tagged(5)},
+        ],
+    )
+    def test_values(self, obj):
+        want = json.JSONEncoder(indent=2).encode(obj)
+        assert "".join(geomrep.cli._json_pieces(obj)) == want
+
+    def test_random_values(self):
+        import random
+
+        rng = random.Random(11)
+        leaves = [0, -3, 10**20, 1.5, True, False, None, "x", "é", float("nan")]
+
+        def value(depth):
+            kind = rng.randrange(5 if depth < 4 else 1)
+            if kind == 0:
+                return rng.choice(leaves)
+            if kind == 1:
+                return [rng.randrange(-5, 50) for _ in range(rng.randrange(4))]
+            if kind == 2:
+                return [value(depth + 1) for _ in range(rng.randrange(4))]
+            if kind == 3:
+                return tuple(value(depth + 1) for _ in range(rng.randrange(3)))
+            return {rng.choice(["a", "b", "ç", 1, 2.5, None]): value(depth + 1)
+                    for _ in range(rng.randrange(4))}
+
+        for _ in range(500):
+            obj = value(0)
+            assert "".join(geomrep.cli._json_pieces(obj)) == json.JSONEncoder(indent=2).encode(obj)
+
+    def test_bad_key_fails_as_json_does(self):
+        with pytest.raises(TypeError) as want:
+            json.JSONEncoder(indent=2).encode({(1,): 2})
+        with pytest.raises(TypeError) as got:
+            "".join(geomrep.cli._json_pieces({(1,): 2}))
+        assert str(got.value) == str(want.value)
+
+
+# every construction and option that `build` offers, at small sizes
+BUNDLED = [
+    ["dihedral", "--n", "3"],
+    ["dihedral", "--n", "6"],
+    ["complete", "--n", "4"],
+    ["gq22"],
+    ["cube"],
+    ["cube", "--no-vertex-adjacency"],
+    ["hemidodeca", "--rule", "shared-edge"],
+    ["hemidodeca", "--rule", "shared-vertex"],
+    ["hemidodeca", "--rule", "always"],
+    ["pgl", "--q", "2"],
+    ["pgl", "--q", "3"],
+    ["pgl", "--q", "2", "--dimension", "4"],
+    ["coset"],
+]
+
+
+@pytest.mark.parametrize("construction", BUNDLED, ids=lambda c: "-".join(c).replace("--", ""))
+def test_bundled_construction_files_load(capsys, monkeypatch, tmp_path, construction):
+    import hashlib
+
+    path = tmp_path / "system.json"
+    assert run(capsys, "build", *construction, "--out", str(path))[0] == 0
+    data = path.read_bytes()
+    want = IncidenceSystem.from_json_dict(json.loads(data.decode("utf-8")))
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text: calls.append(text) or loads(text))
+    system, digest = geomrep.cli._load_system(str(path))
+    assert system == want
+    assert digest == "sha256:" + hashlib.sha256(data).hexdigest()
+    # a short file is parsed by one json.loads, a longer one by the byte reader
+    assert calls == ([data.decode("utf-8")] if len(data) <= geomrep.incidence._SMALL_TEXT else [])
+    assert IncidenceSystem.from_json(data.decode("utf-8")) == want
+
+
 class TestAut:
     def test_square_system(self, capsys, tmp_path):
         path = tmp_path / "square.json"

@@ -327,6 +327,49 @@ class TestCrossRatioGeometry:
         assert geom.truncation.source_ids == expected.source_ids
 
 
+class TestExtensionOrders:
+    """The orders and type action read off the type nodes and the truncation
+    against those of the group on the whole system, by induced_action."""
+
+    @pytest.mark.parametrize("truncate", [False, True], ids=["full", "truncated"])
+    def test_orders_match_induced_action(self, truncate):
+        geom = pgl_cross_ratio_geometry(3, make_field(2, 2), truncate_to_min_poly=truncate)
+        report = pgl_aut_via_extension(geom)
+        result, system = report.result, geom.system
+        full = PermGroup(system.size, list(result.correlation_gens))
+        action = full.induced_action(system.fibers())
+        assert (result.aut_order, result.aut_i_order, result.out_order) == (120960, 60480, 2)
+        assert result.aut_order == full.order()
+        assert result.aut_i_order == action.kernel.order()
+        assert result.out_order == action.image.order()
+        assert result.type_action.generators == action.image.generators
+        assert report.frobenius_type_action == ("0", "1", "Q(w+1)", "Q(w)")
+        # each lifted kernel generator is a correlation that fixes every type,
+        # and together they generate the kernel
+        identity = list(range(system.rank))
+        assert result.type_preserving_gens
+        for g in result.type_preserving_gens:
+            assert g.degree == system.size
+            assert correlation_type_action(system, g) == identity
+        kernel = PermGroup(system.size, list(result.type_preserving_gens))
+        assert kernel.order() == action.kernel.order()
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_degenerate_fields_take_their_own_branch(self, monkeypatch, p):
+        import geomrep.constructions
+
+        def no_chain(*args, **kwargs):
+            raise AssertionError("a chain was built outside the correlation search")
+
+        geom = pgl_cross_ratio_geometry(3, make_field(p, 1))
+        monkeypatch.setattr(geomrep.constructions, "PermGroup", no_chain)
+        report = pgl_aut_via_extension(geom)
+        assert geom.degenerate
+        assert report.reported_group == "correlation group of the system"
+        assert report.result.aut_order == report.truncation_aut_order
+        assert report.result.aut_i_order == pgl_order(p, 3)
+
+
 class TestRestrictionExtension:
     def test_pipeline_orders(self, pgl34_pipeline):
         report = pgl34_pipeline

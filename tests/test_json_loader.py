@@ -19,6 +19,16 @@ TOKENS = ["true", "false", "1.5", "]", "[", ",", "]]", "(", ")", "-", "1e3", "nu
           "\u0663", "1234567890123456789", "12345678901234567890", str(2**63)]
 
 
+# the size up to which a text goes to one json.loads
+SMALL_TEXT = geomrep.incidence._SMALL_TEXT
+
+
+@pytest.fixture(autouse=True)
+def byte_reader_at_every_size(monkeypatch):
+    """Every text, however short, goes through the byte reader."""
+    monkeypatch.setattr(geomrep.incidence, "_SMALL_TEXT", -1)
+
+
 def reference_load(text):
     """What from_json must do with any text."""
     return IncidenceSystem.from_json_dict(json.loads(text))
@@ -149,7 +159,7 @@ def test_block_reader_matches_json_loads(monkeypatch, block):
 )
 def test_strict_pairs(block, pairs):
     """The array path reads plain integer pairs as json.loads does and declines the rest."""
-    got = geomrep.incidence._strict_pairs(block)
+    got = geomrep.incidence._strict_pairs(block.encode("utf-8"))
     if pairs is None:
         assert got is None
     else:
@@ -392,3 +402,135 @@ def test_constructor_peak_memory():
     codes = [0] * 1000 + [1] * 1000
     peak = _traced_peak(lambda: IncidenceSystem(["a", "b"], codes, pairs))
     assert peak < 1.5 * pairs.nbytes
+
+
+def _chunk_documents():
+    """Interchange files as bytes: valid ones in several layouts, and broken ones."""
+    rng = random.Random(4)
+    types = ["é", "型"]
+    # ids of one to three digits
+    pairs = [[a, b] for a in range(0, 120, 2) for b in (1, 11, 111)][:40]
+    system = IncidenceSystem(types, [i % 2 for i in range(120)], pairs)
+    text = system.to_json()
+    data = json.loads(text)
+    first = {"incidences": data["incidences"], "types": types, "elements": data["elements"]}
+    spaced = ("{ \"types\" :" + json.dumps(types) + " ,\r\n\"elements\":\t"
+              + json.dumps(data["elements"]) + ', "incidences"\n:' + _dumps(rng, data["incidences"])
+              + "\t}\n")
+    empty = dict(data, incidences=[])
+    documents = [
+        text,
+        json.dumps(first, ensure_ascii=False),
+        json.dumps(data, indent="\t", ensure_ascii=False),
+        json.dumps(data, separators=(",", ":")),
+        spaced,
+        json.dumps(empty),
+        json.dumps(empty, indent=2)[:-1] + "\r\n \t}",
+        "\ufeff" + text,
+        text[: len(text) // 2],
+        # -0 is an id that json.loads reads as 0; a string is not an id
+        text.replace("11,\n      22\n", "-0,\n      22\n", 1),
+        text.replace("11,\n      24\n", '"é",\n      24\n', 1),
+        text + "x",
+    ]
+    out = [d.encode("utf-8") for d in documents]
+    out.append(out[0][:700] + b"\xff" + out[0][701:])
+    return out
+
+
+CHUNK_DOCUMENTS = _chunk_documents()
+
+
+def file_outcome(load, path):
+    """The system that load reads from the file at path, or None with its error."""
+    try:
+        system = load(path)
+    except ValueError as exc:
+        return None, type(exc), str(exc)
+    return system.types, system.type_codes.tolist(), system.pairs.tolist()
+
+
+@pytest.mark.parametrize("short_text", [True, False], ids=["short-text", "byte-reader"])
+def test_chunk_boundaries_match_json_loads(monkeypatch, tmp_path, short_text):
+    """Every chunk size splits pairs at every byte; each load equals json.loads."""
+    from geomrep.cli import _load_system
+
+    if short_text:
+        # files under SMALL_TEXT bytes go to one json.loads once read whole
+        monkeypatch.setattr(geomrep.incidence, "_SMALL_TEXT", SMALL_TEXT)
+    else:
+        # the lists in blocks of 3 pairs
+        monkeypatch.setattr(geomrep.incidence, "_JSON_BLOCK", 3)
+    read = {True: 0, False: 0}
+    for i, data in enumerate(CHUNK_DOCUMENTS):
+        path = tmp_path / f"{i}.json"
+        path.write_bytes(data)
+        want = file_outcome(lambda p: reference_load(p.read_bytes().decode("utf-8")), path)
+        read[want[0] is not None] += 1
+        for size in list(range(1, 65)) + [97, 211, 1023, 4099]:
+            got = file_outcome(lambda p: _load_system(str(p), size)[0], path)
+            assert got == want, (i, size)
+    assert read == {True: 8, False: 5}
+
+
+def test_chunk_boundaries_in_wide_ids(monkeypatch):
+    """Ids of 1 to 10 digits, split at every byte, read as json.loads reads them;
+    one of 2**31 or more leaves the text to json.loads."""
+    rng = random.Random(9)
+    pairs = [[rng.randrange(10 ** (d - 1) if d > 1 else 0, 10**d) for d in (a, b)]
+             for a in range(1, 10) for b in (1, 9, a)] + [[2**31 - 1, 0]]
+    for text in (json.dumps({"incidences": pairs, "n": 1.5}), _dumps(rng, pairs)):
+        data = text.encode("ascii")
+        if not text.startswith("{"):
+            data = b'{"incidences": ' + data + b"}"
+        want = json.loads(data)
+        wide = data.replace(b"2147483647", b"2147483648")
+        for size in range(1, 65, 3):
+            got = geomrep.incidence._json_object(
+                data[i : i + size] for i in range(0, len(data), size)
+            )
+            assert got["incidences"].dtype == np.int32
+            assert {**got, "incidences": got["incidences"].tolist()} == want
+            assert geomrep.incidence._json_object(
+                wide[i : i + size] for i in range(0, len(wide), size)
+            ) is None
+
+
+def test_load_system_peak_memory(tmp_path):
+    # 250 000 pairs in a file of 8.7 MB: the file is read a megabyte at a
+    # time, and the pairs held as int64 then int32 arrays, under the file's size
+    from geomrep.cli import _load_system
+
+    codes = [0] * 1000 + [1] * 1000
+    pairs = np.stack(np.divmod(np.arange(250_000), 1000), axis=1)
+    pairs[:, 1] += 1000
+    system = IncidenceSystem(["a", "b"], codes, pairs)
+    path = tmp_path / "big.json"
+    with open(path, "wb") as fh:
+        fh.writelines(system.json_blocks())
+    size = path.stat().st_size
+    assert size > 8e6
+    loaded = []
+    peak = _traced_peak(lambda: loaded.append(_load_system(str(path))[0]))
+    assert loaded[0] == system
+    assert peak < size
+
+
+@pytest.mark.parametrize("short_text", [True, False], ids=["short-text", "byte-reader"])
+@pytest.mark.parametrize("where", ["types", "elements", "incidences"])
+def test_lone_surrogate_is_read_as_json_loads_reads_it(monkeypatch, short_text, where):
+    # a str may hold a lone surrogate, which json.loads reads and UTF-8 cannot encode
+    if short_text:
+        monkeypatch.setattr(geomrep.incidence, "_SMALL_TEXT", SMALL_TEXT)
+    system = _spanning_system([[a, b] for a in range(0, 40, 2) for b in range(1, 41, 2)])
+    data = system.to_json_dict()
+    if where == "types":
+        data["types"][0] = "\ud800"
+        data["elements"] = [dict(e, type=data["types"][e["id"] % 2]) for e in data["elements"]]
+    elif where == "elements":
+        data["elements"][3]["note"] = "\ud800"
+    else:
+        data["incidences"][5] = [0, "\ud800"]
+    text = json.dumps(data, ensure_ascii=False)
+    assert len(text.encode("utf-8", "surrogatepass")) <= SMALL_TEXT
+    assert outcome(IncidenceSystem.from_json, text) == outcome(reference_load, text)
