@@ -14,8 +14,15 @@ record (null without it), of one full-system ``correlation_type_action`` call
 on the identity once the record is filled, of building the geometry
 (``pgl_cross_ratio_geometry``), of the extension pipeline
 (``pgl_aut_via_extension``), of the digest of the system's interchange bytes,
-and of `verify` run in process by ``geomrep.cli.main`` with its report written
-to os.devnull.
+and of its two parts, encoding the bytes (``json_blocks``) and hashing them
+(``geomrep.cli._digest`` of the encoded blocks), and of `verify` run in process
+by ``geomrep.cli.main`` with its report written to os.devnull.
+
+On the q = 4 system it records the best of REPEAT times of the constructor
+(``IncidenceSystem``) on its pairs, canonical as ``pairs`` holds them and in a
+fixed shuffled order, and of its subspace truncation made two ways: by
+``system.truncation`` of the subspace types, and as the system of the
+truncation's own pairs, as the builder makes it.
 
 On the q = 4 file that `build pgl --q 4` writes (56 MB) it records the best
 of REPEAT times of `check --properties validate` in process, and the best wall
@@ -29,6 +36,7 @@ table for that version.
 """
 
 import argparse
+import collections
 import json
 import os
 import platform
@@ -36,6 +44,8 @@ import subprocess
 import sys
 import tempfile
 import time
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPEAT = 5
@@ -90,7 +100,7 @@ def row(gr, name: str, params: list[str]) -> dict:
             record()
 
         pass_s = best(fill)
-        flags, rest = record()
+        flags, rest = record()[:2]
         complete, incomplete = int(flags.sum() + flags.trace()) // 2, rest.shape[0]
     identity = gr.Permutation.identity(system.size)
     check_s = best(lambda: gr.correlation_type_action(system, identity))
@@ -109,6 +119,9 @@ def row(gr, name: str, params: list[str]) -> dict:
         gr.cli.main(argv)
     finally:
         gr.constructions.correlation_type_action = counted
+    blocks = list(system.json_blocks())
+    hash_s = best(lambda: gr.cli._digest(blocks))
+    del blocks
     return {
         "case": name,
         "elements": system.size,
@@ -121,7 +134,28 @@ def row(gr, name: str, params: list[str]) -> dict:
         "build_best_s": best(lambda: gr.cli._pgl_geometry(args)),
         "extension_best_s": best(lambda: gr.pgl_aut_via_extension(geom)),
         "digest_best_s": best(lambda: gr.cli._digest(system.json_blocks())),
+        "encode_best_s": best(lambda: collections.deque(system.json_blocks(), maxlen=0)),
+        "hash_best_s": hash_s,
         "run_verify_best_s": best(lambda: gr.cli.main(argv)),
+    }
+
+
+def q4_parts(gr) -> dict:
+    args = gr.cli._make_parser().parse_args(["verify", "pgl", "--q", "4", "--inn", "1", "--aut", "1"])
+    geom = gr.cli._pgl_geometry(args)
+    system, labels = geom.system, geom.subspace_labels
+    pairs = system.pairs
+    shuffled = pairs[np.random.default_rng(0).permutation(pairs.shape[0])]
+    nsub = geom.truncation.size
+    sub_codes, sub_pairs = system.type_codes[:nsub], geom.truncation.pairs
+    return {
+        "pairs": pairs.shape[0],
+        "init_canonical_best_s": best(lambda: gr.IncidenceSystem(system.types, system.type_codes, pairs)),
+        "init_shuffled_best_s": best(lambda: gr.IncidenceSystem(system.types, system.type_codes, shuffled)),
+        "truncation_by_mask_best_s": best(lambda: system.truncation(labels)),
+        "truncation_own_pairs_best_s": best(
+            lambda: gr.IncidenceSystem(labels, sub_codes, sub_pairs, source_ids=range(nsub))
+        ),
     }
 
 
@@ -186,6 +220,7 @@ def main() -> None:
     import geomrep.cli
 
     rows = [row(gr, name, params) for name, params in CASES]
+    parts = q4_parts(gr)
     with tempfile.TemporaryDirectory() as workdir:
         check = check_q4(gr, args.src, workdir)
         aut = aut_encode(gr, os.path.join(workdir, "pgl-q4.json"))
@@ -195,6 +230,7 @@ def main() -> None:
         "cpus": os.cpu_count(),
         "repeat": REPEAT,
         "rows": rows,
+        "q4_parts": parts,
         "check_q4_validate": check,
         "aut_q4_encode": aut,
         "small_file_loads": small,
@@ -207,8 +243,15 @@ def main() -> None:
             f"{r['case']:>16} {r['elements']:>5} elements {r['pairs']:>8} pairs "
             f"checks {r['full_system_checks']} build {r['build_best_s'] * 1e3:.1f} ms "
             f"extension {r['extension_best_s'] * 1e3:.1f} ms "
-            f"digest {r['digest_best_s'] * 1e3:.1f} ms verify {r['run_verify_best_s']:.3f} s"
+            f"digest {r['digest_best_s'] * 1e3:.1f} ms (encode {r['encode_best_s'] * 1e3:.1f}, "
+            f"hash {r['hash_best_s'] * 1e3:.1f}) verify {r['run_verify_best_s']:.3f} s"
         )
+    print(
+        f"q=4 constructor {parts['init_canonical_best_s'] * 1e3:.1f} ms canonical, "
+        f"{parts['init_shuffled_best_s'] * 1e3:.1f} ms shuffled; truncation "
+        f"{parts['truncation_by_mask_best_s'] * 1e3:.2f} ms by mask, "
+        f"{parts['truncation_own_pairs_best_s'] * 1e3:.2f} ms from its own pairs"
+    )
     print(
         f"check q=4: {check['in_process_best_s']:.3f} s in process, "
         f"{check['fresh_process_best_s']:.3f} s and {check['fresh_process_maxrss_mb']} MB fresh"

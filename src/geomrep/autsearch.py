@@ -555,23 +555,19 @@ def correlation_type_action(
     tmap[codes] = image_codes
     if not np.array_equal(tmap[codes], image_codes):
         return None
-    complete, pairs = sys._complete_blocks()
+    complete, pairs, want = sys._complete_blocks()
     t = np.flatnonzero(tmap >= 0)
     if not np.array_equal(complete[np.ix_(t, t)], complete[np.ix_(tmap[t], tmap[t])]):
         return None
     if pairs.shape[0]:
-        # key min*n + max per pair: the image keys are distinct (g is a
-        # bijection), and the sorted system pairs have ascending keys.  Keys
-        # are below n*n, so int32 holds them when n*n < 2**31.
-        dtype = np.int32 if n * n < 2**31 else np.int64
-        ends = g.images.astype(dtype)[pairs]
+        # key min*n + max per image pair, in the dtype of the record's keys:
+        # the image keys are distinct (g is a bijection), and sorted they
+        # equal the record's ascending keys iff g maps the pairs onto themselves
+        ends = g.images.astype(want.dtype)[pairs]
         keys = np.minimum(ends[:, 0], ends[:, 1])
         keys *= n
         keys += np.maximum(ends[:, 0], ends[:, 1])
         keys.sort()
-        want = pairs[:, 0].astype(dtype)
-        want *= n
-        want += pairs[:, 1]
         if not np.array_equal(keys, want):
             return None
     return tmap.tolist()

@@ -369,7 +369,6 @@ def pgl_cross_ratio_geometry(
     for b in range(len(lams)):
         codes.extend([len(included) + b] * (block_ranges[b][1] - block_ranges[b][0]))
 
-    chunks: list[np.ndarray] = []
     # subspace-subspace incidence by symmetrized containment
     sub_pairs = []
     for i1, i2 in itertools.combinations(range(len(included)), 2):
@@ -377,8 +376,12 @@ def pgl_cross_ratio_geometry(
             for b, sb in enumerate(space.layers[included[i2]]):
                 if incident(sa, sb):
                     sub_pairs.append([offsets[i1] + a, offsets[i2] + b])
-    if sub_pairs:
-        chunks.append(np.asarray(sub_pairs, dtype=np.int32))
+    sub_pairs = np.asarray(sub_pairs, dtype=np.int32).reshape(-1, 2)
+    # the subspaces are elements 0..nsub-1, so this is system.truncation(subspace_labels)
+    truncation = IncidenceSystem(
+        subspace_labels, codes[:nsub], sub_pairs, source_ids=range(nsub)
+    )
+    chunks = [sub_pairs]
     if nq:
         qids = np.arange(nq, dtype=np.int32) + quad_offset
         # point-quad: x is one of the four entries
@@ -405,13 +408,14 @@ def pgl_cross_ratio_geometry(
             ]
             if hs_pairs:
                 chunks.append(np.asarray(hs_pairs, dtype=np.int32))
-    # the array is freed once the system is built, before its truncation
+    # canonical pairs, which the constructor adopts without a sort; the array
+    # is freed once the system is built
     system = IncidenceSystem(
         types, codes, _pair_array(chunks, block_ranges, quad_offset, total_cross)
     )
     return PglGeometry(
         system=system,
-        truncation=system.truncation(subspace_labels),
+        truncation=truncation,
         space=space,
         field=field,
         base_degree=base_degree,
@@ -435,18 +439,24 @@ def _pair_array(
     quad_offset: int,
     total_cross: int,
 ) -> np.ndarray:
-    """One int32 array of every pair: the chunks, then the quad-quad pairs
-    across distinct-lambda blocks, each pair of blocks broadcast into its rows."""
-    pairs = np.empty((sum(map(len, chunks)) + total_cross, 2), dtype=np.int32)
-    at = 0
-    for chunk in chunks:
-        pairs[at : at + len(chunk)] = chunk
-        at += len(chunk)
-    for (s1, e1), (s2, e2) in itertools.combinations(block_ranges, 2):
-        rows = pairs[at : at + (e1 - s1) * (e2 - s2)].reshape(e1 - s1, e2 - s2, 2)
-        rows[:, :, 0] = np.arange(s1, e1, dtype=np.int32)[:, None] + quad_offset
-        rows[:, :, 1] = np.arange(s2, e2, dtype=np.int32) + quad_offset
-        at += (e1 - s1) * (e2 - s2)
+    """One canonical int32 array of every pair: rows a < b, sorted, distinct.
+
+    The chunks hold distinct rows a < b with a < quad_offset; they come first,
+    sorted.  Then come the quad-quad pairs across distinct-lambda blocks, the
+    consecutive quad ranges block_ranges (total_cross pairs in all): for each
+    block [s, e), every a in it against every later quad b >= e, a-major, by
+    one broadcast.
+    """
+    small = np.concatenate(chunks)
+    pairs = np.empty((small.shape[0] + total_cross, 2), dtype=np.int32)
+    at = small.shape[0]
+    pairs[:at] = small[np.lexsort((small[:, 1], small[:, 0]))]
+    end = block_ranges[-1][1] if block_ranges else 0
+    for s, e in block_ranges:
+        rows = pairs[at : at + (e - s) * (end - e)].reshape(e - s, end - e, 2)
+        rows[:, :, 0] = np.arange(s, e, dtype=np.int32)[:, None] + quad_offset
+        rows[:, :, 1] = np.arange(e, end, dtype=np.int32) + quad_offset
+        at += (e - s) * (end - e)
     return pairs
 
 

@@ -133,7 +133,8 @@ def _pairs_text(block: np.ndarray) -> bytes:
     Every pair gets one row of the fixed bytes of _JSON_ROW with two rooms as
     wide as the block's widest id.  Each id fills its room by place value,
     right aligned, with _PAD at the places above its leading digit; the pad
-    bytes are then deleted.
+    bytes, few in a row, are then deleted by ``bytes.replace``, which copies
+    the runs between them whole.
     """
     width = len(str(int(block.max())))
     head, mid, tail = _JSON_ROW
@@ -154,7 +155,7 @@ def _pairs_text(block: np.ndarray) -> bytes:
         text[:, at_a + col] = digit[:, 0]
         text[:, at_b + col] = digit[:, 1]
         rest = high
-    return text.tobytes().translate(None, bytes([_PAD]))
+    return text.tobytes().replace(bytes([_PAD]), b"")
 
 
 def _strict_pairs(block: bytes) -> np.ndarray | None:
@@ -425,15 +426,21 @@ class IncidenceSystem:
             keys = np.minimum(a, b, dtype=dtype)
             keys *= n
             keys += np.maximum(a, b, dtype=dtype)
-            keys.sort()
-            keep = np.empty(keys.shape[0], dtype=bool)
-            keep[0] = True
-            np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-            keys = keys[keep]
-            del keep
-            arr = np.empty((keys.shape[0], 2), dtype=np.int32)
-            np.floor_divide(keys, n, out=arr[:, 0], casting="unsafe")
-            np.remainder(keys, n, out=arr[:, 1], casting="unsafe")
+            if (keys[1:] > keys[:-1]).all() and (a < b).all():
+                # canonical already (rows a < b, sorted, distinct), as the
+                # builders and _induced give them: adopt a copy of the rows,
+                # never the caller's array itself
+                arr = arr.astype(np.int32)
+            else:
+                keys.sort()
+                keep = np.empty(keys.shape[0], dtype=bool)
+                keep[0] = True
+                np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+                keys = keys[keep]
+                del keep
+                arr = np.empty((keys.shape[0], 2), dtype=np.int32)
+                np.floor_divide(keys, n, out=arr[:, 0], casting="unsafe")
+                np.remainder(keys, n, out=arr[:, 1], casting="unsafe")
         else:
             arr = np.empty((0, 2), dtype=np.int32)
         codes.flags.writeable = False
@@ -496,11 +503,13 @@ class IncidenceSystem:
             object.__setattr__(self, "_adj", adj)
         return self._adj
 
-    def _complete_blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """(complete, rest): complete[t, u] says that type pair t, u has all its
-        possible pairs, at least one (|T|·|U| for t != u, |T|(|T| - 1)/2 for
-        t == u); rest holds the ascending pairs of the other type pairs, ``pairs``
-        itself when none is complete.  Filled once, by one pass over ``pairs``.
+    def _complete_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(complete, rest, rest_keys): complete[t, u] says that type pair t, u
+        has all its possible pairs, at least one (|T|·|U| for t != u,
+        |T|(|T| - 1)/2 for t == u); rest holds the ascending pairs of the other
+        type pairs, ``pairs`` itself when none is complete, and rest_keys their
+        ascending keys a*n + b, int32 when n*n < 2**31, else int64.  Filled
+        once, by one pass over ``pairs``; every array is read-only.
         """
         if self._blocks is None:
             r = self.rank
@@ -517,8 +526,12 @@ class IncidenceSystem:
             rest = self.pairs
             if complete.any():
                 rest = rest.compress(~complete.ravel().take(block), axis=0)
-            complete.flags.writeable = rest.flags.writeable = False
-            object.__setattr__(self, "_blocks", (complete, rest))
+            n = self.size
+            keys = rest[:, 0].astype(np.int32 if n * n < 2**31 else np.int64)
+            keys *= n
+            keys += rest[:, 1]
+            complete.flags.writeable = rest.flags.writeable = keys.flags.writeable = False
+            object.__setattr__(self, "_blocks", (complete, rest, keys))
         return self._blocks
 
     def neighbors(self, x: int) -> frozenset[int]:

@@ -45,7 +45,8 @@ from geomrep import (
     tetrahedron_spec,
     totient_pairs,
 )
-from geomrep.constructions import _coset_labels
+from geomrep import constructions
+from geomrep.constructions import _coset_labels, _pair_array
 
 
 class TestTotientPairs:
@@ -310,7 +311,9 @@ class TestCrossRatioGeometry:
         "n,p,k,base_degree,truncate",
         [
             (3, 2, 1, 1, False),
+            (3, 2, 1, 1, True),
             (3, 3, 1, 1, False),
+            (3, 3, 1, 1, True),
             (3, 2, 2, 1, False),
             (3, 2, 2, 1, True),
             (3, 2, 2, 2, False),
@@ -318,13 +321,49 @@ class TestCrossRatioGeometry:
             (4, 3, 1, 1, False),
         ],
     )
-    def test_truncation_is_the_subspace_truncation(self, n, p, k, base_degree, truncate):
+    def test_truncation_is_the_subspace_truncation(
+        self, monkeypatch, n, p, k, base_degree, truncate
+    ):
+        built = []
+
+        def recording(*args):
+            built.append(_pair_array(*args))
+            return built[-1]
+
+        monkeypatch.setattr(constructions, "_pair_array", recording)
         geom = pgl_cross_ratio_geometry(
             n, make_field(p, k), base_degree=base_degree, truncate_to_min_poly=truncate
         )
         expected = geom.system.truncation(geom.subspace_labels)
         assert geom.truncation == expected
         assert geom.truncation.source_ids == expected.source_ids
+        # the builder's pairs are already the system's
+        (pairs,) = built
+        assert_canonical(pairs, geom.system.size)
+        assert np.array_equal(pairs, geom.system.pairs)
+
+    @pytest.mark.parametrize("sizes", [[], [3, 2], [1, 0, 4], [2, 3, 1, 2, 2]])
+    def test_pair_array_is_canonical(self, sizes):
+        # synthetic blocks: no buildable geometry has three or more
+        rng = np.random.default_rng(len(sizes))
+        quad_offset = 7
+        bounds = np.cumsum([0, *sizes]).tolist()
+        block_ranges = list(zip(bounds[:-1], bounds[1:]))
+        n = quad_offset + bounds[-1]
+        # chunks as the builder gives them: distinct rows a < b, a < quad_offset
+        every = [(a, b) for a in range(quad_offset) for b in range(a + 1, n)]
+        rows = np.asarray(every, dtype=np.int32)[rng.permutation(len(every))[:20]]
+        cross = {
+            (a + quad_offset, b + quad_offset)
+            for (s1, e1), (s2, e2) in itertools.combinations(block_ranges, 2)
+            for a in range(s1, e1)
+            for b in range(s2, e2)
+        }
+        for chunks in ([rows[:8], rows[8:]], [rows]):
+            pairs = _pair_array(chunks, block_ranges, quad_offset, len(cross))
+            assert_canonical(pairs, n)
+            want = cross | {tuple(r) for chunk in chunks for r in chunk.tolist()}
+            assert {tuple(r) for r in pairs.tolist()} == want
 
 
 class TestExtensionOrders:
@@ -530,6 +569,14 @@ class TestRestrictionExtension:
             "extension block map is not a bijection",
             "extension is not a correlation",
         }
+
+
+def assert_canonical(pairs: np.ndarray, n: int) -> None:
+    """pairs is int32 with rows a < b and strictly ascending keys a*n + b."""
+    assert pairs.dtype == np.int32 and pairs.ndim == 2 and pairs.shape[1] == 2
+    assert (pairs[:, 0] < pairs[:, 1]).all()
+    keys = pairs[:, 0].astype(np.int64) * n + pairs[:, 1]
+    assert (keys[1:] > keys[:-1]).all()
 
 
 def reference_extension(geom, f):

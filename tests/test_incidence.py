@@ -55,6 +55,17 @@ def raw_data(draw):
     return [f"t{i}" for i in range(rank)], codes, pairs
 
 
+@st.composite
+def pair_sets(draw):
+    """Types, codes and a set of pairs as canonical rows: a < b, sorted, distinct."""
+    rank = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 8))
+    codes = draw(st.lists(st.integers(0, rank - 1), min_size=n, max_size=n))
+    every = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    pairs = draw(st.sets(st.sampled_from(every)))
+    return [f"t{i}" for i in range(rank)], codes, sorted(pairs)
+
+
 def brute_flags(sys: IncidenceSystem) -> set[tuple[int, ...]]:
     out = set()
     for r in range(sys.size + 1):
@@ -629,6 +640,44 @@ class TestArrayCore:
             [n - 2, n - 1],
         ]
 
+    @given(pair_sets(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_canonical_and_other_forms_agree(self, pair_set, data):
+        # canonical rows are adopted as they are, the others sorted first: the
+        # system is the same either way
+        types, codes, canonical = pair_set
+        shuffled = data.draw(st.permutations(canonical))
+        flipped = [(b, a) for a, b in shuffled]
+        repeats = data.draw(st.lists(st.sampled_from(canonical), max_size=4)) if canonical else []
+        forms = [canonical, shuffled, flipped, sorted(canonical + repeats), shuffled + repeats]
+        want = [list(p) for p in canonical]
+        for form in forms:
+            for dtype in (np.int32, np.int64):
+                given_pairs = np.asarray(form, dtype=dtype).reshape(-1, 2)
+                sys = IncidenceSystem(types, codes, given_pairs)
+                assert sys.pairs.tolist() == want
+                assert sys.pairs.dtype == np.int32
+                assert not sys.pairs.flags.writeable
+                assert sys == IncidenceSystem(types, codes, form)
+                # the system owns its rows: the caller may change theirs
+                assert not np.shares_memory(sys.pairs, given_pairs)
+                assert given_pairs.flags.writeable
+                given_pairs[:] = given_pairs[::-1]
+                given_pairs += 1
+                assert sys.pairs.tolist() == want
+
+    @pytest.mark.parametrize("pairs", [[], [[0, 1]], [[1, 0]], [[0, 1], [0, 1]]])
+    @pytest.mark.parametrize("as_array", [None, np.int64, np.int32])
+    def test_zero_and_one_pair(self, pairs, as_array):
+        if as_array is not None:
+            pairs = np.asarray(pairs, dtype=as_array).reshape(-1, 2)
+        sys = IncidenceSystem(["a", "b"], [0, 1, 0], pairs)
+        assert sys.pairs.tolist() == ([[0, 1]] if len(pairs) else [])
+        assert sys.pairs.dtype == np.int32 and sys.pairs.shape[1] == 2
+        assert not sys.pairs.flags.writeable
+        if as_array is not None:
+            assert pairs.flags.writeable
+
     def test_caller_array_is_not_frozen(self):
         pairs = np.array([[1, 0]], dtype=np.int32)
         IncidenceSystem(["a", "b"], [0, 1], pairs)
@@ -807,6 +856,9 @@ class TestArrayCore:
         images = list(range(n))
         images[3], images[4] = 4, 3
         assert correlation_type_action(both, Permutation(images)) == [0, 1]
+        keys = both._complete_blocks()[2]
+        assert keys.dtype == np.int64
+        assert keys.tolist() == [3 * n + 67296, 4 * n + 67296]
 
 
 class TestCompleteBlocks:
@@ -815,7 +867,7 @@ class TestCompleteBlocks:
     def test_cross_type_block(self):
         base = IncidenceSystem(["a", "b", "c"], [0, 0, 1, 1, 1, 2], [[0, 5]])
         sys = plant_blocks(base, [(1, 0)])
-        complete, rest = sys._complete_blocks()
+        complete, rest, keys = sys._complete_blocks()
         assert complete.tolist() == [[False, True, False], [True, False, False], [False] * 3]
         assert rest.tolist() == [[0, 5]]
         assert sys._complete_blocks()[1] is rest
@@ -824,21 +876,22 @@ class TestCompleteBlocks:
         # type a: all three of its pairs; type b: one of its three
         pairs = [[0, 1], [0, 2], [1, 2], [3, 4], [0, 3]]
         sys = IncidenceSystem(["a", "b"], [0, 0, 0, 1, 1, 1], pairs)
-        complete, rest = sys._complete_blocks()
+        complete, rest, keys = sys._complete_blocks()
         assert complete.tolist() == [[True, False], [False, False]]
         assert rest.tolist() == [[0, 3], [3, 4]]
 
     def test_no_complete_block_keeps_pairs(self):
         sys = gq22()
-        complete, rest = sys._complete_blocks()
+        complete, rest, keys = sys._complete_blocks()
         assert not complete.any()
         assert rest is sys.pairs
         assert not complete.flags.writeable and not rest.flags.writeable
+        assert not keys.flags.writeable
 
     def test_empty_and_singleton_types(self):
         # a singleton type has no possible pair with itself, an empty type none at all
         sys = IncidenceSystem(["a", "b", "c"], [0, 2], [[0, 1]])
-        complete, rest = sys._complete_blocks()
+        complete, rest, keys = sys._complete_blocks()
         assert complete.tolist() == [[False, False, True], [False] * 3, [True, False, False]]
         assert rest.shape == (0, 2)
         assert correlation_type_action(sys, Permutation.identity(2)) == [0, -1, 2]
@@ -890,17 +943,19 @@ class TestCompleteBlocks:
         types, codes, pairs = raw
         block = st.tuples(st.integers(0, len(types) - 1), st.integers(0, len(types) - 1))
         sys = plant_blocks(IncidenceSystem(types, codes, pairs), data.draw(st.lists(block, max_size=3)))
-        complete, rest = sys._complete_blocks()
+        complete, rest, keys = sys._complete_blocks()
         want_complete, want_rest = reference_blocks(sys)
         assert {(t, u) for t, u in np.argwhere(complete).tolist() if t <= u} == want_complete
         assert np.array_equal(complete, complete.T)
         assert {frozenset(p) for p in rest.tolist()} == want_rest
         assert rest.tolist() == sorted(rest.tolist())
         assert (rest is sys.pairs) == (not want_complete)
+        assert keys.dtype == np.int32
+        assert keys.tolist() == [a * sys.size + b for a, b in rest.tolist()]
 
     def test_q4_record(self, pgl34, pgl34_pipeline):
         sys = pgl34.system
-        complete, rest = sys._complete_blocks()
+        complete, rest, keys = sys._complete_blocks()
         assert sys.types == ("0", "1", "Q(w)", "Q(w+1)")
         assert np.argwhere(complete).tolist() == [[2, 3], [3, 2]]
         assert rest.shape == (12705, 2)
