@@ -10,16 +10,24 @@ the specs in perfbench/coset_family.json, taken with the generators listed
 there.  For each row the script records the values of ``is_geometry``,
 ``is_firm`` and ``is_residually_connected``, for the coset rows also the
 ``check_ft_condition`` and ``check_rc_condition`` reports, and the best of
-REPEAT wall times of each, and of ``coset_geometry`` on the coset rows; it
-writes them as JSON to FILE (default: BENCH_predicates.json).  Pointing --src
-at another checkout's src gives the same table for that version.
+REPEAT wall times of each, and of ``coset_geometry`` on the coset rows.  On
+the coset rows it also times ``check``'s default properties as the CLI
+computes them (one ``_predicates`` walk, or the three calls for a version
+without it) on a copy of the system that holds no neighbour data yet.  Last,
+it builds the q = 4 cross-ratio file and records REPEAT fresh-process runs of
+``geomrep check`` on it with the default properties: the least wall time, the
+largest maximum RSS, the exit code and the checks.  It writes all of this as
+JSON to FILE (default: BENCH_predicates.json).  Pointing --src at another
+checkout's src gives the same table for that version.
 """
 
 import argparse
 import json
 import os
 import platform
+import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -33,6 +41,8 @@ COSET_GROUPS = {
     "S6": [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]],
 }
 PREDICATES = ("is_geometry", "is_firm", "is_residually_connected")
+# check's default properties, in the order of PREDICATES
+CHECK = ("geometry", "firm", "rc")
 
 
 def planes_and_families(gr) -> list[tuple[str, object]]:
@@ -82,6 +92,39 @@ def best(call) -> tuple[object, float]:
     return value, round(min(times), 6)
 
 
+def check_walk(gr, system) -> dict:
+    """The default properties of ``check`` on a copy of system, as the CLI gets them."""
+    copy = gr.IncidenceSystem(system.types, system.type_codes, system.pairs)
+    if hasattr(copy, "_predicates"):
+        return copy._predicates(CHECK)
+    return {name: getattr(copy, pred)() for name, pred in zip(CHECK, PREDICATES)}
+
+
+def q4_check(src: str) -> dict:
+    """REPEAT fresh-process default checks of the q = 4 file."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    cli = [sys.executable, "-m", "geomrep.cli"]
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "q4.json"), os.path.join(tmp, "check.json")
+        subprocess.run(cli + ["build", "pgl", "--q", "4", "--out", path], env=env, check=True)
+        for _ in range(REPEAT):
+            started = time.perf_counter()
+            proc = subprocess.Popen(cli + ["check", path, "--out", out], env=env)
+            # the child's own resource usage, not that of every child so far
+            _, status, usage = os.wait4(proc.pid, 0)
+            runs.append((time.perf_counter() - started, usage.ru_maxrss / 1024))
+            code = os.waitstatus_to_exitcode(status)
+        with open(out, encoding="utf-8") as fh:
+            checks = json.load(fh)["checks"]
+    return {
+        "best_s": round(min(t for t, _ in runs), 3),
+        "max_rss_mb": round(max(m for _, m in runs), 1),
+        "exit": code,
+        "checks": checks,
+    }
+
+
 def report(rep) -> dict:
     return {"ok": rep.ok, "failures": [list(f) for f in rep.failures], "checked": rep.checked}
 
@@ -96,6 +139,9 @@ def row(gr, name: str, system=None, spec=None) -> dict:
     for pred in PREDICATES:
         out[pred], times[pred] = best(getattr(system, pred))
     if spec is not None:
+        values, times["check"] = best(lambda: check_walk(gr, system))
+        if [values[name] for name in CHECK] != [out[pred] for pred in PREDICATES]:
+            raise AssertionError(f"{name}: check gives {values}")
         for check in ("check_ft_condition", "check_rc_condition"):
             rep, times[check] = best(lambda: getattr(gr, check)(spec))
             out[check] = report(rep)
@@ -123,6 +169,7 @@ def main() -> None:
         "repeat": REPEAT,
         "rows": rows,
         "total_best_s": totals,
+        "q4_check": q4_check(args.src),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(bench, fh, indent=2)
@@ -134,6 +181,7 @@ def main() -> None:
         ms = " ".join(f"{t * 1e3:7.2f}" for t in r["best_s"].values())
         print(f"{r['system']:>18} {r['elements']:>4} geometry/firm/rc {values:<17} ms {ms}")
     print("total best s", totals)
+    print("q = 4 check", bench["q4_check"])
 
 
 if __name__ == "__main__":

@@ -111,11 +111,17 @@ class _Engine:
     def _refine(
         self, p: _Partition, queue: list[int], ref: list[Event] | None = None
     ) -> list[Event] | None:
-        """Refine p to equitable in place; the trace, or None on leaving ref."""
+        """Refine p to equitable in place; the trace, or None on leaving ref.
+
+        Refinement stops once p is discrete (one cell per vertex), which the
+        trace shows: each event tells how many cells its split makes.
+        """
         self.nodes += 1
         adj, count = self.adj, self._count
         lab, cellof, size = p.lab, p.cellof, p.size
-        queued = set(queue)
+        # only cell starts hold a non-zero size
+        cells = len(lab) - size.count(0)
+        queued = set(queue) if cells < len(lab) else set()
         trace: list[Event] = []
         while queued:
             s = min(queued)
@@ -149,6 +155,10 @@ class _Engine:
                     lab[c:pos] = [x for x in lab[c : c + k] if cellof[x] == c]
                     lab[pos : c + k] = part
                     size[c], size[pos] = k - m, m
+                    cells += 1
+                    if cells == len(lab):
+                        queued.clear()
+                        break
                     # both fragments are queued, except the first larger one
                     # when the cell was not queued already
                     if c in queued or k - m >= m:
@@ -204,6 +214,10 @@ class _Engine:
                             cellof[u] = pos
                     frags.append(pos)
                     pos += len(part)
+                cells += len(frags) - 1
+                if cells == len(lab):
+                    queued.clear()
+                    break
                 if c not in queued:
                     frags.remove(max(frags, key=lambda f: (size[f], -f)))
                 queued.update(frags)

@@ -37,7 +37,7 @@ from .freegroup import (
     subgroup_action,
 )
 from .galois import make_field
-from .incidence import _READ_CHUNK, IncidenceSystem, _json_object
+from .incidence import _READ_CHUNK, PREDICATES, IncidenceSystem, _json_object
 from .perms import PermGroup, Permutation
 
 _EXIT_OK, _EXIT_MISMATCH, _EXIT_USAGE = 0, 1, 2
@@ -234,16 +234,9 @@ def run_build(args: argparse.Namespace) -> int:
 
 def run_check(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    # validate holds once the system passes the validation below
-    known = {
-        "validate": lambda system: True,
-        "geometry": IncidenceSystem.is_geometry,
-        "firm": IncidenceSystem.is_firm,
-        "rc": IncidenceSystem.is_residually_connected,
-    }
     names = [p.strip() for p in args.properties.split(",") if p.strip()]
     for name in names:
-        if name not in known:
+        if name != "validate" and name not in PREDICATES:
             raise ValueError(f"unknown property: {name}")
     system, digest = _load_system(args.file)
     validation = system.validate()
@@ -251,7 +244,9 @@ def run_check(args: argparse.Namespace) -> int:
         for name, where in validation.violations:
             print(f"error: validation: {name} at {where}", file=sys.stderr)
         return _EXIT_USAGE
-    checks = [{"property": name, "value": bool(known[name](system))} for name in names]
+    # validate holds once the system passes the validation above
+    values = system._predicates(name for name in names if name != "validate")
+    checks = [{"property": name, "value": values.get(name, True)} for name in names]
     report = _report(
         args, "check", digest, checks, time.perf_counter() - started
     )

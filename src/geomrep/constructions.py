@@ -690,15 +690,24 @@ class CosetGeometrySpec:
         return tuple(str(i) for i in range(len(self.subgroups)))
 
 
-def _check_spec(spec: CosetGeometrySpec) -> None:
+def _check_spec(spec: CosetGeometrySpec) -> _ElementTable:
+    """The element table of G, once the subgroups are checked, in order,
+    to act on G's domain and to lie in G (all generators in one batch)."""
     if spec.group.order() > _GROUP_GUARD:
         raise ValueError(f"group too large: order exceeds {_GROUP_GUARD}")
-    for i, sub in enumerate(spec.subgroups):
-        if sub.degree != spec.group.degree:
-            raise ValueError(f"subgroup {i} acts on a different domain")
-        for g in sub.generators:
-            if not spec.group.contains(g):
-                raise ValueError(f"subgroup {i} is not contained in the group")
+    table = spec.group._element_table(_GROUP_GUARD)
+    subs = spec.subgroups
+    # the subgroups before the first on another domain
+    same = next((i for i, sub in enumerate(subs) if sub.degree != spec.group.degree), len(subs))
+    owner = [i for i, sub in enumerate(subs[:same]) for _ in sub.generators]
+    if owner:
+        rows = np.stack([g.images for sub in subs[:same] for g in sub.generators])
+        outside = ~table.contains(rows)
+        if outside.any():
+            raise ValueError(f"subgroup {owner[int(outside.argmax())]} is not contained in the group")
+    if same < len(subs):
+        raise ValueError(f"subgroup {same} acts on a different domain")
+    return table
 
 
 def _coset_labels(spec: CosetGeometrySpec) -> tuple[_ElementTable, np.ndarray]:
@@ -711,8 +720,7 @@ def _coset_labels(spec: CosetGeometrySpec) -> tuple[_ElementTable, np.ndarray]:
     order of their least element. The identity is the least element of G, so
     G_i itself is the coset labelled 0.
     """
-    _check_spec(spec)
-    table = spec.group._element_table(_GROUP_GUARD)
+    table = _check_spec(spec)
     labels = np.empty((len(spec.subgroups), len(table.rows)), dtype=np.int64)
     for label, sub in zip(labels, spec.subgroups):
         steps = [table.index(table.rows[:, h.images]) for h in sub.generators]

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
+import bisect
 import codecs
-import collections
 import dataclasses
 import itertools
 import json
 import re
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Generator, Iterable, Iterator
 
 import numpy as np
 
@@ -125,6 +125,10 @@ _JSON_WS = re.compile(rb"[ \t\n\r]*").match
 _JSON_VALUE = json.JSONDecoder().scan_once
 # in a list of integer pairs, only the last pair's "]" is followed by another "]"
 _JSON_PAIRS_END = re.compile(rb"\][ \t\n\r]*\]")
+# bytes of the dense boolean block from which bit rows are packed at a time
+_ROW_BLOCK = 1 << 20
+# the geometry predicates, by the names that ``_predicates`` answers to
+PREDICATES = ("geometry", "firm", "rc")
 
 
 def _pairs_text(block: np.ndarray) -> bytes:
@@ -205,6 +209,13 @@ def _strict_pairs(block: bytes) -> np.ndarray | None:
         values *= 10
         values += column
     return values.reshape(k, 2)
+
+
+def _packed_rows(block: np.ndarray) -> list[int]:
+    """Each row of a 2-D boolean array as an int whose bit j is the row's column j."""
+    data = memoryview(np.packbits(block, axis=1, bitorder="little").tobytes())
+    width = (block.shape[1] + 7) // 8
+    return [int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(block.shape[0])]
 
 
 class _Declined(Exception):
@@ -388,7 +399,7 @@ def _json_object(chunks: Iterable[bytes]) -> dict | None:
 class IncidenceSystem:
     """Immutable multipartite incidence system over dense element ids 0..n-1."""
 
-    __slots__ = ("types", "type_codes", "pairs", "source_ids", "_adj", "_blocks")
+    __slots__ = ("types", "type_codes", "pairs", "source_ids", "_rows", "_blocks")
 
     def __init__(
         self,
@@ -454,7 +465,7 @@ class IncidenceSystem:
                 raise ValueError("source ids must be one integer per element")
             source_ids = tuple(ids.tolist())
         object.__setattr__(self, "source_ids", source_ids)
-        object.__setattr__(self, "_adj", None)
+        object.__setattr__(self, "_rows", None)
         object.__setattr__(self, "_blocks", None)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -495,13 +506,44 @@ class IncidenceSystem:
         np.cumsum(np.bincount(src, minlength=self.size), out=bounds[1:])
         return bounds, nbrs
 
-    def _adjacency(self) -> list[frozenset[int]]:
-        if self._adj is None:
-            bounds, nbrs = self._neighbour_index()
-            nbrs, bounds = nbrs.tolist(), bounds.tolist()
-            adj = [frozenset(nbrs[i:j]) for i, j in zip(bounds, bounds[1:])]
-            object.__setattr__(self, "_adj", adj)
-        return self._adj
+    def _bit_rows(self) -> list[int]:
+        """Bit rows: bit y of rows[x] is set iff x and y are incident.
+
+        Packed from dense boolean blocks of about _ROW_BLOCK bytes, each
+        filled straight from ``pairs``: block rows x hold the pairs (x, y),
+        which form one run, as pairs are sorted by their first id.  Packing a
+        block by rows gives each x its larger neighbours, and packing it by
+        columns gives each y its smaller neighbours in the block.
+        """
+        if self._rows is None:
+            n, pairs = self.size, self.pairs
+            first, second = pairs[:, 0], pairs[:, 1]
+            step = max(1, _ROW_BLOCK // max(n, 1))
+            rows: list[int] = []
+            smaller = [0] * n
+            hi = 0
+            for start in range(0, n, step):
+                stop = min(start + step, n)
+                # bisect reads a few entries, where np.searchsorted would
+                # copy the strided column whole
+                lo, hi = hi, bisect.bisect_left(first, stop, hi)
+                block = np.zeros((stop - start, n), dtype=bool)
+                block[first[lo:hi] - start, second[lo:hi]] = True
+                rows += _packed_rows(block)
+                for y, bits in enumerate(_packed_rows(block[:, start:].T), start):
+                    smaller[y] |= bits << start
+            rows = [a | b for a, b in zip(rows, smaller)]
+            object.__setattr__(self, "_rows", rows)
+        return self._rows
+
+    def _fiber_bits(self) -> list[int]:
+        """Each type's elements as bits, in typeset order."""
+        return _packed_rows(np.arange(self.rank)[:, None] == self.type_codes[None, :])
+
+    def _ids(self, bits: int) -> np.ndarray:
+        """The ascending element ids whose bits are set in bits."""
+        data = np.frombuffer(bits.to_bytes((self.size + 7) // 8, "little"), dtype=np.uint8)
+        return np.flatnonzero(np.unpackbits(data, bitorder="little"))
 
     def _complete_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(complete, rest, rest_keys): complete[t, u] says that type pair t, u
@@ -541,7 +583,7 @@ class IncidenceSystem:
             raise ValueError(f"element ids are integers, not {x!r}")
         if not 0 <= x < self.size:
             raise ValueError(f"no element {x}: ids are 0..{self.size - 1}")
-        return self._adjacency()[x]
+        return frozenset(self._ids(self._bit_rows()[x]).tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IncidenceSystem):
@@ -579,82 +621,139 @@ class IncidenceSystem:
         xs = sorted({int(x) for x in ids})
         if xs and not (0 <= xs[0] and xs[-1] < self.size):
             return False
-        adj = self._adjacency()
-        return all(b in adj[a] for i, a in enumerate(xs) for b in xs[i + 1 :])
+        rows = self._bit_rows()
+        bits = sum(1 << x for x in xs)
+        return all(not (bits ^ 1 << x) & ~rows[x] for x in xs)
 
-    def _flags_with_extensions(
-        self,
-    ) -> Iterator[tuple[tuple[int, ...], frozenset[int]]]:
-        """Every flag together with its full set of common neighbors."""
-        adj = self._adjacency()
-        universe = frozenset(range(self.size))
+    def _flags_with_extensions(self) -> Generator[tuple[tuple[int, ...], int, int], bool, None]:
+        """Every flag, in ascending pre-order, with its extension set and type
+        mask as bits: the elements incident to every member (all of them for
+        the empty flag), and the types of the members.
 
-        def extend(flag: list[int], ext: frozenset[int]):
-            yield tuple(flag), ext
-            last = flag[-1] if flag else -1
-            for v in sorted(ext):
-                if v > last:
-                    flag.append(v)
-                    yield from extend(flag, ext & adj[v])
-                    flag.pop()
-
-        yield from extend([], universe)
+        Sending False in reply to a flag skips the flags that extend it.
+        """
+        rows, codes = self._bit_rows(), self.type_codes.tolist()
+        everything = (1 << self.size) - 1
+        if (yield (), everything, 0) is False:
+            return
+        # each frame: a flag, its extension set and type mask, and the members
+        # of the extension set above its last member that are still to visit
+        stack = [((), everything, 0, everything)]
+        while stack:
+            flag, ext, mask, todo = stack[-1]
+            if not todo:
+                stack.pop()
+                continue
+            low = todo & -todo
+            stack[-1] = (flag, ext, mask, todo ^ low)
+            v = low.bit_length() - 1
+            child = (flag + (v,), ext & rows[v], mask | 1 << codes[v])
+            if (yield child) is not False:
+                stack.append((*child, child[1] >> v + 1 << v + 1))
 
     def flags(self) -> Iterator[tuple[int, ...]]:
         """All flags (pairwise-incident element sets), including the empty flag."""
-        for flag, _ in self._flags_with_extensions():
+        for flag, _, _ in self._flags_with_extensions():
             yield flag
 
     def chambers(self) -> list[tuple[int, ...]]:
         """Flags whose typeset is the full typeset."""
-        codes = self.type_codes
-        full = frozenset(range(self.rank))
-        return [
-            f for f in self.flags() if frozenset(int(codes[x]) for x in f) == full
-        ]
+        full = (1 << self.rank) - 1
+        return [f for f, _, mask in self._flags_with_extensions() if mask == full]
 
     # -- geometry predicates -----------------------------------------------
 
     def is_geometry(self) -> bool:
         """True iff every flag extends to a chamber (every maximal flag has full type)."""
-        codes = self.type_codes
-        full = frozenset(range(self.rank))
-        for flag, ext in self._flags_with_extensions():
-            if not ext and frozenset(int(codes[x]) for x in flag) != full:
-                return False
-        return True
+        return self._predicates(["geometry"])["geometry"]
 
     def is_firm(self) -> bool:
-        """True iff every non-maximal flag lies in at least two chambers.
+        """True iff every non-maximal flag lies in at least two chambers."""
+        return self._predicates(["firm"])["firm"]
 
-        Each lies inside a flag G whose extension set is non-empty with no two
-        members incident, and whose chambers, G itself if it has full type and
-        G + v for each v in that set that completes the type, are among its own.
+    def is_residually_connected(self) -> bool:
+        """True iff every residue of rank >= 2 has a connected incidence graph."""
+        return self._predicates(["rc"])["rc"]
+
+    def _predicates(self, names: Iterable[str]) -> dict[str, bool]:
+        """The value of each named predicate of PREDICATES, in one flag walk.
+
+        The walk stops once every named predicate is found false, and it
+        never extends a flag G whose extension set E is non-empty with no two
+        members incident: every G + v, v in E, is then maximal, so they are
+        decided by E and G's missing types M alone.  Each G + v has full type
+        iff M is empty or the one type of v.  G's chambers are G itself if M
+        is empty and the G + v of full type; every non-maximal flag lies in
+        such a G (add members while one is incident to all), and its chambers
+        include G's.  Below a flag whose residue has rank < 2, only geometry
+        and firmness need the walk.
         """
-        adj = self._adjacency()
-        codes = self.type_codes.tolist()
-        full = set(range(self.rank))
-        for flag, ext in self._flags_with_extensions():
-            if not ext or any(not ext.isdisjoint(adj[v]) for v in ext):
+        answers = dict.fromkeys(names, True)
+        for name in answers:
+            if name not in PREDICATES:
+                raise ValueError(f"unknown predicate: {name}")
+        geometry, firm = "geometry" in answers, "firm" in answers
+        rc = "rc" in answers and self.rank >= 2
+        if not (geometry or firm or rc):
+            return answers
+        rows, fibers = self._bit_rows(), self._fiber_bits()
+        rank, full = self.rank, (1 << self.rank) - 1
+        everything = (1 << self.size) - 1
+        # the elements whose type is not in a mask, by mask
+        outside: dict[int, int] = {}
+        walk = self._flags_with_extensions()
+        descend = None
+        while geometry or firm or rc:
+            try:
+                flag, ext, mask = walk.send(descend)
+            except StopIteration:
+                break
+            # the residue of the flag has rank >= 2
+            deep = rank - mask.bit_count() >= 2
+            if rc and deep:
+                if mask not in outside:
+                    outside[mask] = everything ^ sum(f for t, f in enumerate(fibers) if mask >> t & 1)
+                if not self._connected(ext & outside[mask], rows):
+                    rc = answers["rc"] = False
+            descend = geometry or firm or rc and deep
+            if not ext:
+                if geometry and mask != full:
+                    geometry = answers["geometry"] = False
                 continue
-            missing = full.difference(codes[x] for x in flag)
-            if (not missing) + sum(missing <= {codes[v]} for v in ext) < 2:
-                return False
-        return True
+            if not (geometry or firm):
+                continue
+            # E has an incident pair iff one of its members is incident to E
+            rest = ext
+            while rest and not ext & rows[(rest & -rest).bit_length() - 1]:
+                rest &= rest - 1
+            if rest:
+                continue
+            descend = False
+            missing = full ^ mask
+            if missing:
+                # the members of E of the one missing type, if one is missing
+                single = 0
+                if missing & missing - 1 == 0:
+                    single = ext & fibers[missing.bit_length() - 1]
+                if geometry and single != ext:
+                    geometry = answers["geometry"] = False
+                if firm and single.bit_count() < 2:
+                    firm = answers["firm"] = False
+        return answers
 
     def residue(self, flag: Iterable[int]) -> "IncidenceSystem":
         """Subsystem of elements incident to every element of the flag."""
         xs = sorted({int(x) for x in flag})
         if not self.is_flag(xs):
             raise ValueError("not a flag")
-        codes = self.type_codes
-        ftypes = {int(codes[x]) for x in xs}
-        commons = frozenset(range(self.size))
-        adj = self._adjacency()
+        rows, fibers = self._bit_rows(), self._fiber_bits()
+        ftypes = {int(self.type_codes[x]) for x in xs}
+        commons = (1 << self.size) - 1
         for x in xs:
-            commons &= adj[x]
-        keep = [x for x in sorted(commons) if int(codes[x]) not in ftypes]
-        return self._induced(keep, [t for t in range(self.rank) if t not in ftypes])
+            commons &= rows[x]
+        for t in ftypes:
+            commons &= ~fibers[t]
+        return self._induced(self._ids(commons), [t for t in range(self.rank) if t not in ftypes])
 
     def truncation(self, typeset: Iterable[str]) -> "IncidenceSystem":
         """Subsystem of elements whose type lies in typeset; ids re-densified."""
@@ -690,35 +789,19 @@ class IncidenceSystem:
             source_ids=keep,
         )
 
-    def _connected(self, nodes: list[int]) -> bool:
-        """Connectivity of the incidence graph restricted to nodes (empty: True)."""
-        if len(nodes) <= 1:
-            return True
-        nodeset = set(nodes)
-        adj = self._adjacency()
-        seen = {nodes[0]}
-        queue = collections.deque([nodes[0]])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y in nodeset and y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return len(seen) == len(nodeset)
-
-    def is_residually_connected(self) -> bool:
-        """True iff every residue of rank >= 2 has a connected incidence graph."""
-        if self.rank < 2:
-            return True
-        codes = self.type_codes
-        for flag, ext in self._flags_with_extensions():
-            ftypes = {int(codes[x]) for x in flag}
-            if self.rank - len(ftypes) < 2:
-                continue
-            nodes = [x for x in sorted(ext) if int(codes[x]) not in ftypes]
-            if not self._connected(nodes):
-                return False
-        return True
+    @staticmethod
+    def _connected(nodes: int, rows: list[int]) -> bool:
+        """Connectivity of the incidence graph on the elements whose bits are
+        set in nodes (none: True), by breadth-first search on bit rows."""
+        seen = frontier = nodes & -nodes
+        while frontier:
+            reach = 0
+            while frontier:
+                reach |= rows[(frontier & -frontier).bit_length() - 1]
+                frontier &= frontier - 1
+            frontier = reach & nodes & ~seen
+            seen |= frontier
+        return seen == nodes
 
     def incidence_graph(self) -> nx.Graph:
         """Multipartite graph: one node per element, one edge per incidence."""

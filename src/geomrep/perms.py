@@ -204,6 +204,21 @@ class _ElementTable:
 
     def index(self, rows: np.ndarray) -> np.ndarray:
         """The table index of each row of rows; every row must be a group element."""
+        return self._rank[self._code(rows)]
+
+    def contains(self, rows: np.ndarray) -> np.ndarray:
+        """Whether each row of rows, a permutation of the domain, is a group element."""
+        code = self._code(rows)
+        inside = (code >= 0) & (code < len(self._rank))
+        inside[inside] = (self.rows[self._rank[code[inside]]] == rows[inside]).all(axis=1)
+        return inside
+
+    def _code(self, rows: np.ndarray) -> np.ndarray:
+        """The place where each row was formed, if it is a group element.
+
+        Any other row gets some code, perhaps out of range: a base image
+        outside its level's orbit reads position -1.
+        """
         # an element is fixed by its base images; sifting h -> h * u_t^-1 at a
         # level moves the later base images through u_t^-1
         images = rows[:, self.base]
@@ -212,7 +227,7 @@ class _ElementTable:
             t = position[images[:, j]]
             code = code * len(inverses) + t
             images[:, j + 1:] = inverses[t[:, None], images[:, j + 1:]]
-        return self._rank[code]
+        return code
 
 
 class PermGroup:

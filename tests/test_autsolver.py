@@ -97,11 +97,13 @@ def counting_refine(adj, p, queue, ref=None):
 
     The engine's refinement before singleton splitters had their own branch,
     kept as the reference whose traces, partitions and early exits the
-    engine's ``_refine`` must match.
+    engine's ``_refine`` must match.  Like the engine, it stops once the
+    partition is discrete.
     """
     count = [0] * len(adj)
     lab, cellof, size = p.lab, p.cellof, p.size
-    queued = set(queue)
+    cells = len(lab) - size.count(0)
+    queued = set(queue) if cells < len(lab) else set()
     trace = []
     while queued:
         s = min(queued)
@@ -140,6 +142,10 @@ def counting_refine(adj, p, queue, ref=None):
                         cellof[u] = pos
                 frags.append(pos)
                 pos += len(part)
+            cells += len(frags) - 1
+            if cells == len(lab):
+                queued.clear()
+                break
             if c not in queued:
                 frags.remove(max(frags, key=lambda f: (size[f], -f)))
             queued.update(frags)

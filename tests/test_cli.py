@@ -195,6 +195,17 @@ def pentagon_file(capsys, tmp_path):
 
 
 class TestCheck:
+    def test_validate_builds_no_rows(self, capsys, pentagon_file, monkeypatch):
+        def refuse(system):
+            raise AssertionError("bit rows built")
+
+        monkeypatch.setattr(IncidenceSystem, "_bit_rows", refuse)
+        code, out, _ = run(capsys, "check", str(pentagon_file), "--properties", "validate")
+        assert code == 0
+        assert json.loads(out)["checks"] == [{"property": "validate", "value": True}]
+        with pytest.raises(AssertionError, match="bit rows built"):
+            main(["check", str(pentagon_file), "--properties", "validate,rc"])
+
     def test_report_shape(self, capsys, triangle_file):
         code, out, _ = run(capsys, "check", str(triangle_file))
         assert code == 0

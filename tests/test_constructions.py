@@ -742,6 +742,20 @@ class TestCosetGeometries:
         with pytest.raises(ValueError, match="not contained"):
             coset_geometry(CosetGeometrySpec(a4, (sub,)))
 
+    def test_spec_errors_name_the_first_bad_subgroup(self):
+        a4 = PermGroup(4, [Permutation([1, 2, 0, 3]), Permutation([1, 0, 3, 2])])
+        inside = PermGroup(4, [Permutation([1, 2, 0, 3])])
+        outside = PermGroup(4, [Permutation([1, 0, 2, 3])])
+        other = PermGroup(3, [Permutation([1, 0, 2])])
+        for subs, message in [
+            ((inside, outside, other), "subgroup 1 is not contained in the group"),
+            ((inside, other, outside), "subgroup 1 acts on a different domain"),
+            ((inside, inside, outside), "subgroup 2 is not contained in the group"),
+        ]:
+            with pytest.raises(ValueError) as err:
+                coset_geometry(CosetGeometrySpec(a4, subs))
+            assert str(err.value) == message
+
     def test_rc_requires_report_fields(self):
         rc = check_rc_condition(tetrahedron_spec())
         assert rc.failures == ()

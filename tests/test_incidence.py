@@ -20,7 +20,7 @@ from geomrep import (
     gq22,
     validate_data,
 )
-from geomrep.incidence import _JSON_BLOCK
+from geomrep.incidence import _JSON_BLOCK, PREDICATES
 
 
 @st.composite
@@ -91,10 +91,60 @@ def brute_chambers(sys: IncidenceSystem) -> set[tuple[int, ...]]:
 def scan_is_firm(sys: IncidenceSystem) -> bool:
     """Firmness by counting, for each flag with an extension, the chambers over it."""
     chambers = [frozenset(c) for c in sys.chambers()]
-    for flag, ext in sys._flags_with_extensions():
+    for flag, ext, _ in sys._flags_with_extensions():
         if ext and sum(1 for c in chambers if frozenset(flag) <= c) < 2:
             return False
     return True
+
+
+def pair_neighbours(sys: IncidenceSystem) -> list[set[int]]:
+    """Each element's neighbours, read from the pairs alone."""
+    out = [set() for _ in range(sys.size)]
+    for a, b in sys.pairs.tolist():
+        out[a].add(b)
+        out[b].add(a)
+    return out
+
+
+def brute_walk(sys: IncidenceSystem):
+    """The flags, ascending, the chambers, the extension set of each flag, and
+    the values of PREDICATES by their definitions, all from the pairs alone."""
+    nbrs = pair_neighbours(sys)
+    codes = sys.type_codes.tolist()
+    full = set(range(sys.rank))
+    flags = sorted(
+        combo
+        for r in range(sys.size + 1)
+        for combo in itertools.combinations(range(sys.size), r)
+        if all(b in nbrs[a] for a, b in itertools.combinations(combo, 2))
+    )
+    ext = {f: {x for x in range(sys.size) if all(x in nbrs[y] for y in f)} for f in flags}
+    types = {f: {codes[x] for x in f} for f in flags}
+    chambers = [f for f in flags if types[f] == full]
+
+    def connected(nodes: set[int]) -> bool:
+        if not nodes:
+            return True
+        seen, todo = set(), [min(nodes)]
+        while todo:
+            x = todo.pop()
+            if x not in seen:
+                seen.add(x)
+                todo += nbrs[x] & nodes
+        return seen == nodes
+
+    values = {
+        "geometry": all(types[f] == full for f in flags if not ext[f]),
+        "firm": all(
+            sum(set(f) <= set(c) for c in chambers) >= 2 for f in flags if ext[f]
+        ),
+        "rc": all(
+            connected({x for x in ext[f] if codes[x] not in types[f]})
+            for f in flags
+            if sys.rank - len(types[f]) >= 2
+        ),
+    }
+    return flags, chambers, ext, values
 
 
 class TestConstruction:
@@ -342,7 +392,7 @@ class TestPredicates:
         # incidences; a tally over every sub-flag of every chamber peaks at
         # hundreds of MB before it finds it is not firm
         sys = pgl34.system
-        sys._adjacency()
+        sys._bit_rows()
         tracemalloc.start()
         try:
             assert not sys.is_firm()
@@ -350,6 +400,20 @@ class TestPredicates:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20
+
+    def test_bit_rows_of_q4_retain_under_2_mb(self, pgl34):
+        # a copy with no rows yet; the rows are 2562 ints of 2562 bits
+        sys = IncidenceSystem(pgl34.system.types, pgl34.system.type_codes, pgl34.system.pairs)
+        tracemalloc.start()
+        try:
+            rows = sys._bit_rows()
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == sys.size
+        assert retained < 2 * 2**20
+        # built a block of rows at a time, never as one n x n array
+        assert peak < 8 * 2**20
 
     @given(small_systems())
     @settings(max_examples=40, deadline=None)
@@ -363,6 +427,70 @@ class TestPredicates:
             if g.number_of_nodes() > 1 and not nx.is_connected(g):
                 expected = False
         assert sys.is_residually_connected() == expected
+
+
+class TestBitRowWalk:
+    """Every reader of the bit rows against definitions on the pairs, on
+    valid systems and on systems with same-type incidences or empty types."""
+
+    @given(st.one_of(small_systems(), raw_data().map(lambda d: IncidenceSystem(*d))))
+    @settings(max_examples=150, deadline=None)
+    def test_walk_matches_brute_force(self, sys):
+        flags, chambers, ext, values = brute_walk(sys)
+        nbrs = pair_neighbours(sys)
+        assert [sys.neighbors(x) for x in range(sys.size)] == nbrs
+        assert list(sys.flags()) == flags
+        assert sys.chambers() == chambers
+        got = {
+            "geometry": sys.is_geometry(),
+            "firm": sys.is_firm(),
+            "rc": sys.is_residually_connected(),
+        }
+        assert got == values
+        codes = sys.type_codes.tolist()
+        flagset = set(flags)
+        for combo in itertools.chain.from_iterable(
+            itertools.combinations(range(sys.size), r) for r in range(4)
+        ):
+            assert sys.is_flag(combo) == (combo in flagset)
+        for f in flags:
+            res = sys.residue(f)
+            keep = sorted(x for x in ext[f] if codes[x] not in {codes[y] for y in f})
+            assert list(res.source_ids) == keep
+            want = [[i, j] for (i, a), (j, b) in itertools.combinations(enumerate(keep), 2)
+                    if b in nbrs[a]]
+            assert res.pairs.tolist() == want
+
+    @given(
+        raw_data().map(lambda d: IncidenceSystem(*d)),
+        st.lists(st.sampled_from(PREDICATES), max_size=6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_predicates_answer_what_is_named(self, sys, names):
+        single = {
+            "geometry": sys.is_geometry(),
+            "firm": sys.is_firm(),
+            "rc": sys.is_residually_connected(),
+        }
+        got = sys._predicates(names)
+        assert list(got) == list(dict.fromkeys(names))
+        assert got == {name: single[name] for name in names}
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_predicates_on_every_order_of_every_subset(self, n):
+        sys = dihedral_geometry(n)
+        single = {name: sys._predicates([name])[name] for name in PREDICATES}
+        for r in range(len(PREDICATES) + 1):
+            for names in itertools.permutations(PREDICATES, r):
+                for repeated in (names, names + names[:1]):
+                    fresh = IncidenceSystem(sys.types, sys.type_codes, sys.pairs)
+                    got = fresh._predicates(repeated)
+                    assert list(got) == list(names)
+                    assert got == {name: single[name] for name in names}
+
+    def test_predicates_reject_unknown_names(self):
+        with pytest.raises(ValueError, match="unknown predicate: validate"):
+            gq22()._predicates(["rc", "validate"])
 
 
 class TestResidues:

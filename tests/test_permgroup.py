@@ -188,6 +188,15 @@ class TestPermGroup:
             assert table.index(table.rows[:, s.images]).tolist() == [where[s * g] for g in elements]
             assert table.index(s.images[table.rows]).tolist() == [where[g * s] for g in elements]
 
+    @given(groups(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_element_table_membership(self, grp, data):
+        table = grp._element_table(bound=5040)
+        perm = st.permutations(range(grp.degree))
+        rows = data.draw(st.lists(perm, min_size=1, max_size=6)) + table.rows[:2].tolist()
+        got = table.contains(np.array(rows, dtype=np.int64).reshape(len(rows), grp.degree))
+        assert got.tolist() == [grp.contains(Permutation(r)) for r in rows]
+
     def test_element_table_long_base(self):
         # base length 14 on 28 points: 28 ** 14 > 2 ** 63, and the rows are
         # still numbered exactly; (C2)^14 is the bit vectors under xor
