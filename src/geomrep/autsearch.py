@@ -9,7 +9,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .incidence import IncidenceSystem
+from .incidence import IncidenceSystem, _pair_keys
 from .perms import GroupFingerprint, PermGroup, Permutation
 
 # Above this many elements (after merging twins) the search gets slow
@@ -499,56 +499,6 @@ def type_preserving_group(sys: IncidenceSystem) -> PermGroup:
     return PermGroup(sys.size, [Permutation(g) for g in gens])
 
 
-def brute_force_automorphisms(
-    sys: IncidenceSystem, element_bound: int = 24
-) -> list[Permutation]:
-    """All correlations by exhaustive backtracking; independent of the search kernel."""
-    n = sys.size
-    if n > element_bound:
-        raise ValueError(f"too large: {n} elements exceeds bound {element_bound}")
-    adj = _element_adjacency(sys)
-    codes = sys.type_codes.tolist()
-    fiber_sizes = [len(f) for f in sys.fibers()]
-    degrees = [len(adj[x]) for x in range(n)]
-    image = [-1] * n
-    used = [False] * n
-    tmap: dict[int, int] = {}
-    tused: set[int] = set()
-    found: list[Permutation] = []
-
-    def rec(i: int) -> None:
-        if i == n:
-            found.append(Permutation(list(image)))
-            return
-        ci = codes[i]
-        for y in range(n):
-            if used[y] or degrees[y] != degrees[i]:
-                continue
-            cy = codes[y]
-            fresh = ci not in tmap
-            if fresh:
-                if cy in tused or fiber_sizes[cy] != fiber_sizes[ci]:
-                    continue
-            elif tmap[ci] != cy:
-                continue
-            if any((j in adj[i]) != (image[j] in adj[y]) for j in range(i)):
-                continue
-            image[i] = y
-            used[y] = True
-            if fresh:
-                tmap[ci] = cy
-                tused.add(cy)
-            rec(i + 1)
-            if fresh:
-                del tmap[ci]
-                tused.discard(cy)
-            used[y] = False
-            image[i] = -1
-
-    rec(0)
-    return found
-
-
 def correlation_type_action(
     sys: IncidenceSystem, g: Permutation
 ) -> list[int] | None:
@@ -574,13 +524,10 @@ def correlation_type_action(
     if not np.array_equal(complete[np.ix_(t, t)], complete[np.ix_(tmap[t], tmap[t])]):
         return None
     if pairs.shape[0]:
-        # key min*n + max per image pair, in the dtype of the record's keys:
-        # the image keys are distinct (g is a bijection), and sorted they
-        # equal the record's ascending keys iff g maps the pairs onto themselves
+        # the image pairs' keys are distinct (g is a bijection), and sorted
+        # they equal the record's keys iff g maps the pairs onto themselves
         ends = g.images.astype(want.dtype)[pairs]
-        keys = np.minimum(ends[:, 0], ends[:, 1])
-        keys *= n
-        keys += np.maximum(ends[:, 0], ends[:, 1])
+        keys = _pair_keys(ends[:, 0], ends[:, 1], n)
         keys.sort()
         if not np.array_equal(keys, want):
             return None

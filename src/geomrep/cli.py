@@ -13,7 +13,7 @@ import sys
 import time
 from typing import Callable, Iterable, Iterator
 
-from . import __version__
+from . import __version__, incidence
 from .autsearch import correlation_group, verify_representation
 from .constructions import (
     CosetGeometrySpec,
@@ -37,7 +37,7 @@ from .freegroup import (
     subgroup_action,
 )
 from .galois import make_field
-from .incidence import _READ_CHUNK, PREDICATES, IncidenceSystem, _json_object
+from .incidence import PREDICATES, IncidenceSystem, _json_object
 from .perms import PermGroup, Permutation
 
 _EXIT_OK, _EXIT_MISMATCH, _EXIT_USAGE = 0, 1, 2
@@ -196,19 +196,19 @@ _CONSTRUCTIONS: dict[str, tuple[Callable[..., IncidenceSystem], Callable[..., st
 }
 
 
-def _load_system(path: str, chunk_size: int = _READ_CHUNK) -> tuple[IncidenceSystem, str]:
+def _load_system(path: str) -> tuple[IncidenceSystem, str]:
     """The system of an interchange file and the digest of the file's bytes.
 
-    The file is hashed and read as bytes, chunk_size bytes at a time, by the
-    byte reader of ``IncidenceSystem.from_json``; its text is never built.
-    A file that the reader declines is decoded whole and parsed by one
-    ``json.loads``, which decides every error; a file that is not UTF-8 fails
-    with the position that one decode of the whole file reports.
+    The file is hashed and read as bytes, ``incidence._READ_CHUNK`` bytes at a
+    time, by the byte reader of ``IncidenceSystem.from_json``; its text is
+    never built.  A file that the reader declines is decoded whole and parsed
+    by one ``json.loads``, which decides every error; a file that is not UTF-8
+    fails with the position that one decode of the whole file reports.
     """
     digest = hashlib.sha256()
 
     def hashed(fh):
-        for chunk in iter(lambda: fh.read(chunk_size), b""):
+        for chunk in iter(lambda: fh.read(incidence._READ_CHUNK), b""):
             digest.update(chunk)
             yield chunk
 

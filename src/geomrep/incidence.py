@@ -8,12 +8,9 @@ import dataclasses
 import itertools
 import json
 import re
-from typing import TYPE_CHECKING, Generator, Iterable, Iterator
+from typing import Generator, Iterable, Iterator
 
 import numpy as np
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,6 +48,18 @@ def _int_array(values: Iterable) -> np.ndarray | None:
     flat = itertools.chain.from_iterable(values) if arr.ndim == 2 else values
     # bool is a subclass of int, but true is not an id
     return None if {bool, np.bool_} & set(map(type, flat)) else arr
+
+
+def _pair_keys(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The key min*n + max of each pair (a[i], b[i]) of ids below n, so sorted
+    keys are sorted pairs: int32 when n*n < 2**31, else int64.  The keys are
+    the one full-size array made, as min*(n - 1) + a + b summed in place."""
+    dtype = np.int32 if n * n < 2**31 else np.int64
+    keys = np.minimum(a, b, dtype=dtype)
+    keys *= n - 1
+    np.add(keys, a, out=keys, dtype=dtype)
+    np.add(keys, b, out=keys, dtype=dtype)
+    return keys
 
 
 def _id_pair(row: Iterable[int]) -> tuple[int, int] | None:
@@ -430,13 +439,8 @@ class IncidenceSystem:
             a, b = arr[:, 0], arr[:, 1]
             if (a == b).any():
                 raise ValueError("self-incidence")
-            # one key min*n + max per unordered pair; sorted keys are sorted
-            # pairs.  Keys are below n*n, so int32 holds them when n*n < 2**31.
-            # Each temporary is freed as soon as it is used.
-            dtype = np.int32 if n * n < 2**31 else np.int64
-            keys = np.minimum(a, b, dtype=dtype)
-            keys *= n
-            keys += np.maximum(a, b, dtype=dtype)
+            # one key per unordered pair; each temporary is freed once used
+            keys = _pair_keys(a, b, n)
             if (keys[1:] > keys[:-1]).all() and (a < b).all():
                 # canonical already (rows a < b, sorted, distinct), as the
                 # builders and _induced give them: adopt a copy of the rows,
@@ -550,8 +554,8 @@ class IncidenceSystem:
         has all its possible pairs, at least one (|T|·|U| for t != u,
         |T|(|T| - 1)/2 for t == u); rest holds the ascending pairs of the other
         type pairs, ``pairs`` itself when none is complete, and rest_keys their
-        ascending keys a*n + b, int32 when n*n < 2**31, else int64.  Filled
-        once, by one pass over ``pairs``; every array is read-only.
+        ascending ``_pair_keys``.  Filled once, by one pass over ``pairs``;
+        every array is read-only.
         """
         if self._blocks is None:
             r = self.rank
@@ -568,20 +572,28 @@ class IncidenceSystem:
             rest = self.pairs
             if complete.any():
                 rest = rest.compress(~complete.ravel().take(block), axis=0)
-            n = self.size
-            keys = rest[:, 0].astype(np.int32 if n * n < 2**31 else np.int64)
-            keys *= n
-            keys += rest[:, 1]
+            keys = _pair_keys(rest[:, 0], rest[:, 1], self.size)
             complete.flags.writeable = rest.flags.writeable = keys.flags.writeable = False
             object.__setattr__(self, "_blocks", (complete, rest, keys))
         return self._blocks
 
+    def _element_ids(self, ids: Iterable[int]) -> set[int] | None:
+        """The distinct ids, or None if one of them names no element.
+
+        ValueError unless each id is an integer (``_int_array``): a float, a
+        string or a bool is not, and nothing is rounded."""
+        ids = list(ids)
+        arr = _int_array(ids)
+        if arr is None and all(type(x) is int for x in ids):
+            return None  # an integer beyond int64
+        if arr is None or arr.ndim != 1:
+            raise ValueError(f"element ids are integers, not {ids!r}")
+        xs = set(arr.tolist())
+        return xs if all(0 <= x < self.size for x in xs) else None
+
     def neighbors(self, x: int) -> frozenset[int]:
         """Elements incident to x."""
-        # bool is a subclass of int, but true is not an id (np.bool_ is neither)
-        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-            raise ValueError(f"element ids are integers, not {x!r}")
-        if not 0 <= x < self.size:
+        if self._element_ids([x]) is None:
             raise ValueError(f"no element {x}: ids are 0..{self.size - 1}")
         return frozenset(self._ids(self._bit_rows()[x]).tolist())
 
@@ -618,8 +630,8 @@ class IncidenceSystem:
 
     def is_flag(self, ids: Iterable[int]) -> bool:
         """True iff ids are elements of the system and pairwise incident."""
-        xs = sorted({int(x) for x in ids})
-        if xs and not (0 <= xs[0] and xs[-1] < self.size):
+        xs = self._element_ids(ids)
+        if xs is None:
             return False
         rows = self._bit_rows()
         bits = sum(1 << x for x in xs)
@@ -743,8 +755,8 @@ class IncidenceSystem:
 
     def residue(self, flag: Iterable[int]) -> "IncidenceSystem":
         """Subsystem of elements incident to every element of the flag."""
-        xs = sorted({int(x) for x in flag})
-        if not self.is_flag(xs):
+        xs = self._element_ids(flag)
+        if xs is None or not self.is_flag(xs):
             raise ValueError("not a flag")
         rows, fibers = self._bit_rows(), self._fiber_bits()
         ftypes = {int(self.type_codes[x]) for x in xs}
@@ -802,16 +814,6 @@ class IncidenceSystem:
             frontier = reach & nodes & ~seen
             seen |= frontier
         return seen == nodes
-
-    def incidence_graph(self) -> nx.Graph:
-        """Multipartite graph: one node per element, one edge per incidence."""
-        import networkx as nx
-
-        g = nx.Graph()
-        for i, c in enumerate(self.type_codes.tolist()):
-            g.add_node(i, type=self.types[c])
-        g.add_edges_from(self.pairs.tolist())
-        return g
 
     # -- interchange -------------------------------------------------------
 

@@ -401,27 +401,6 @@ class PermGroup:
             center_order=int(np.count_nonzero(central)),
         )
 
-    def is_transitive_on(self, tuples: Sequence[tuple[int, ...]]) -> bool:
-        """True iff the componentwise action has a single orbit on the tuple list."""
-        if not tuples:
-            raise ValueError("tuple list is empty")
-        pool = set(tuples)
-        for t in tuples:
-            if any(p < 0 or p >= self.degree for p in t):
-                raise ValueError(f"tuple {t} contains out-of-domain point")
-        seen = {tuples[0]}
-        queue = [tuples[0]]
-        while queue:
-            t = queue.pop(0)
-            for g in self.generators:
-                image = tuple(g(p) for p in t)
-                if image not in pool:
-                    raise ValueError(f"tuple list not invariant: {t} -> {image}")
-                if image not in seen:
-                    seen.add(image)
-                    queue.append(image)
-        return len(seen) == len(pool)
-
     def induced_action(self, blocks: Sequence[Sequence[int]]) -> BlockAction:
         """Action on disjoint blocks: image group on block indices plus kernel."""
         block_of: dict[int, int] = {}

@@ -21,7 +21,6 @@ from geomrep import (
     autsearch,
     PermGroup,
     Permutation,
-    brute_force_automorphisms,
     complete_graph_geometry,
     correlation_group,
     coset_geometry,
@@ -38,6 +37,7 @@ from geomrep import (
     type_preserving_group,
     verify_representation,
 )
+from reference import brute_force_automorphisms
 
 
 def relabel(sys: IncidenceSystem, perm: list[int]) -> IncidenceSystem:
@@ -1023,6 +1023,15 @@ class TestBruteForceGuard:
     def test_bound_override(self):
         with pytest.raises(ValueError, match="exceeds bound"):
             brute_force_automorphisms(dihedral_geometry(3), element_bound=5)
+
+    def test_shares_no_neighbour_code_with_the_search(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("the oracle read a neighbour record of the library")
+
+        monkeypatch.setattr(geomrep.autsearch, "_element_adjacency", unused)
+        monkeypatch.setattr(IncidenceSystem, "_neighbour_index", unused)
+        monkeypatch.setattr(IncidenceSystem, "_bit_rows", unused)
+        assert len(brute_force_automorphisms(dihedral_geometry(5))) == 20
 
 
 class TestEmptyTypeFiber:

@@ -17,6 +17,7 @@ from geomrep import (
     pgl_order,
     projective_space,
 )
+from reference import is_transitive_on
 
 
 @pytest.fixture(scope="module")
@@ -253,7 +254,7 @@ class TestClassicalGroups:
         group = pgl_group(field, n)
         assert group.order() == pgl_order(field.q, n)
         points = [(i,) for i in range(group.degree)]
-        assert group.is_transitive_on(points)
+        assert is_transitive_on(group, points)
 
     def test_pgl_guard(self, gf4):
         with pytest.raises(ValueError, match=">= 2"):

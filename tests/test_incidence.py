@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from geomrep import (
     IncidenceSystem,
     Permutation,
-    brute_force_automorphisms,
     complete_graph_geometry,
     correlation_type_action,
     dihedral_geometry,
@@ -21,6 +20,7 @@ from geomrep import (
     validate_data,
 )
 from geomrep.incidence import _JSON_BLOCK, PREDICATES
+from reference import brute_force_automorphisms, incidence_graph
 
 
 @st.composite
@@ -226,6 +226,32 @@ class TestConstruction:
         assert sys.neighbors(np.uint8(0)) == {1}
 
     @pytest.mark.parametrize(
+        "ids",
+        [[0.9, 5.5], ["3"], [True], [0, np.float64(5.0)], np.array([0.0, 5.0]), [None]],
+        ids=["floats", "str", "true", "np-float", "float-array", "none"],
+    )
+    def test_flag_queries_reject_ids_that_are_not_integers(self, ids):
+        # nothing is rounded: 0.9 is not element 0
+        sys = dihedral_geometry(5)
+        with pytest.raises(ValueError, match="element ids are integers"):
+            sys.is_flag(ids)
+        with pytest.raises(ValueError, match="element ids are integers"):
+            sys.residue(ids)
+
+    @pytest.mark.parametrize("ids", [[-1], [15], [0, 15], [2**63], [2**70], [0, 2**70]])
+    def test_flag_queries_on_ids_outside_the_system(self, ids):
+        sys = dihedral_geometry(5)
+        assert not sys.is_flag(ids)
+        with pytest.raises(ValueError, match="not a flag"):
+            sys.residue(ids)
+
+    def test_flag_queries_accept_numpy_integer_ids(self):
+        sys = dihedral_geometry(5)
+        flag = [np.int64(0), np.uint8(5)]
+        assert sys.is_flag(flag) and sys.is_flag(np.array([0, 5], dtype=np.int32))
+        assert sys.residue(flag) == sys.residue([0, 5])
+
+    @pytest.mark.parametrize(
         "size,source_ids",
         [
             (1, [0.7]),
@@ -423,7 +449,7 @@ class TestPredicates:
             res = sys.residue(flag)
             if res.rank < 2:
                 continue
-            g = res.incidence_graph()
+            g = incidence_graph(res)
             if g.number_of_nodes() > 1 and not nx.is_connected(g):
                 expected = False
         assert sys.is_residually_connected() == expected
@@ -619,7 +645,7 @@ class TestInterchange:
 
     def test_incidence_graph(self):
         sys = dihedral_geometry(5)
-        g = sys.incidence_graph()
+        g = incidence_graph(sys)
         assert g.number_of_nodes() == sys.size
         assert g.number_of_edges() == sys.pairs.shape[0]
         assert g.nodes[0]["type"] == sys.types[0]

@@ -468,7 +468,8 @@ def test_chunk_boundaries_match_json_loads(monkeypatch, tmp_path, short_text):
         want = file_outcome(lambda p: reference_load(p.read_bytes().decode("utf-8")), path)
         read[want[0] is not None] += 1
         for size in list(range(1, 65)) + [97, 211, 1023, 4099]:
-            got = file_outcome(lambda p: _load_system(str(p), size)[0], path)
+            monkeypatch.setattr(geomrep.incidence, "_READ_CHUNK", size)
+            got = file_outcome(lambda p: _load_system(str(p))[0], path)
             assert got == want, (i, size)
     assert read == {True: 8, False: 5}
 
