@@ -27,7 +27,12 @@ truncation's own pairs, as the builder makes it.
 On the q = 4 file that `build pgl --q 4` writes (56 MB) it records the best
 of REPEAT times of `check --properties validate` in process, and the best wall
 time and the largest peak resident set (``ru_maxrss``) of REPEAT fresh
-processes running it; the best of REPEAT times to encode the `aut` report of
+processes running it; the best of REPEAT times of the byte reader
+(``incidence._json_object``) on the file's bytes, held in memory and handed
+over ``incidence._READ_CHUNK`` bytes at a time, so without reading or hashing
+the file; and, for each decoder of the reader's pair blocks (``_row_pairs``
+and ``_strict_pairs``; null for a version without it), the blocks and pairs
+it read in one such pass; the best of REPEAT times to encode the `aut` report of
 that system (``geomrep.cli._emit_json`` to a file); and, for each small file
 that `build` writes, the best of REPEAT mean times of LOOPS loads by
 ``geomrep.cli._load_system``.  It writes everything as JSON to FILE (default:
@@ -175,7 +180,44 @@ def check_q4(gr, src: str, workdir: str) -> dict:
         "in_process_best_s": best(lambda: gr.cli.main(argv)),
         "fresh_process_best_s": round(min(s for s, _ in runs), 6),
         "fresh_process_maxrss_mb": round(max(kb for _, kb in runs) / 1024, 1),
+        **decode(gr, path),
     }
+
+
+def decode(gr, path: str) -> dict:
+    reader = gr.incidence
+    with open(path, "rb") as fh:
+        data = fh.read()
+    step = reader._READ_CHUNK
+
+    def read():
+        return reader._json_object(data[i : i + step] for i in range(0, len(data), step))
+
+    decode_s = best(read)
+    decoders = {name: getattr(reader, name, None) for name in ("_row_pairs", "_strict_pairs")}
+    taken = {name: decoder and {"blocks": 0, "pairs": 0} for name, decoder in decoders.items()}
+
+    def counting(decoder, count):
+        def counted(block):
+            pairs = decoder(block)
+            if pairs is not None:
+                count["blocks"] += 1
+                count["pairs"] += pairs.shape[0]
+            return pairs
+
+        return counted
+
+    try:
+        for name, decoder in decoders.items():
+            if decoder is not None:
+                setattr(reader, name, counting(decoder, taken[name]))
+        if read() is None:
+            raise SystemExit("the byte reader declined the q = 4 file")
+    finally:
+        for name, decoder in decoders.items():
+            if decoder is not None:
+                setattr(reader, name, decoder)
+    return {"decode_best_s": decode_s, "decoders": taken}
 
 
 def aut_encode(gr, path: str) -> dict:
@@ -254,7 +296,8 @@ def main() -> None:
     )
     print(
         f"check q=4: {check['in_process_best_s']:.3f} s in process, "
-        f"{check['fresh_process_best_s']:.3f} s and {check['fresh_process_maxrss_mb']} MB fresh"
+        f"{check['fresh_process_best_s']:.3f} s and {check['fresh_process_maxrss_mb']} MB fresh; "
+        f"decode {check['decode_best_s']:.3f} s, blocks and pairs by decoder {check['decoders']}"
     )
     print(f"aut q=4 report: {aut['report_bytes']} bytes encoded in {aut['encode_best_s']:.3f} s")
     for r in small:

@@ -10,7 +10,8 @@ records the command, its exit code and the sha256 of the bytes it writes to
 its ``--out`` file.  The commands are `build`, `aut`, `check` and `export` of
 each small file of ``bench_verify.SMALL_FILES`` (the `build` writes the file
 the other three read), `verify` of each construction but pgl and of
-`pgl --q 2` and `pgl --q 3`, and one `free rose`.  It writes the table as JSON
+pgl at q = 2, 3 and 4, one `free rose`, and the `build` of the q = 4 file
+(56 MB) with its `check --properties validate`.  It writes the table as JSON
 to FILE (default: tests/report_corpus.json), which ``tests/test_report_corpus.py``
 replays.  Pointing --src at another checkout's src gives that version's table.
 """
@@ -36,6 +37,7 @@ VERIFY = (
     (["coset"], "24", "48"),
     (["pgl", "--q", "2"], "168", "336"),
     (["pgl", "--q", "3"], "5616", "11232"),
+    (["pgl", "--q", "4"], "60480", "120960"),
 )
 COMMANDS = (
     *(
@@ -53,6 +55,8 @@ COMMANDS = (
         for construction, inn, aut in VERIFY
     ),
     ["free", "rose", "--n", "2", "--check", "rank,intersections,action,rc", "--out", REPORT],
+    ["build", "pgl", "--q", "4", "--out", "pgl-q4.json"],
+    ["check", "pgl-q4.json", "--properties", "validate", "--out", REPORT],
 )
 
 

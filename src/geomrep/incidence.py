@@ -34,7 +34,8 @@ def _int_array(values: Iterable) -> np.ndarray | None:
     An integer array is returned as it is.  Other values, such as JSON
     lists, are read by np.asarray, which folds true and false into an
     integer array that also holds ints, so their entries' types are checked
-    too; an empty list gives an empty int64 array.
+    too; an empty list gives an empty int64 array.  Integers beyond int64
+    give an array of Python objects, which range checks compare exactly.
     """
     if isinstance(values, np.ndarray):
         return values if values.dtype.kind in "iu" else None
@@ -43,11 +44,14 @@ def _int_array(values: Iterable) -> np.ndarray | None:
         arr = np.asarray(values, dtype=None if values else np.int64)
     except ValueError:  # rows of different lengths
         return None
-    if arr.dtype.kind not in "iu":
+    if arr.dtype.kind not in "iuO":
         return None
     flat = itertools.chain.from_iterable(values) if arr.ndim == 2 else values
+    kinds = set(map(type, flat))
     # bool is a subclass of int, but true is not an id
-    return None if {bool, np.bool_} & set(map(type, flat)) else arr
+    if bool in kinds or not all(issubclass(t, (int, np.integer)) for t in kinds):
+        return None
+    return arr
 
 
 def _pair_keys(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -116,9 +120,12 @@ def _json_list(data: dict, field: str) -> list:
     return value
 
 
-# json.dumps(..., indent=2) of one incidence [a, b] at its depth in to_json,
-# around and after its two ids, and a byte that none of that text holds
-_JSON_ROW = (b"    [\n      ", b",\n      ", b"\n    ],\n")
+# json.dumps(..., indent=2) of the incidences in to_json, cut into rows that
+# each run from a pair's "[" to the next pair's: the bytes before, between and
+# after its two ids, where the last row lacks the separator _JSON_SEP; and a
+# byte that none of that text holds
+_JSON_SEP = b",\n    "
+_JSON_ROW = (b"[\n      ", b",\n      ", b"\n    ]" + _JSON_SEP)
 _PAD = 0xFF
 # pairs per block, both when writing the interchange text and when reading it;
 # a block's temporaries (about 2 MB when writing) fit in the heap that freeing a
@@ -140,35 +147,90 @@ _ROW_BLOCK = 1 << 20
 PREDICATES = ("geometry", "firm", "rc")
 
 
-def _pairs_text(block: np.ndarray) -> bytes:
-    """The text ``to_json`` writes for the (k, 2) id array block, ",\n" after each pair.
-
-    Every pair gets one row of the fixed bytes of _JSON_ROW with two rooms as
-    wide as the block's widest id.  Each id fills its room by place value,
-    right aligned, with _PAD at the places above its leading digit; the pad
-    bytes, few in a row, are then deleted by ``bytes.replace``, which copies
-    the runs between them whole.
-    """
-    width = len(str(int(block.max())))
+def _json_row(widths: list[int], fill: int) -> tuple[bytes, list[int]]:
+    """One row of _JSON_ROW whose two ids have rooms of the widths, every room
+    byte fill; and where the two rooms start."""
     head, mid, tail = _JSON_ROW
-    room = bytes([_PAD]) * width
-    row = np.frombuffer(head + room + mid + room + tail, dtype=np.uint8)
-    text = np.empty((block.shape[0], row.shape[0]), dtype=np.uint8)
-    text[:] = row
-    at_a, at_b = len(head), len(head) + width + len(mid)
+    width_a, width_b = widths
+    row = b"".join([head, bytes([fill]) * width_a, mid, bytes([fill]) * width_b, tail])
+    return row, [len(head), len(head) + width_a + len(mid)]
+
+
+def _pairs_text(block: np.ndarray) -> bytes:
+    """The text ``to_json`` writes for the (k, 2) id array block: k rows of _JSON_ROW.
+
+    Each column of ids gets rooms as wide as its widest id, which each id
+    fills by place value, right aligned.  In a column whose ids differ in
+    width, the places above an id's leading digit hold _PAD; those bytes, few
+    in a row, are then deleted by ``bytes.replace``, which copies the runs
+    between them whole.  A block without pad is written as it is.
+    """
+    # each column's narrowest and widest id (one column at a time: numpy
+    # reduces a (k, 2) array along its rows pair by pair)
+    least = [len(str(block[:, col].min())) for col in (0, 1)]
+    most = [len(str(block[:, col].max())) for col in (0, 1)]
+    row, rooms = _json_row(most, _PAD)
+    text = np.empty((block.shape[0], len(row)), dtype=np.uint8)
+    text[:] = np.frombuffer(row, dtype=np.uint8)
     rest = block
-    # the rooms' columns from the last: rest is each id without the digits
-    # already written, and 0 once the id has none left
-    for col in range(width - 1, -1, -1):
+    # the rooms' places from their last: rest is each id without the digits
+    # already written, and 0 once the id has none left, which can happen only
+    # past the narrowest id of its column
+    for back in range(max(most)):
         high = rest // 10
-        digit = (rest - high * 10).astype(np.uint8)
+        digit = rest - high * 10
         digit += 48
-        if col < width - 1:
+        if back >= min(least):
             digit[rest == 0] = _PAD
-        text[:, at_a + col] = digit[:, 0]
-        text[:, at_b + col] = digit[:, 1]
+        for col, at in enumerate(rooms):
+            if back < most[col]:
+                text[:, at + most[col] - 1 - back] = digit[:, col]
         rest = high
-    return text.tobytes().replace(bytes([_PAD]), b"")
+    text = text.tobytes()
+    return text if least == most else text.replace(bytes([_PAD]), b"")
+
+
+def _row_pairs(block: bytes) -> np.ndarray | None:
+    """The int64 (k, 2) array of a block of k rows of _JSON_ROW, else None.
+
+    The block is k pairs as ``to_json`` writes them, with the ids of each
+    column all of one width, read from the first row: k rows of one length
+    but the last, which lacks _JSON_SEP.  XORed with k copies of the row whose
+    rooms hold "0", every byte of the layout becomes 0 and every digit its
+    value; then each room's place is a column of the block viewed as a
+    matrix of rows, which gives the ids by Horner's rule.  Any other byte, an
+    id with a leading zero or one of more than 18 digits gives None.  Every
+    block this reads is in the strict shape of ``_strict_pairs``, which reads
+    it as the same array.
+    """
+    head, mid, tail = _JSON_ROW
+    width_a = block.find(mid[:1], len(head)) - len(head)
+    at_b = len(head) + width_a + len(mid)
+    widths = [width_a, block.find(tail[:1], at_b) - at_b]
+    if not all(0 < width <= 18 for width in widths):
+        return None
+    zero, rooms = _json_row(widths, ord("0"))
+    k, short = divmod(len(block) + len(_JSON_SEP), len(zero))
+    if short:
+        return None
+    # one pass of each array operation over the whole block
+    digits = np.frombuffer(block, dtype=np.uint8) ^ np.frombuffer(zero * k, np.uint8, len(block))
+    # 9 in the rooms and 0 elsewhere
+    limit = bytes(a ^ b for a, b in zip(_json_row(widths, ord("9"))[0], zero))
+    if (digits > np.frombuffer(limit * k, np.uint8, len(block))).any():
+        return None
+    pairs = np.empty((k, 2), dtype=np.int64)
+    for col, (at, width) in enumerate(zip(rooms, widths)):
+        # the room's places in every row, from its leading one
+        lead = digits[at :: len(zero)]
+        if width > 1 and not lead.all():
+            return None
+        value = lead.astype(np.int64)
+        for place in range(at + 1, at + width):
+            value *= 10
+            value += digits[place :: len(zero)]
+        pairs[:, col] = value
+    return pairs
 
 
 def _strict_pairs(block: bytes) -> np.ndarray | None:
@@ -304,10 +366,14 @@ class _ByteStream:
 def _read_pairs(src: _ByteStream) -> np.ndarray:
     """The incidences list at src.pos (a "["), and src.pos moved past it.
 
-    The list is read in blocks of about _JSON_BLOCK pairs in the strict
-    shape of ``_strict_pairs``, as an int32 (k, 2) array that never exists
-    as Python lists; a list in any other shape, or with an id of 2**31 or
-    more (which no system has), raises _Declined.
+    The list is read in blocks of about _JSON_BLOCK pairs, as an int32
+    (k, 2) array that never exists as Python lists.  Each block goes to two
+    decoders in turn.  ``_row_pairs`` reads a block in the layout that
+    ``to_json`` writes, with the ids of each column all of one width, which
+    is all but a few blocks of such a list; ``_strict_pairs`` reads any other
+    block in the strict shape, in which the first decoder's blocks lie.  A
+    list in any other shape, or with an id of 2**31 or more (which no system
+    has), raises _Declined.
 
     A list of pairs ends at the first "]" that is followed by another "]".
     No end lies inside a strict block, whose every "]" but its last is
@@ -332,14 +398,18 @@ def _read_pairs(src: _ByteStream) -> np.ndarray:
             if not src.more():
                 raise _Declined
             continue
-        pairs = _strict_pairs(bytes(buf[at:cut]))
+        block = buf[at:cut]
+        pairs = _row_pairs(block)
+        if pairs is None:
+            pairs = _strict_pairs(block)
+        del block
         end = None
         if pairs is None:
             # an end that starts before cut - 1 also ends by cut, since
             # buf[cut - 1] is a "]" and an end holds only whitespace between
             # its brackets
             end = _JSON_PAIRS_END.search(buf, at, cut)
-            pairs = end and _strict_pairs(bytes(buf[at : end.start() + 1]))
+            pairs = end and _strict_pairs(buf[at : end.start() + 1])
             if pairs is None:
                 raise _Declined
         if pairs.max() >= 2**31:
@@ -423,10 +493,10 @@ class IncidenceSystem:
         codes = _int_array(type_codes)
         if codes is None or codes.ndim != 1:
             raise ValueError("type codes must be integers")
-        codes = codes.astype(np.int32)
         n = codes.shape[0]
         if n and (codes.min() < 0 or codes.max() >= len(tps)):
             raise ValueError("type code out of range")
+        codes = codes.astype(np.int32)
         # integer arrays are read as they are, with no int64 copy
         arr = _int_array(pairs)
         if arr is not None and arr.ndim == 1 and arr.size == 0:
@@ -584,8 +654,6 @@ class IncidenceSystem:
         string or a bool is not, and nothing is rounded."""
         ids = list(ids)
         arr = _int_array(ids)
-        if arr is None and all(type(x) is int for x in ids):
-            return None  # an integer beyond int64
         if arr is None or arr.ndim != 1:
             raise ValueError(f"element ids are integers, not {ids!r}")
         xs = set(arr.tolist())
@@ -872,18 +940,21 @@ class IncidenceSystem:
         """The ASCII bytes of ``to_json`` in consecutive pieces, never built whole.
 
         The pairs are written in blocks of _JSON_BLOCK, each encoded by array
-        operations (``_pairs_text``) without one Python int per id.
+        operations (``_pairs_text``) without one Python int per id.  The
+        reader of ``from_json`` decodes each block whose columns each hold
+        ids of one width as a matrix of rows (``_row_pairs``), and any other
+        block by the strict shape (``_strict_pairs``).
         """
         head = json.dumps(self._json_head(), indent=2)[: -len("\n}")].encode("ascii")
         k = self.pairs.shape[0]
         if not k:
             yield head + b',\n  "incidences": []\n}\n'
             return
-        yield head + b',\n  "incidences": [\n'
+        yield head + b',\n  "incidences": [\n    '
         for start in range(0, k, _JSON_BLOCK):
             text = _pairs_text(self.pairs[start : start + _JSON_BLOCK])
-            # no ",\n" after the last pair
-            yield text if start + _JSON_BLOCK < k else text[:-2]
+            # no separator after the last pair
+            yield text if start + _JSON_BLOCK < k else text[: -len(_JSON_SEP)]
         yield b"\n  ]\n}\n"
 
     @classmethod
@@ -892,12 +963,14 @@ class IncidenceSystem:
 
         The text's UTF-8 bytes go, a megabyte at a time, through the byte
         reader ``_json_object``.  A text of more than 8 KiB is read member by
-        member: a top-level ``incidences`` list of plain integer pairs, as
-        ``to_json`` writes them, in blocks of array operations (see
-        ``_read_pairs``), every other member by the JSON scanner.  Any other
-        text, such as a short one, malformed JSON or a list of other values,
-        is parsed by one ``json.loads`` of the whole text, which decides what
-        is rejected and how.  The system, or the error, is the same either way.
+        member: a top-level ``incidences`` list of plain integer pairs in
+        blocks of array operations, every other member by the JSON scanner.
+        A block as ``to_json`` writes it, with the ids of each column all of
+        one width, is read by ``_row_pairs``, any other block of plain pairs
+        by ``_strict_pairs`` (see ``_read_pairs``).  Any other text, such as
+        a short one, malformed JSON or a list of other values, is parsed by
+        one ``json.loads`` of the whole text, which decides what is rejected
+        and how.  The system, or the error, is the same either way.
         """
         step = _READ_CHUNK
         data = _json_object(text[i : i + step].encode("utf-8") for i in range(0, len(text), step))

@@ -856,6 +856,27 @@ class TestArrayCore:
             IncidenceSystem(types, codes, pairs)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "codes,pairs,message",
+        [
+            ([0, 1], [[0, 2**70]], "incidence references unknown element id"),
+            ([0, 1], [[-(2**70), 1]], "incidence references unknown element id"),
+            ([0, 1], [[0, 2**64], [1, -1]], "incidence references unknown element id"),
+            ([0, 2**70], [], "type code out of range"),
+            # within int64 but not int32, where the codes are kept
+            ([0, 2**32], [], "type code out of range"),
+        ],
+        ids=["id-2**70", "id--2**70", "ids-2**64-and-negative", "code-2**70", "code-2**32"],
+    )
+    def test_wide_integers_are_out_of_range(self, codes, pairs, message):
+        with pytest.raises(ValueError) as err:
+            IncidenceSystem(["a", "b"], codes, pairs)
+        assert str(err.value) == message
+
+    def test_validate_data_reports_ids_beyond_int64_as_dangling(self):
+        report = validate_data(["a", "b"], ["a", "b"], [[0, 1], [0, 2**70], [-(2**70), 1]])
+        assert report.violations == (("dangling id", (-(2**70), 1)), ("dangling id", (0, 2**70)))
+
     @pytest.mark.parametrize("pairs", [[[0, 1, 2]], [[], []], [0, 1]])
     def test_rejects_rows_that_are_not_pairs(self, pairs):
         with pytest.raises(ValueError, match="pairs of element ids"):

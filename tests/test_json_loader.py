@@ -535,3 +535,122 @@ def test_lone_surrogate_is_read_as_json_loads_reads_it(monkeypatch, short_text, 
     text = json.dumps(data, ensure_ascii=False)
     assert len(text.encode("utf-8", "surrogatepass")) <= SMALL_TEXT
     assert outcome(IncidenceSystem.from_json, text) == outcome(reference_load, text)
+
+
+def _block(pairs):
+    """The bytes that the reader hands to a decoder for pairs written by to_json."""
+    text = geomrep.incidence._pairs_text(np.asarray(pairs, dtype=np.int64))
+    return text[: -len(geomrep.incidence._JSON_SEP)]
+
+
+def _decoders_agree(block):
+    """The row decoder reads block as the strict one does, or declines it;
+    True if it read it."""
+    rows = geomrep.incidence._row_pairs(block)
+    if rows is not None:
+        strict = geomrep.incidence._strict_pairs(block)
+        assert strict is not None, block
+        assert rows.dtype == strict.dtype and rows.tolist() == strict.tolist(), block
+    return rows is not None
+
+
+def _canonical_pairs(rng, k, widths):
+    """k distinct sorted pairs a < b; each column's ids of one of its widths."""
+    def ids(width_choice):
+        width = rng.choice(width_choice)
+        return rng.randrange(10 ** (width - 1) if width > 1 else 0, 10**width)
+
+    pairs = set()
+    while len(pairs) < k:
+        a, b = ids(widths[0]), ids(widths[1])
+        if a != b:
+            pairs.add((min(a, b), max(a, b)))
+    return sorted(pairs)
+
+
+def test_row_decoder_reads_canonical_blocks_as_the_strict_one():
+    rng = random.Random(24)
+    read = {True: 0, False: 0}
+    for trial in range(400):
+        mixed = trial % 2
+        widths = [rng.sample(range(1, 11), 2) if mixed else [rng.randint(1, 10)] for _ in range(2)]
+        k = 1 if trial % 5 == 0 else rng.randint(2, 30)
+        pairs = _canonical_pairs(rng, k, widths)
+        uniform = all(len({len(str(p[col])) for p in pairs}) == 1 for col in (0, 1))
+        block = _block(pairs)
+        assert geomrep.incidence._strict_pairs(block).tolist() == [list(p) for p in pairs]
+        accepted = _decoders_agree(block)
+        # every block whose columns each hold one width takes the row path
+        assert accepted or not uniform
+        read[accepted] += 1
+    for pairs in ([[0, 9]], [[9, 10]], [[10, 99]], [[99, 100]], [[0, 9], [10, 99]],
+                  [[0, 10], [9, 99], [0, 100]], [[100, 9999999999]]):
+        read[_decoders_agree(_block(pairs))] += 1
+    # ids of 18 digits are read; the strict shape has none of 19
+    assert _decoders_agree(_block([[10**17, 10**18 - 1]]))
+    assert not _decoders_agree(_block([[10**17, 10**18]]))
+    assert read[True] > 200 and read[False] > 100
+
+
+# the bytes of the layout and of ids, and others the strict shape allows or not
+EDIT_BYTES = b"0123456789 \t\n\r[],-.x\xff"
+
+
+def _edits(block):
+    """Every one-byte substitution, deletion and insertion of block."""
+    for at in range(len(block) + 1):
+        for byte in EDIT_BYTES:
+            yield block[:at] + bytes([byte]) + block[at:]
+            if at < len(block) and byte != block[at]:
+                yield block[:at] + bytes([byte]) + block[at + 1 :]
+        if at < len(block):
+            yield block[:at] + block[at + 1 :]
+
+
+def test_decoders_agree_on_every_one_byte_edit():
+    block = _block([[10, 42], [11, 57], [12, 90]])
+    assert _decoders_agree(block)
+    # a string member makes each text longer than the reader's small texts
+    tail = b'], "note": "' + b"x" * SMALL_TEXT + b'"}'
+    read = 0
+    for edited in _edits(block):
+        read += _decoders_agree(edited)
+        text = b'{"incidences": [' + edited + tail
+        assert len(text) > SMALL_TEXT
+        got = geomrep.incidence._json_object([text])
+        try:
+            want = json.loads(text)
+        except ValueError:
+            assert got is None, edited
+            continue
+        if got is not None:
+            assert {**got, "incidences": got["incidences"].tolist()} == want, edited
+    # the row path reads the edits that keep the layout: one digit for
+    # another, in the 6 ids of two digits, but for a leading 0
+    assert read == 6 * 2 * 9 - 6
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [[[0, 1]], [[10, 20], [30, 40]], [[0, 9], [10, 99], [100, 1234]], [[5, 10**9], [6, 7]]],
+    ids=["one-pair", "uniform", "mixed", "mixed-second"],
+)
+def test_pairs_text_is_json_dumps(pairs):
+    want = json.dumps({"incidences": pairs}, indent=2)
+    got = '{\n  "incidences": [\n    ' + _block(pairs).decode("ascii") + "\n  ]\n}"
+    assert got == want
+
+
+def test_q4_file_is_read_by_the_row_decoder(monkeypatch, pgl34):
+    """All but a few blocks of the q = 4 file, those with ids of several widths
+    in one column, take the row path: a silent fall back to the strict one fails."""
+    taken = []
+    row_pairs = geomrep.incidence._row_pairs
+    monkeypatch.setattr(
+        geomrep.incidence, "_row_pairs",
+        lambda block: taken.append(row_pairs(block)) or taken[-1],
+    )
+    data = geomrep.incidence._json_object(pgl34.system.json_blocks())
+    assert np.array_equal(data["incidences"], pgl34.system.pairs)
+    read = sum(pairs.shape[0] for pairs in taken if pairs is not None)
+    assert read >= 0.95 * pgl34.system.pairs.shape[0]
