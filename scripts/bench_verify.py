@@ -27,7 +27,10 @@ truncation's own pairs, as the builder makes it.
 On the q = 4 file that `build pgl --q 4` writes (56 MB) it records the best
 of REPEAT times of `check --properties validate` in process, and the best wall
 time and the largest peak resident set (``ru_maxrss``) of REPEAT fresh
-processes running it; the best of REPEAT times of the byte reader
+processes running it; the same two numbers for fresh processes running it on
+the q = 4 system as ``json.dumps`` writes it with no indent, which a reader
+of only the layout that `build` writes leaves to one ``json.loads`` (under
+"fallback"); the best of REPEAT times of the byte reader
 (``incidence._json_object``) on the file's bytes, held in memory and handed
 over ``incidence._READ_CHUNK`` bytes at a time, so without reading or hashing
 the file; and, for each decoder of the reader's pair blocks (``_row_pairs``
@@ -164,10 +167,9 @@ def q4_parts(gr) -> dict:
     }
 
 
-def check_q4(gr, src: str, workdir: str) -> dict:
-    path = os.path.join(workdir, "pgl-q4.json")
-    gr.cli.main(["build", "pgl", "--q", "4", "--out", path])
-    argv = ["check", path, "--properties", "validate", "--out", os.devnull]
+def fresh(src: str, argv: list[str]) -> dict:
+    """The best wall time and the largest peak resident set of REPEAT fresh
+    processes running the CLI on argv."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     runs = []
     for _ in range(REPEAT):
@@ -176,10 +178,39 @@ def check_q4(gr, src: str, workdir: str) -> dict:
         seconds, maxrss_kb = out.stdout.split()
         runs.append((float(seconds), int(maxrss_kb)))
     return {
-        "file_bytes": os.path.getsize(path),
-        "in_process_best_s": best(lambda: gr.cli.main(argv)),
         "fresh_process_best_s": round(min(s for s, _ in runs), 6),
         "fresh_process_maxrss_mb": round(max(kb for _, kb in runs) / 1024, 1),
+    }
+
+
+def write_compact(system, path: str) -> None:
+    """The bytes of json.dumps(system.to_json_dict()), written a block of
+    pairs at a time, so the pairs never exist as Python lists all at once."""
+    pairs = system.pairs
+    step = 1 << 16
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(json.dumps(system._json_head())[:-1] + ', "incidences": [')
+        for start in range(0, pairs.shape[0], step):
+            fh.write((", " if start else "") + json.dumps(pairs[start : start + step].tolist())[1:-1])
+        fh.write("]}")
+
+
+def check_q4(gr, src: str, workdir: str) -> dict:
+    path = os.path.join(workdir, "pgl-q4.json")
+    gr.cli.main(["build", "pgl", "--q", "4", "--out", path])
+    argv = ["check", path, "--properties", "validate", "--out", os.devnull]
+    compact = os.path.join(workdir, "pgl-q4-compact.json")
+    write_compact(gr.cli._load_system(path)[0], compact)
+    fallback = {
+        "file_bytes": os.path.getsize(compact),
+        **fresh(src, ["check", compact, "--properties", "validate", "--out", os.devnull]),
+    }
+    os.remove(compact)
+    return {
+        "file_bytes": os.path.getsize(path),
+        "in_process_best_s": best(lambda: gr.cli.main(argv)),
+        **fresh(src, argv),
+        "fallback": fallback,
         **decode(gr, path),
     }
 
@@ -298,6 +329,11 @@ def main() -> None:
         f"check q=4: {check['in_process_best_s']:.3f} s in process, "
         f"{check['fresh_process_best_s']:.3f} s and {check['fresh_process_maxrss_mb']} MB fresh; "
         f"decode {check['decode_best_s']:.3f} s, blocks and pairs by decoder {check['decoders']}"
+    )
+    fallback = check["fallback"]
+    print(
+        f"check q=4 written with no indent: {fallback['fresh_process_best_s']:.3f} s and "
+        f"{fallback['fresh_process_maxrss_mb']} MB fresh"
     )
     print(f"aut q=4 report: {aut['report_bytes']} bytes encoded in {aut['encode_best_s']:.3f} s")
     for r in small:

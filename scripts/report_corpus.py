@@ -10,8 +10,9 @@ records the command, its exit code and the sha256 of the bytes it writes to
 its ``--out`` file.  The commands are `build`, `aut`, `check` and `export` of
 each small file of ``bench_verify.SMALL_FILES`` (the `build` writes the file
 the other three read), `verify` of each construction but pgl and of
-pgl at q = 2, 3 and 4, one `free rose`, and the `build` of the q = 4 file
-(56 MB) with its `check --properties validate`.  It writes the table as JSON
+pgl at q = 2, 3 and 4, one `free rose`, the `build` of the q = 4 file
+(56 MB) with its `check --properties validate`, default `check` and `aut`,
+and the four commands of each file of MORE_FILES.  It writes the table as JSON
 to FILE (default: tests/report_corpus.json), which ``tests/test_report_corpus.py``
 replays.  Pointing --src at another checkout's src gives that version's table.
 """
@@ -39,17 +40,28 @@ VERIFY = (
     (["pgl", "--q", "3"], "5616", "11232"),
     (["pgl", "--q", "4"], "60480", "120960"),
 )
+# files over 8 KiB, which `aut`, `check` and `export` read by the byte reader
+# rather than one json.loads, and the two options of `build` no other file takes
+MORE_FILES = (
+    ("pgl-q7", ["pgl", "--q", "7"]),
+    ("complete-20", ["complete", "--n", "20"]),
+    ("dihedral-30", ["dihedral", "--n", "30"]),
+    ("pgl-q3-dimension-4", ["pgl", "--q", "3", "--dimension", "4"]),
+    ("cube-no-vertex-adjacency", ["cube", "--no-vertex-adjacency"]),
+    ("hemidodeca-always", ["hemidodeca", "--rule", "always"]),
+)
+
+
+def file_commands(files):
+    """`build` of each file, then the `aut`, `check` and `export` that read it."""
+    for name, build in files:
+        yield ["build", *build, "--out", name + ".json"]
+        for verb in ("aut", "check", "export"):
+            yield [verb, name + ".json", "--out", REPORT]
+
+
 COMMANDS = (
-    *(
-        argv
-        for name, build in SMALL_FILES
-        for argv in (
-            ["build", *build, "--out", name + ".json"],
-            ["aut", name + ".json", "--out", REPORT],
-            ["check", name + ".json", "--out", REPORT],
-            ["export", name + ".json", "--out", REPORT],
-        )
-    ),
+    *file_commands(SMALL_FILES),
     *(
         ["verify", *construction, "--inn", inn, "--aut", aut, "--out", REPORT]
         for construction, inn, aut in VERIFY
@@ -57,6 +69,9 @@ COMMANDS = (
     ["free", "rose", "--n", "2", "--check", "rank,intersections,action,rc", "--out", REPORT],
     ["build", "pgl", "--q", "4", "--out", "pgl-q4.json"],
     ["check", "pgl-q4.json", "--properties", "validate", "--out", REPORT],
+    ["check", "pgl-q4.json", "--out", REPORT],
+    ["aut", "pgl-q4.json", "--out", REPORT],
+    *file_commands(MORE_FILES),
 )
 
 

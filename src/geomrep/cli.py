@@ -200,10 +200,11 @@ def _load_system(path: str) -> tuple[IncidenceSystem, str]:
     """The system of an interchange file and the digest of the file's bytes.
 
     The file is hashed and read as bytes, ``incidence._READ_CHUNK`` bytes at a
-    time, by the byte reader of ``IncidenceSystem.from_json``; its text is
-    never built.  A file that the reader declines is decoded whole and parsed
-    by one ``json.loads``, which decides every error; a file that is not UTF-8
-    fails with the position that one decode of the whole file reports.
+    time, by the byte reader of ``IncidenceSystem.from_json``, which reads a
+    file over 8 KiB in the layout that `build` writes without building its
+    text.  Any other file is decoded whole and parsed by one ``json.loads``,
+    which decides every error; a file that is not UTF-8 fails with the
+    position that one decode of the whole file reports.
     """
     digest = hashlib.sha256()
 

@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import bisect
-import codecs
 import dataclasses
 import itertools
 import json
-import re
 from typing import Generator, Iterable, Iterator
 
 import numpy as np
@@ -120,12 +118,18 @@ def _json_list(data: dict, field: str) -> list:
     return value
 
 
-# json.dumps(..., indent=2) of the incidences in to_json, cut into rows that
-# each run from a pair's "[" to the next pair's: the bytes before, between and
-# after its two ids, where the last row lacks the separator _JSON_SEP; and a
-# byte that none of that text holds
+# the layout of json_blocks: json.dumps(head, indent=2) of every member but
+# the incidences, without its closing _JSON_BRACE; then the list, which opens
+# with _JSON_OPEN, holds rows that each run from a pair's "[" to the next
+# pair's (the bytes before, between and after its two ids, where the last row
+# lacks the separator _JSON_SEP), and closes with _JSON_CLOSE; an empty list is
+# _JSON_KEY and _JSON_END.  _PAD is a byte that none of that text holds
+_JSON_BRACE = "\n}"
+_JSON_KEY, _JSON_END = b',\n  "incidences": [', b"]\n}\n"
+_JSON_OPEN, _JSON_CLOSE = _JSON_KEY + b"\n    ", b"\n  " + _JSON_END
 _JSON_SEP = b",\n    "
-_JSON_ROW = (b"[\n      ", b",\n      ", b"\n    ]" + _JSON_SEP)
+_JSON_ROW_END = b"\n    ]"
+_JSON_ROW = (b"[\n      ", b",\n      ", _JSON_ROW_END + _JSON_SEP)
 _PAD = 0xFF
 # pairs per block, both when writing the interchange text and when reading it;
 # a block's temporaries (about 2 MB when writing) fit in the heap that freeing a
@@ -137,10 +141,8 @@ _READ_CHUNK = 1 << 20
 # there than the byte reader: to_json's text of 180 pairs (7 KB) loads in about
 # 190 us against 205 us, one of 300 pairs (11 KB) in 280 us against 250 us
 _SMALL_TEXT = 1 << 13
-_JSON_WS = re.compile(rb"[ \t\n\r]*").match
-_JSON_VALUE = json.JSONDecoder().scan_once
-# in a list of integer pairs, only the last pair's "]" is followed by another "]"
-_JSON_PAIRS_END = re.compile(rb"\][ \t\n\r]*\]")
+# parses the head of a text: not json.loads, which is left to whole texts
+_JSON_HEAD = json.JSONDecoder().decode
 # bytes of the dense boolean block from which bit rows are packed at a time
 _ROW_BLOCK = 1 << 20
 # the geometry predicates, by the names that ``_predicates`` answers to
@@ -325,61 +327,21 @@ class _ByteStream:
         while len(self.buf) - self.pos < size and self.more():
             pass
 
-    def skip_ws(self) -> int | None:
-        """Move pos past JSON whitespace; the next byte, None at the end."""
-        while True:
-            self.pos = _JSON_WS(self.buf, self.pos).end()
-            if self.pos < len(self.buf):
-                return self.buf[self.pos]
-            if not self.more():
-                return None
-
-    def value(self) -> object:
-        """The JSON value at pos, read by the JSON scanner; pos moves past it.
-
-        The scanner reads a window of the decoded bytes at pos, widened until
-        the value ends inside it.  A number is taken only where it cannot go
-        on past the window.  Raises _Declined where no value ends anywhere.
-        """
-        width = 1 << 16
-        while True:
-            self.fill(width)
-            final = self.eof and len(self.buf) - self.pos <= width
-            window = self.buf[self.pos : self.pos + width]
-            try:
-                # a character cut at the window's end is left out, not an error
-                text, used = codecs.utf_8_decode(window, "strict", final)
-            except UnicodeDecodeError:
-                raise _Declined from None
-            try:
-                value, end = _JSON_VALUE(text, 0)
-            except (ValueError, StopIteration, RecursionError):
-                end = None
-            if end is not None and (final or end < len(text) and text[end] not in ".eE"):
-                self.pos += end if used == len(text) else len(text[:end].encode("utf-8"))
-                return value
-            if final:
-                raise _Declined
-            width *= 4
-
 
 def _read_pairs(src: _ByteStream) -> np.ndarray:
-    """The incidences list at src.pos (a "["), and src.pos moved past it.
+    """The rows of the incidences list from src.pos, just after _JSON_OPEN,
+    to the end of the text, which must be _JSON_CLOSE.
 
-    The list is read in blocks of about _JSON_BLOCK pairs, as an int32
-    (k, 2) array that never exists as Python lists.  Each block goes to two
-    decoders in turn.  ``_row_pairs`` reads a block in the layout that
-    ``to_json`` writes, with the ids of each column all of one width, which
-    is all but a few blocks of such a list; ``_strict_pairs`` reads any other
-    block in the strict shape, in which the first decoder's blocks lie.  A
-    list in any other shape, or with an id of 2**31 or more (which no system
-    has), raises _Declined.
-
-    A list of pairs ends at the first "]" that is followed by another "]".
-    No end lies inside a strict block, whose every "]" but its last is
-    followed by a ",", so the end is looked for only in a block that fails.
+    The rows are read in blocks of about _JSON_BLOCK pairs, each cut at a
+    row end, as an int32 (k, 2) array that never exists as Python lists.
+    Each block goes to two decoders in turn.  ``_row_pairs`` reads a block in
+    the layout that ``json_blocks`` writes, with the ids of each column all
+    of one width, which is all but a few blocks of such a list;
+    ``_strict_pairs`` reads any other block in the strict shape, in which
+    the first decoder's blocks lie.  Each block must be followed by
+    _JSON_SEP or by the end.  A list in any other shape, or with an id of
+    2**31 or more (which no system has), raises _Declined.
     """
-    src.pos += 1
     # the pairs read so far as int32 bytes: one growing buffer leaves no block
     # arrays among the freed temporaries of later blocks, and needs no concatenation
     out = bytearray()
@@ -387,91 +349,77 @@ def _read_pairs(src: _ByteStream) -> np.ndarray:
     # the mean width of a pair in the last block; 0 makes the first block one pair
     width = 0.0
     while True:
-        if src.skip_ws() is None:
-            raise _Declined
         buf, at = src.buf, src.pos
-        # the block ends just after the "]" of the pair about _JSON_BLOCK pairs
-        # on, else of the last whole pair read
+        # the block ends at the row end about _JSON_BLOCK pairs on, else at
+        # the last one read
         target = at + max(int(width * (_JSON_BLOCK - 0.5)), 0)
-        cut = buf.find(b"]", target) + 1 or buf.rfind(b"]", at) + 1
-        if not cut:
+        end = buf.find(_JSON_ROW_END, target)
+        if end < 0:
+            end = buf.rfind(_JSON_ROW_END, at)
+        if end < 0:
             if not src.more():
                 raise _Declined
             continue
+        cut = end + len(_JSON_ROW_END)
         block = buf[at:cut]
         pairs = _row_pairs(block)
         if pairs is None:
             pairs = _strict_pairs(block)
         del block
-        end = None
-        if pairs is None:
-            # an end that starts before cut - 1 also ends by cut, since
-            # buf[cut - 1] is a "]" and an end holds only whitespace between
-            # its brackets
-            end = _JSON_PAIRS_END.search(buf, at, cut)
-            pairs = end and _strict_pairs(buf[at : end.start() + 1])
-            if pairs is None:
-                raise _Declined
-        if pairs.max() >= 2**31:
-            # an id that no system has: json.loads decides the error
+        # an id of 2**31 or more is one that no system has: json.loads decides the error
+        if pairs is None or pairs.max() >= 2**31:
             raise _Declined
         out += pairs.astype(np.int32).data
         count += pairs.shape[0]
         width = (cut - at) / pairs.shape[0]
-        if end is not None:
-            src.pos = end.end()
-            break
         src.pos = cut
-        after = src.skip_ws()
-        src.pos += 1
-        if after == ord("]"):
-            break
-        if after != ord(","):
+        # with one byte more than the end holds buffered, unless there is none
+        src.fill(len(_JSON_CLOSE) + 1)
+        if src.buf.startswith(_JSON_SEP, src.pos):
+            src.pos += len(_JSON_SEP)
+        elif len(src.buf) - src.pos == len(_JSON_CLOSE) and src.buf.endswith(_JSON_CLOSE):
+            return np.frombuffer(out, dtype=np.int32).reshape(count, 2)
+        else:
             raise _Declined
-    return np.frombuffer(out, dtype=np.int32).reshape(count, 2)
 
 
 def _json_object(chunks: Iterable[bytes]) -> dict | None:
     """json.loads of the UTF-8 text of the chunks, or None where it declines.
 
     A text of at most _SMALL_TEXT bytes is decoded and parsed whole.  A longer
-    one is read as bytes: each top-level incidences list by ``_read_pairs``,
-    every other key and value by the JSON scanner on its decoded bytes alone.
-    None unless the text is one non-empty JSON object that this reads to its
-    end, so that json.loads of the whole text decides every other text, and
-    every error.
+    one is read only in the layout of ``json_blocks``, with a non-empty
+    incidences list last: the head, every byte before the first _JSON_OPEN,
+    is closed by _JSON_BRACE and parsed by one JSON decode, and the rest is
+    read by ``_read_pairs``.  _JSON_OPEN holds raw newlines, which no JSON
+    string does, and the closed head parses only if the list opened there is
+    a member of a non-empty top-level object.  So the head's members and the
+    list are what json.loads of the whole text gives, a later incidences
+    member winning over an earlier one there too.  Any other text gives None,
+    so that json.loads of the whole text decides it, and every error.
     """
     src = _ByteStream(chunks)
-    data: dict = {}
     try:
         src.fill(_SMALL_TEXT + 1)
         if src.eof and len(src.buf) <= _SMALL_TEXT:
             return json.loads(src.buf.decode("utf-8"))
-        if src.skip_ws() != ord("{"):
+        start = 0
+        while (at := src.buf.find(_JSON_OPEN, start)) < 0:
+            start = max(len(src.buf) - len(_JSON_OPEN) + 1, 0)
+            if not src.more():
+                return None
+        # json.loads decides the head decoder's own errors, and an empty head "{"
+        try:
+            data = _JSON_HEAD(src.buf[:at].decode("utf-8") + _JSON_BRACE)
+        except (ValueError, RecursionError):
             return None
-        src.pos += 1
-        while True:
-            # json.loads decides the empty object
-            if src.skip_ws() != ord('"'):
-                return None
-            key = src.value()
-            if src.skip_ws() != ord(":"):
-                return None
-            src.pos += 1
-            if src.skip_ws() == ord("[") and key == "incidences":
-                data[key] = _read_pairs(src)
-            else:
-                data[key] = src.value()
-            after = src.skip_ws()
-            src.pos += 1
-            if after == ord("}"):
-                break
-            if after != ord(","):
-                return None
-        return data if src.skip_ws() is None else None
-    except (_Declined, ValueError, RecursionError):
-        # ValueError also stands for a chunk that failed to encode, as
-        # from_json makes them from a text with a lone surrogate
+        if not data:
+            return None
+        src.pos = at + len(_JSON_OPEN)
+        data["incidences"] = _read_pairs(src)
+        return data
+    except (_Declined, UnicodeEncodeError):
+        # UnicodeEncodeError is a chunk that failed to encode, as from_json
+        # makes them from a text with a lone surrogate
         return None
 
 
@@ -939,38 +887,36 @@ class IncidenceSystem:
     def json_blocks(self) -> Iterator[bytes]:
         """The ASCII bytes of ``to_json`` in consecutive pieces, never built whole.
 
-        The pairs are written in blocks of _JSON_BLOCK, each encoded by array
-        operations (``_pairs_text``) without one Python int per id.  The
-        reader of ``from_json`` decodes each block whose columns each hold
-        ids of one width as a matrix of rows (``_row_pairs``), and any other
-        block by the strict shape (``_strict_pairs``).
+        The head's members, _JSON_OPEN, the rows and _JSON_CLOSE: the layout
+        that ``from_json`` reads without json.loads (``_json_object``).  The
+        pairs are written in blocks of _JSON_BLOCK, each encoded by array
+        operations (``_pairs_text``) without one Python int per id.
         """
-        head = json.dumps(self._json_head(), indent=2)[: -len("\n}")].encode("ascii")
+        head = json.dumps(self._json_head(), indent=2).removesuffix(_JSON_BRACE).encode("ascii")
         k = self.pairs.shape[0]
         if not k:
-            yield head + b',\n  "incidences": []\n}\n'
+            yield head + _JSON_KEY + _JSON_END
             return
-        yield head + b',\n  "incidences": [\n    '
+        yield head + _JSON_OPEN
         for start in range(0, k, _JSON_BLOCK):
             text = _pairs_text(self.pairs[start : start + _JSON_BLOCK])
             # no separator after the last pair
             yield text if start + _JSON_BLOCK < k else text[: -len(_JSON_SEP)]
-        yield b"\n  ]\n}\n"
+        yield _JSON_CLOSE
 
     @classmethod
     def from_json(cls, text: str) -> "IncidenceSystem":
         """The system of an interchange text: ``from_json_dict(json.loads(text))``.
 
         The text's UTF-8 bytes go, a megabyte at a time, through the byte
-        reader ``_json_object``.  A text of more than 8 KiB is read member by
-        member: a top-level ``incidences`` list of plain integer pairs in
-        blocks of array operations, every other member by the JSON scanner.
-        A block as ``to_json`` writes it, with the ids of each column all of
-        one width, is read by ``_row_pairs``, any other block of plain pairs
-        by ``_strict_pairs`` (see ``_read_pairs``).  Any other text, such as
-        a short one, malformed JSON or a list of other values, is parsed by
-        one ``json.loads`` of the whole text, which decides what is rejected
-        and how.  The system, or the error, is the same either way.
+        reader ``_json_object``.  A text of more than 8 KiB in the layout that
+        ``json_blocks`` writes, with a non-empty ``incidences`` list last, is
+        read without json.loads: the members before the list by one JSON
+        decode, the list in blocks of array operations (``_read_pairs``).
+        Any other text, such as a short one, malformed JSON, another layout
+        or a list of other values, is parsed by one ``json.loads`` of the
+        whole text, which decides what is rejected and how.  The system, or
+        the error, is the same either way.
         """
         step = _READ_CHUNK
         data = _json_object(text[i : i + step].encode("utf-8") for i in range(0, len(text), step))

@@ -945,6 +945,13 @@ class TestArrayCore:
         [
             IncidenceSystem([], [], []),
             IncidenceSystem(["a", "b"], [0, 1, 1], []),
+            IncidenceSystem(["a", "b"], [0, 1], [[0, 1]]),
+            # ids of one to four digits in each column of one block
+            IncidenceSystem(
+                ["even", "odd"],
+                [i % 2 for i in range(1001)],
+                [[0, 1], [0, 999], [9, 10], [99, 100], [100, 999], [1, 1000]],
+            ),
             # more pairs than one formatting block of to_json
             IncidenceSystem(
                 ["a", "b"],
@@ -962,12 +969,14 @@ class TestArrayCore:
                 for k in (_JSON_BLOCK, _JSON_BLOCK + 1)
             ],
         ],
-        ids=["empty", "no-incidence", "two-blocks"]
+        ids=["empty", "no-incidence", "one-pair", "mixed-widths", "two-blocks"]
         + [f"ids-to-{top}" for top in (9, 10, 99, 100, 999, 1000, 9999, 10000)]
         + ["one-block", "one-block-and-a-pair"],
     )
     def test_to_json_matches_json_dumps_edge_cases(self, sys):
-        assert sys.to_json() == json.dumps(sys.to_json_dict(), indent=2) + "\n"
+        text = sys.to_json()
+        assert text == json.dumps(sys.to_json_dict(), indent=2) + "\n"
+        assert IncidenceSystem.from_json(text) == sys
 
     @given(small_systems(), st.data())
     @settings(max_examples=25, deadline=None)

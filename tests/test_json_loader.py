@@ -107,6 +107,50 @@ def mutate(rng, text):
     return text
 
 
+def layout_text(members, pairs, ensure_ascii=True):
+    """The members, duplicates kept, then an incidences list of pairs, in the
+    layout of json_blocks: json.dumps(..., indent=2) plus a newline."""
+    texts = [json.dumps({key: value}, indent=2, ensure_ascii=ensure_ascii)[2:-2]
+             for key, value in [*members, ("incidences", pairs)]]
+    return "{\n" + ",\n".join(texts) + "\n}\n"
+
+
+def random_layout_document(rng):
+    """A random text in the layout of json_blocks, valid or not: extra and
+    duplicate members before the list, labels that hold quotes, backslashes
+    or non-ASCII characters, and ids of mixed widths."""
+    rank = rng.randint(1, 3)
+    types = rng.sample(LABELS, rank)
+    n = rng.choice([rng.randint(1, 6), rng.randint(1, 150)])
+    codes = [rng.randrange(rank) for _ in range(n)]
+    elements = [{"id": i, "type": types[codes[i]]} for i in rng.sample(range(n), n)]
+    if rng.random() < 0.1:
+        elements[0]["id"] = rng.choice([n, -1, True, "0"])
+    ids = range(n + (rng.random() < 0.1))
+    pairs = [[rng.choice(ids), rng.choice(ids)] for _ in range(rng.randint(1, 40))]
+    pairs = [p for p in pairs if p[0] != p[1] or rng.random() < 0.05]
+    members = [("types", types), ("elements", elements)]
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        extra = rng.choice([
+            ("note", rng.choice(LABELS)),
+            ("meta", {"incidences": [[0, 1]], "label": '"q" \\ 型'}),
+            ("incidences", rng.choice([[[0, 1]], [], "x"])),
+            ("types", rng.choice([["x"], types[::-1], types])),
+            ("elements", []),
+        ])
+        members.insert(rng.randrange(len(members) + 1), extra)
+    return layout_text(members, pairs, ensure_ascii=rng.random() < 0.5)
+
+
+def _read_to_end(monkeypatch):
+    """The array of every later _read_pairs call that reads its list to the end."""
+    read = []
+    read_pairs = geomrep.incidence._read_pairs
+    monkeypatch.setattr(geomrep.incidence, "_read_pairs",
+                        lambda src: read.append(read_pairs(src)) or read[-1])
+    return read
+
+
 def outcome(load, text):
     """The system that load reads from text, or None with the error it raises."""
     try:
@@ -130,6 +174,31 @@ def test_block_reader_matches_json_loads(monkeypatch, block):
         loaded += want[0] is not None
     # both outcomes occur often enough for the comparison to mean something
     assert 600 < loaded < 3000
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 1 << 16])
+def test_layout_reader_matches_json_loads(monkeypatch, block):
+    """Texts in the layout that build writes, whole and with byte edits: the
+    reader reads many of them to the end, and every load equals json.loads."""
+    monkeypatch.setattr(geomrep.incidence, "_JSON_BLOCK", block)
+    ends = _read_to_end(monkeypatch)
+    rng = random.Random(3000 + block)
+    loaded = 0
+    # the texts that _read_pairs reads to the end, unedited and edited
+    read = [0, 0]
+    for i in range(1500):
+        text = random_layout_document(rng)
+        if i % 2:
+            text = mutate(rng, text)
+        before = len(ends)
+        want = outcome(reference_load, text)
+        assert outcome(IncidenceSystem.from_json, text) == want, text
+        loaded += want[0] is not None
+        read[i % 2] += len(ends) > before
+    assert 400 < loaded < 1100
+    # all but a few unedited texts (those whose pairs all were self-pairs, so
+    # none is left) and some edited ones are read without json.loads
+    assert read[0] > 650 and read[1] > 60
 
 
 @pytest.mark.parametrize(
@@ -168,11 +237,14 @@ def test_strict_pairs(block, pairs):
 
 
 def random_pair_document(rng):
-    """A document that holds only an incidence list, with ids of 1 to 5 digits."""
+    """A document that holds an incidence list, with ids of 1 to 5 digits, and
+    at most one member before it; half of them in the layout of json_blocks."""
     pairs = []
     for _ in range(rng.randint(1, 12)):
         digits = [rng.randint(1, 5) for _ in range(2)]
         pairs.append([rng.randrange(10 ** (d - 1) if d > 1 else 0, 10**d) for d in digits])
+    if rng.random() < 0.5:
+        return layout_text([("n", 1)], pairs)
     ws = lambda: rng.choice(WHITESPACE)  # noqa: E731
     return "{" + ws() + '"incidences":' + ws() + _dumps(rng, pairs) + ws() + "}"
 
@@ -193,16 +265,22 @@ def test_pair_reader_matches_json_loads(monkeypatch, block):
     # ids too large for any element list, so the pairs are compared as read
     monkeypatch.setattr(geomrep.incidence, "_JSON_BLOCK", block)
     monkeypatch.setattr(IncidenceSystem, "from_json_dict", classmethod(lambda cls, data: data))
+    ends = _read_to_end(monkeypatch)
     rng = random.Random(2000 + block)
     loaded = 0
+    # the texts that _read_pairs reads to the end, unedited and edited
+    read = [0, 0]
     for i in range(2000):
         text = random_pair_document(rng)
         if i % 2:
             text = mutate(rng, text)
+        before = len(ends)
         want = parsed(json.loads, text)
         assert parsed(IncidenceSystem.from_json, text) == want, text
         loaded += isinstance(want, dict)
+        read[i % 2] += len(ends) > before
     assert 1050 < loaded < 1900
+    assert read[0] > 400 and read[1] > 30
 
 
 def _spanning_system(pairs):
@@ -340,37 +418,43 @@ def test_failed_last_block_falls_back_to_one_json_loads(monkeypatch):
     assert calls == [(text,)]
 
 
-class _SearchSpy:
-    """_JSON_PAIRS_END, counting the characters its unanchored searches read."""
-
-    def __init__(self, pattern):
-        self.pattern, self.searched = pattern, 0
-
-    def search(self, text, pos, endpos=None):
-        endpos = len(text) if endpos is None else endpos
-        found = self.pattern.search(text, pos, endpos)
-        self.searched += (endpos if found is None else found.end()) - pos
-        return found
-
-    def match(self, text, pos):
-        return self.pattern.match(text, pos)
-
-
-@pytest.mark.parametrize("last", [True, False], ids=["list-last", "list-first"])
-def test_list_end_is_looked_for_near_the_last_block(monkeypatch, last):
-    block = 10
-    monkeypatch.setattr(geomrep.incidence, "_JSON_BLOCK", block)
-    spy = _SearchSpy(geomrep.incidence._JSON_PAIRS_END)
-    monkeypatch.setattr(geomrep.incidence, "_JSON_PAIRS_END", spy)
-    system = _spanning_system([[a, b] for a in range(0, 202, 2) for b in range(1, 23, 2)])
+def _other_layouts(system):
+    """Texts of system that are not in the layout of json_blocks, by name."""
     text = system.to_json()
-    if not last:
-        data = json.loads(text)
-        text = json.dumps({"incidences": data["incidences"], "types": data["types"],
-                           "elements": data["elements"]}, indent=2)
-    assert IncidenceSystem.from_json(text) == system
-    # 1111 pairs of about 30 characters: the searches read under two blocks
-    assert 0 < spy.searched < 2 * block * 30
+    data = json.loads(text)
+    first = {"incidences": data["incidences"], "types": data["types"], "elements": data["elements"]}
+    # the list, as _JSON_OPEN opens it, inside a member before the last
+    head = json.dumps({"types": data["types"], "elements": data["elements"]})[:-1]
+    nested = head + ', "meta": {"x": 1,\n  "incidences": [\n    [0, 1]\n  ]}, "incidences": '
+    return {
+        "list-first": json.dumps(first, indent=2) + "\n",
+        "member-after-list": json.dumps({**data, "note": 1}, indent=2) + "\n",
+        "list-twice": text[: -len("\n}\n")] + ',\n  "incidences": ' + json.dumps(data["incidences"]) + "\n}\n",
+        "list-in-member": nested + json.dumps(data["incidences"]) + "}",
+        "empty-head": "{" + text[text.index(',\n  "incidences"') :],
+        "trailing-space": text + " ",
+        "trailing-data": text + "{}",
+        "no-final-newline": text[:-1],
+        "crlf": text.replace("\n", "\r\n"),
+        "compact": json.dumps(data),
+    }
+
+
+@pytest.mark.parametrize("name", list(_other_layouts(_spanning_system([[0, 1]]))))
+def test_other_layouts_go_to_one_json_loads(monkeypatch, name):
+    """A text whose list is not last, or that differs from the layout in any
+    byte around the list, is parsed by exactly one json.loads."""
+    monkeypatch.setattr(geomrep.incidence, "_JSON_BLOCK", 10)
+    system = _spanning_system([[a, b] for a in range(0, 202, 2) for b in range(1, 23, 2)])
+    text = _other_layouts(system)[name]
+    want = outcome(reference_load, text)
+    if name in ("empty-head", "trailing-data"):
+        assert want[0] is None
+    else:
+        assert want == outcome(lambda _: system, text)
+    calls = _loads_calls(monkeypatch)
+    assert outcome(IncidenceSystem.from_json, text) == want
+    assert calls == [(text,)]
 
 
 def _traced_peak(call):
@@ -435,6 +519,10 @@ def _chunk_documents():
     ]
     out = [d.encode("utf-8") for d in documents]
     out.append(out[0][:700] + b"\xff" + out[0][701:])
+    # a number in the head that json.loads declines to convert, then a byte
+    # in the pairs that is not UTF-8, which one decode of the file reports first
+    big = text.replace("{\n", '{\n  "n": ' + "1" * 5000 + ",\n", 1).encode("ascii")
+    out.append(big[:-100] + b"\xff" + big[-99:])
     return out
 
 
@@ -471,19 +559,21 @@ def test_chunk_boundaries_match_json_loads(monkeypatch, tmp_path, short_text):
             monkeypatch.setattr(geomrep.incidence, "_READ_CHUNK", size)
             got = file_outcome(lambda p: _load_system(str(p))[0], path)
             assert got == want, (i, size)
-    assert read == {True: 8, False: 5}
+    assert read == {True: 8, False: 6}
 
 
-def test_chunk_boundaries_in_wide_ids(monkeypatch):
-    """Ids of 1 to 10 digits, split at every byte, read as json.loads reads them;
-    one of 2**31 or more leaves the text to json.loads."""
+@pytest.mark.parametrize("block", [3, 1 << 16])
+def test_chunk_boundaries_in_wide_ids(monkeypatch, block):
+    """Layout texts with ids of 1 to 10 digits, split at every byte, read to
+    the end as json.loads reads them; one of 2**31 or more leaves the text to
+    json.loads."""
+    monkeypatch.setattr(geomrep.incidence, "_JSON_BLOCK", block)
     rng = random.Random(9)
     pairs = [[rng.randrange(10 ** (d - 1) if d > 1 else 0, 10**d) for d in (a, b)]
              for a in range(1, 10) for b in (1, 9, a)] + [[2**31 - 1, 0]]
-    for text in (json.dumps({"incidences": pairs, "n": 1.5}), _dumps(rng, pairs)):
-        data = text.encode("ascii")
-        if not text.startswith("{"):
-            data = b'{"incidences": ' + data + b"}"
+    # an earlier incidences member that the later list overrides
+    for members in ([("n", 1.5)], [("note", '"型\\'), ("incidences", "x"), ("n", 2)]):
+        data = layout_text(members, pairs, ensure_ascii=False).encode("utf-8")
         want = json.loads(data)
         wide = data.replace(b"2147483647", b"2147483648")
         for size in range(1, 65, 3):
@@ -611,11 +701,12 @@ def test_decoders_agree_on_every_one_byte_edit():
     block = _block([[10, 42], [11, 57], [12, 90]])
     assert _decoders_agree(block)
     # a string member makes each text longer than the reader's small texts
-    tail = b'], "note": "' + b"x" * SMALL_TEXT + b'"}'
-    read = 0
+    head = b'{\n  "note": "' + b"x" * SMALL_TEXT + b'"' + geomrep.incidence._JSON_OPEN
+    rows = read = 0
     for edited in _edits(block):
-        read += _decoders_agree(edited)
-        text = b'{"incidences": [' + edited + tail
+        by_rows = _decoders_agree(edited)
+        rows += by_rows
+        text = head + edited + geomrep.incidence._JSON_CLOSE
         assert len(text) > SMALL_TEXT
         got = geomrep.incidence._json_object([text])
         try:
@@ -623,11 +714,16 @@ def test_decoders_agree_on_every_one_byte_edit():
         except ValueError:
             assert got is None, edited
             continue
+        # every edit that the row path reads is read to the end
+        assert got is not None or not by_rows, edited
         if got is not None:
             assert {**got, "incidences": got["incidences"].tolist()} == want, edited
+            read += 1
     # the row path reads the edits that keep the layout: one digit for
     # another, in the 6 ids of two digits, but for a leading 0
-    assert read == 6 * 2 * 9 - 6
+    assert rows == 6 * 2 * 9 - 6
+    # and the strict path some others, such as changed whitespace
+    assert read > rows
 
 
 @pytest.mark.parametrize(
@@ -641,16 +737,51 @@ def test_pairs_text_is_json_dumps(pairs):
     assert got == want
 
 
-def test_q4_file_is_read_by_the_row_decoder(monkeypatch, pgl34):
-    """All but a few blocks of the q = 4 file, those with ids of several widths
-    in one column, take the row path: a silent fall back to the strict one fails."""
+def test_q4_file_is_read_by_the_row_decoder(monkeypatch, tmp_path, pgl34):
+    """Every pair of the q = 4 file comes from _read_pairs, with no json.loads,
+    and all but a few blocks, those with ids of several widths in one column,
+    take the row path: a silent fall back to the strict one fails."""
+    from geomrep.cli import _load_system
+
+    path = tmp_path / "pgl-q4.json"
+    with open(path, "wb") as fh:
+        fh.writelines(pgl34.system.json_blocks())
     taken = []
     row_pairs = geomrep.incidence._row_pairs
     monkeypatch.setattr(
         geomrep.incidence, "_row_pairs",
         lambda block: taken.append(row_pairs(block)) or taken[-1],
     )
-    data = geomrep.incidence._json_object(pgl34.system.json_blocks())
-    assert np.array_equal(data["incidences"], pgl34.system.pairs)
-    read = sum(pairs.shape[0] for pairs in taken if pairs is not None)
-    assert read >= 0.95 * pgl34.system.pairs.shape[0]
+    read = _read_to_end(monkeypatch)
+    calls = _loads_calls(monkeypatch)
+    system, _ = _load_system(str(path))
+    assert calls == []
+    assert [pairs.shape[0] for pairs in read] == [1_600_305]
+    assert system == pgl34.system
+    by_rows = sum(pairs.shape[0] for pairs in taken if pairs is not None)
+    assert by_rows >= 0.95 * pgl34.system.pairs.shape[0]
+
+
+@pytest.mark.parametrize("reader", ["from_json", "load_system"])
+def test_decoder_error_is_not_a_fallback(monkeypatch, tmp_path, reader):
+    """An error inside a decoder is raised, not taken for the reader declining
+    a text and hidden by the json.loads that would then read it."""
+    from geomrep.cli import _load_system
+
+    monkeypatch.setattr(geomrep.incidence, "_SMALL_TEXT", SMALL_TEXT)
+    system = _spanning_system([[a, b] for a in range(0, 40, 2) for b in range(1, 41, 2)])
+    text = system.to_json()
+    assert len(text) > SMALL_TEXT
+    path = tmp_path / "system.json"
+    path.write_text(text, encoding="utf-8")
+
+    def broken(block):
+        raise ValueError("broken decoder")
+
+    monkeypatch.setattr(geomrep.incidence, "_row_pairs", broken)
+    with pytest.raises(ValueError, match="broken decoder"):
+        if reader == "from_json":
+            IncidenceSystem.from_json(text)
+        else:
+            _load_system(str(path))
+
