@@ -10,7 +10,8 @@ records the command, its exit code and the sha256 of the bytes it writes to
 its ``--out`` file.  The commands are `build`, `aut`, `check` and `export` of
 each small file of ``bench_verify.SMALL_FILES`` (the `build` writes the file
 the other three read), `verify` of each construction but pgl and of
-pgl at q = 2, 3 and 4, one `free rose`, the `build` of the q = 4 file
+pgl at q = 2, 3 and 4 (q = 4 also with ``--truncate``), three `free rose`
+(the `ft` check at n = 2 and 3), the `build` of the q = 4 file
 (56 MB) with its `check --properties validate`, default `check` and `aut`,
 and the four commands of each file of MORE_FILES.  It writes the table as JSON
 to FILE (default: tests/report_corpus.json), which ``tests/test_report_corpus.py``
@@ -39,9 +40,11 @@ VERIFY = (
     (["pgl", "--q", "2"], "168", "336"),
     (["pgl", "--q", "3"], "5616", "11232"),
     (["pgl", "--q", "4"], "60480", "120960"),
+    (["pgl", "--q", "4", "--truncate"], "60480", "120960"),
 )
 # files over 8 KiB, which `aut`, `check` and `export` read by the byte reader
-# rather than one json.loads, and the two options of `build` no other file takes
+# rather than one json.loads, the two options of `build` no other file takes,
+# and the plane over GF(8) with base GF(8), which has no cross-ratio types
 MORE_FILES = (
     ("pgl-q7", ["pgl", "--q", "7"]),
     ("complete-20", ["complete", "--n", "20"]),
@@ -49,6 +52,7 @@ MORE_FILES = (
     ("pgl-q3-dimension-4", ["pgl", "--q", "3", "--dimension", "4"]),
     ("cube-no-vertex-adjacency", ["cube", "--no-vertex-adjacency"]),
     ("hemidodeca-always", ["hemidodeca", "--rule", "always"]),
+    ("pgl-q8-base-degree-3", ["pgl", "--q", "8", "--base-degree", "3"]),
 )
 
 
@@ -67,6 +71,8 @@ COMMANDS = (
         for construction, inn, aut in VERIFY
     ),
     ["free", "rose", "--n", "2", "--check", "rank,intersections,action,rc", "--out", REPORT],
+    ["free", "rose", "--n", "2", "--check", "ft", "--out", REPORT],
+    ["free", "rose", "--n", "3", "--check", "ft", "--length-bound", "4", "--out", REPORT],
     ["build", "pgl", "--q", "4", "--out", "pgl-q4.json"],
     ["check", "pgl-q4.json", "--properties", "validate", "--out", REPORT],
     ["check", "pgl-q4.json", "--out", REPORT],

@@ -14,12 +14,9 @@ from .autsearch import (
     verify_representation,
 )
 from .galois import (
-    FieldElement,
     FiniteField,
-    ProjectivePoint,
     ProjectiveSpace,
     ProjectiveSubspace,
-    cross_ratio,
     duality_map,
     frobenius_point_map,
     make_field,

@@ -270,7 +270,7 @@ def pgl_cross_ratio_geometry(
     if field.k % base_degree != 0:
         raise ValueError("base degree must divide the field degree")
     space = projective_space(field, n - 1)
-    base_codes = {x.code for x in field.subfield_elements(base_degree)}
+    base_codes = set(field.subfield_elements(base_degree))
     lam_pool = [c for c in range(field.q) if c not in base_codes]
     degenerate = not lam_pool
 
@@ -300,14 +300,14 @@ def pgl_cross_ratio_geometry(
     offsets = [sum(layer_sizes[:i]) for i in range(len(included))]
     nsub = sum(layer_sizes)
     q = field.q
-    quad_bound = len(space.layers[1]) * (q + 1) * q * (q - 1) * (q - 2)
-    if nsub + quad_bound > _PGL_ELEMENT_GUARD:
-        raise ValueError(
-            f"too many elements: up to {nsub + quad_bound} exceeds {_PGL_ELEMENT_GUARD}"
-        )
+    # each ordered triple of distinct collinear points has exactly one fourth
+    # point at each cross-ratio outside {0, 1}
+    nelements = nsub + len(lams) * len(space.layers[1]) * (q + 1) * q * (q - 1)
+    if nelements > _PGL_ELEMENT_GUARD:
+        raise ValueError(f"too many elements: {nelements} exceeds {_PGL_ELEMENT_GUARD}")
 
     subspace_labels = tuple(str(m) for m in included)
-    quad_labels = tuple(f"Q({field.element(c)!r})" for c in lams)
+    quad_labels = tuple(f"Q({field.label(c)})" for c in lams)
     lam_block = {c: b for b, c in enumerate(lams)}
 
     # quads per line, typed by the cross-ratio of their line coordinates
@@ -318,9 +318,7 @@ def pgl_cross_ratio_geometry(
             pts = space.points_in(line)
             j1 = next(i for i, x in enumerate(line.basis[0]) if x != 0)
             j2 = next(i for i, x in enumerate(line.basis[1]) if x != 0)
-            coords = {
-                p: (space.points[p].codes[j1], space.points[p].codes[j2]) for p in pts
-            }
+            coords = {p: (space.points[p][j1], space.points[p][j2]) for p in pts}
 
             def det(a: int, b: int) -> int:
                 (a1, b1), (a2, b2) = coords[a], coords[b]
@@ -473,7 +471,7 @@ def point_perm_to_truncation(geom: PglGeometry, point_perm: Permutation) -> Perm
         layer = space.layers[m]
         index = {s.basis: i for i, s in enumerate(layer)}
         for s in layer:
-            rows = [space.points[point_perm(p)].codes for p in space.points_in(s)]
+            rows = [space.points[point_perm(p)] for p in space.points_in(s)]
             img = ProjectiveSubspace.from_rows(space.field, rows)
             if img.basis not in index:
                 raise ValueError("point permutation does not preserve the space")

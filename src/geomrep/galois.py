@@ -1,4 +1,4 @@
-"""Finite fields GF(p^k), projective spaces, cross-ratio, duality, Frobenius."""
+"""Finite fields GF(p^k) over integer codes, projective spaces, duality, Frobenius."""
 
 from __future__ import annotations
 
@@ -70,107 +70,6 @@ def _is_irreducible(m: tuple[int, ...], p: int) -> bool:
             if not _poly_mod(m, g, p):
                 return False
     return True
-
-
-@dataclasses.dataclass(frozen=True)
-class FieldElement:
-    """Element of GF(p^k), encoded as an integer in base p (coefficient vector)."""
-
-    field: "FiniteField"
-    code: int
-
-    def _coerce(self, other: object) -> "FieldElement | None":
-        if isinstance(other, FieldElement):
-            if other.field is not self.field:
-                raise ValueError("elements of different fields")
-            return other
-        if isinstance(other, int):
-            return self.field.scalar(other)
-        return None
-
-    def __add__(self, other: object) -> "FieldElement":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.code, o.code))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: object) -> "FieldElement":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.code, o.code))
-
-    def __rsub__(self, other: object) -> "FieldElement":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(o.code, self.code))
-
-    def __mul__(self, other: object) -> "FieldElement":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.code, o.code))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: object) -> "FieldElement":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(self.code, o.code))
-
-    def __rtruediv__(self, other: object) -> "FieldElement":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(o.code, self.code))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.neg(self.code))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.field, self.field.pow(self.code, e))
-
-    def __bool__(self) -> bool:
-        return self.code != 0
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = self.field.scalar(other)
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return (
-            self.field.p == other.field.p
-            and self.field.modulus == other.field.modulus
-            and self.code == other.code
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field.p, self.field.modulus, self.code))
-
-    def coeffs(self) -> tuple[int, ...]:
-        """Coefficient vector, lowest degree first, length k."""
-        c, v = [], self.code
-        for _ in range(self.field.k):
-            c.append(v % self.field.p)
-            v //= self.field.p
-        return tuple(c)
-
-    def __repr__(self) -> str:
-        terms = []
-        for i in reversed(range(self.field.k)):
-            c = self.coeffs()[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                var = "w" if i == 1 else f"w^{i}"
-                terms.append(var if c == 1 else f"{c}{var}")
-        return "+".join(terms) if terms else "0"
 
 
 class FiniteField:
@@ -258,50 +157,36 @@ class FiniteField:
     def frob(self, a: int) -> int:
         return self._frob[a]
 
-    # element-level API
-
-    def element(self, code: int) -> FieldElement:
+    def label(self, code: int) -> str:
+        """The element as a polynomial in w, highest degree first, as "2w^2+w+1"."""
         if not 0 <= code < self.q:
             raise ValueError("code out of range")
-        return FieldElement(self, code)
+        terms = []
+        for i, c in enumerate(self._decode(code)):
+            if c:
+                var = "" if i == 0 else "w" if i == 1 else f"w^{i}"
+                terms.append(var if c == 1 and var else f"{c}{var}")
+        return "+".join(reversed(terms)) or "0"
 
-    def scalar(self, n: int) -> FieldElement:
-        return FieldElement(self, n % self.p)
-
-    @property
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> FieldElement:
-        return FieldElement(self, 1)
-
-    def elements(self) -> list[FieldElement]:
-        return [FieldElement(self, c) for c in range(self.q)]
-
-    def multiplicative_order(self, x: FieldElement) -> int:
-        if x.code == 0:
+    def multiplicative_order(self, x: int) -> int:
+        if x == 0:
             raise ValueError("zero has no multiplicative order")
-        n, acc = 1, x.code
+        n, acc = 1, x
         while acc != 1:
-            acc = self._mul[acc][x.code]
+            acc = self._mul[acc][x]
             n += 1
         return n
 
-    def primitive_element(self) -> FieldElement:
-        """Smallest-code generator of the multiplicative group."""
-        return next(
-            FieldElement(self, c)
-            for c in range(1, self.q)
-            if self.multiplicative_order(FieldElement(self, c)) == self.q - 1
-        )
+    def primitive_element(self) -> int:
+        """Smallest code that generates the multiplicative group."""
+        return next(c for c in range(1, self.q) if self.multiplicative_order(c) == self.q - 1)
 
-    def subfield_elements(self, degree: int = 1) -> list[FieldElement]:
-        """Elements of the subfield GF(p^degree); degree must divide k."""
+    def subfield_elements(self, degree: int = 1) -> list[int]:
+        """Codes of the subfield GF(p^degree); degree must divide k."""
         if self.k % degree != 0:
             raise ValueError("subfield degree must divide k")
         fix = self.p**degree
-        return [x for x in self.elements() if self.pow(x.code, fix) == x.code]
+        return [x for x in range(self.q) if self.pow(x, fix) == x]
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
@@ -369,28 +254,10 @@ def _in_span(field: FiniteField, basis: Sequence[Sequence[int]], vec: Sequence[i
     return all(x == 0 for x in v)
 
 
-@dataclasses.dataclass(frozen=True)
-class ProjectivePoint:
-    """Projective point; coordinates normalized so the first nonzero entry is 1."""
-
-    field: FiniteField
-    codes: tuple[int, ...]
-
-    @classmethod
-    def make(cls, field: FiniteField, codes: Sequence[int]) -> "ProjectivePoint":
-        codes = tuple(int(c) % field.q for c in codes)
-        lead = next((c for c in codes if c != 0), None)
-        if lead is None:
-            raise ValueError("projective point must be nonzero")
-        inv = field.inv(lead)
-        return cls(field, tuple(field.mul(inv, c) for c in codes))
-
-    @property
-    def coords(self) -> tuple[FieldElement, ...]:
-        return tuple(FieldElement(self.field, c) for c in self.codes)
-
-    def __repr__(self) -> str:
-        return "[" + ":".join(repr(x) for x in self.coords) + "]"
+def _normalized(field: FiniteField, codes: Sequence[int]) -> tuple[int, ...]:
+    """The point of a nonzero vector: its codes scaled so the first nonzero one is 1."""
+    inv = field.inv(next(c for c in codes if c != 0))
+    return tuple(field.mul(inv, c) for c in codes)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -417,8 +284,8 @@ class ProjectiveSubspace:
     def contains(self, other: "ProjectiveSubspace") -> bool:
         return all(_in_span(self.field, self.basis, row) for row in other.basis)
 
-    def contains_point(self, p: ProjectivePoint) -> bool:
-        return _in_span(self.field, self.basis, p.codes)
+    def contains_point(self, p: tuple[int, ...]) -> bool:
+        return _in_span(self.field, self.basis, p)
 
     def __repr__(self) -> str:
         return f"ProjectiveSubspace(dim={self.dim}, basis={self.basis})"
@@ -429,18 +296,10 @@ def incident(a: ProjectiveSubspace, b: ProjectiveSubspace) -> bool:
     return a.contains(b) or b.contains(a)
 
 
-def _all_points(field: FiniteField, nvars: int) -> list[ProjectivePoint]:
-    seen = set()
-    points = []
-    for codes in itertools.product(range(field.q), repeat=nvars):
-        if all(c == 0 for c in codes):
-            continue
-        p = ProjectivePoint.make(field, codes)
-        if p.codes not in seen:
-            seen.add(p.codes)
-            points.append(p)
-    points.sort(key=lambda p: p.codes)
-    return points
+def _all_points(field: FiniteField, nvars: int) -> list[tuple[int, ...]]:
+    """Every point of PG(nvars-1, q), each normalized, in sorted order."""
+    vectors = itertools.product(range(field.q), repeat=nvars)
+    return [v for v in vectors if any(v) and v == _normalized(field, v)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -450,7 +309,8 @@ class ProjectiveSpace:
     field: FiniteField
     d: int
     layers: tuple[tuple[ProjectiveSubspace, ...], ...]
-    points: tuple[ProjectivePoint, ...]
+    # each point as its normalized codes
+    points: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         sub_idx = {}
@@ -477,7 +337,7 @@ def projective_space(field: FiniteField, d: int) -> ProjectiveSpace:
         raise ValueError(f"too many points: {npoints} exceeds {_POINT_GUARD}")
     points = _all_points(field, d + 1)
     layer0 = tuple(
-        ProjectiveSubspace.from_rows(field, [p.codes]) for p in points
+        ProjectiveSubspace.from_rows(field, [p]) for p in points
     )
     layers = [layer0]
     for m in range(1, d):
@@ -487,33 +347,10 @@ def projective_space(field: FiniteField, d: int) -> ProjectiveSpace:
             for p in points:
                 if s.contains_point(p):
                     continue
-                bigger = ProjectiveSubspace.from_rows(field, [*s.basis, p.codes])
+                bigger = ProjectiveSubspace.from_rows(field, [*s.basis, p])
                 seen.setdefault(bigger.basis, bigger)
         layers.append(tuple(sorted(seen.values(), key=lambda s: s.basis)))
     return ProjectiveSpace(field, d, tuple(layers), tuple(points))
-
-
-def cross_ratio(
-    p1: ProjectivePoint, p2: ProjectivePoint, p3: ProjectivePoint, p4: ProjectivePoint
-) -> FieldElement:
-    """(|p1 p3|·|p2 p4|) / (|p2 p3|·|p1 p4|) in coordinates on the common line."""
-    pts = (p1, p2, p3, p4)
-    field = p1.field
-    if len({p.codes for p in pts}) != 4:
-        raise ValueError("not distinct")
-    basis = _rref(field, [p.codes for p in pts])
-    if len(basis) != 2:
-        raise ValueError("not collinear")
-    j1, j2 = _pivot(basis[0]), _pivot(basis[1])
-    ab = [(p.codes[j1], p.codes[j2]) for p in pts]
-
-    def det(i: int, j: int) -> int:
-        (a1, b1), (a2, b2) = ab[i], ab[j]
-        return field.sub(field.mul(a1, b2), field.mul(a2, b1))
-
-    num = field.mul(det(0, 2), det(1, 3))
-    den = field.mul(det(1, 2), det(0, 3))
-    return FieldElement(field, field.div(num, den))
 
 
 def pgl_order(q: int, n: int) -> int:
@@ -527,18 +364,16 @@ def pgl_order(q: int, n: int) -> int:
 def _matrix_point_perm(
     field: FiniteField,
     matrix: Sequence[Sequence[int]],
-    points: Sequence[ProjectivePoint],
+    points: Sequence[tuple[int, ...]],
     index: dict[tuple[int, ...], int],
 ) -> Permutation:
     images = []
     for p in points:
         out = [
-            functools.reduce(
-                field.add, (field.mul(matrix[r][c], p.codes[c]) for c in range(len(p.codes)))
-            )
-            for r in range(len(matrix))
+            functools.reduce(field.add, (field.mul(a, x) for a, x in zip(row, p)))
+            for row in matrix
         ]
-        images.append(index[ProjectivePoint.make(field, out).codes])
+        images.append(index[_normalized(field, out)])
     return Permutation(images)
 
 
@@ -551,12 +386,12 @@ def pgl_group(field: FiniteField, n: int) -> PermGroup:
     if npoints > _POINT_GUARD:
         raise ValueError(f"too many points: {npoints} exceeds {_POINT_GUARD}")
     points = _all_points(field, n)
-    index = {p.codes: i for i, p in enumerate(points)}
+    index = {p: i for i, p in enumerate(points)}
     ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     transvection = [row[:] for row in ident]
     transvection[0][1] = 1
     cycle = [[1 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
-    gamma = field.primitive_element().code
+    gamma = field.primitive_element()
     diag = [row[:] for row in ident]
     diag[0][0] = gamma
     gens = [
@@ -592,7 +427,7 @@ def duality_map(space: ProjectiveSpace) -> DualityMap:
         (li,) = [
             i
             for i, line in enumerate(lines)
-            if all(dot(p.codes, row) == 0 for row in line.basis)
+            if all(dot(p, row) == 0 for row in line.basis)
         ]
         p2l.append(li)
     l2p = [0] * len(lines)

@@ -357,7 +357,9 @@ def _read_pairs(src: _ByteStream) -> np.ndarray:
         if end < 0:
             end = buf.rfind(_JSON_ROW_END, at)
         if end < 0:
-            if not src.more():
+            # a row of _JSON_ROW, even with two ids of 18 digits, would have
+            # ended within what is buffered: the text is in another layout
+            if len(buf) - at > len(b"".join(_JSON_ROW)) + 36 or not src.more():
                 raise _Declined
             continue
         cut = end + len(_JSON_ROW_END)

@@ -2,6 +2,8 @@
 
 They read a system only from its ``types``, ``type_codes`` and ``pairs``, so
 they share no neighbour index, bit rows or search code with the library.
+``cross_ratio`` reads points as code tuples and checks the builder's
+cross-ratio classes with the field's tables alone.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from typing import Sequence
 
 import networkx as nx
 
-from geomrep import IncidenceSystem, PermGroup, Permutation
+from geomrep import FiniteField, IncidenceSystem, PermGroup, Permutation, ProjectiveSubspace
 
 
 def incidence_graph(sys: IncidenceSystem) -> nx.Graph:
@@ -95,3 +97,28 @@ def is_transitive_on(group: PermGroup, tuples: Sequence[tuple[int, ...]]) -> boo
                 seen.add(image)
                 queue.append(image)
     return len(seen) == len(pool)
+
+
+def cross_ratio(
+    field: FiniteField,
+    p1: tuple[int, ...],
+    p2: tuple[int, ...],
+    p3: tuple[int, ...],
+    p4: tuple[int, ...],
+) -> int:
+    """(|p1 p3|·|p2 p4|) / (|p2 p3|·|p1 p4|) of four distinct collinear points,
+    in coordinates on their common line, as a field code."""
+    points = (p1, p2, p3, p4)
+    if len(set(points)) != 4:
+        raise ValueError("not distinct")
+    line = ProjectiveSubspace.from_rows(field, points)
+    if line.dim != 1:
+        raise ValueError("not collinear")
+    j1, j2 = (next(i for i, x in enumerate(row) if x) for row in line.basis)
+    ab = [(p[j1], p[j2]) for p in points]
+
+    def det(i: int, j: int) -> int:
+        (a1, b1), (a2, b2) = ab[i], ab[j]
+        return field.sub(field.mul(a1, b2), field.mul(a2, b1))
+
+    return field.div(field.mul(det(0, 2), det(1, 3)), field.mul(det(1, 2), det(0, 3)))

@@ -26,7 +26,6 @@ from geomrep import (
     correlation_group,
     correlation_type_action,
     coset_geometry,
-    cross_ratio,
     cube_geometry,
     dihedral_geometry,
     duality_truncation_perm,
@@ -46,7 +45,7 @@ from geomrep import (
 )
 from geomrep import constructions
 from geomrep.constructions import _coset_labels, _pair_array
-from reference import brute_force_automorphisms, incidence_graph, is_transitive_on
+from reference import brute_force_automorphisms, cross_ratio, incidence_graph, is_transitive_on
 
 
 class TestTotientPairs:
@@ -241,6 +240,44 @@ class TestCrossRatioGeometry:
         with pytest.raises(ValueError, match="too many elements"):
             pgl_cross_ratio_geometry(3, make_field(3, 2))
 
+    @pytest.mark.parametrize(
+        "n,p,k,base_degree,truncate",
+        [
+            (3, 2, 1, 1, False),
+            (3, 3, 1, 1, False),
+            (3, 5, 1, 1, False),
+            (3, 2, 2, 1, False),
+            (3, 2, 2, 1, True),
+            (3, 2, 2, 2, False),
+            (3, 2, 3, 3, False),
+            (3, 3, 2, 2, False),
+            (4, 2, 1, 1, False),
+            (4, 3, 1, 1, False),
+        ],
+    )
+    def test_element_guard_counts_exactly(self, monkeypatch, n, p, k, base_degree, truncate):
+        # the guard names the size of the system it would build
+        args = (n, make_field(p, k), base_degree, truncate)
+        size = pgl_cross_ratio_geometry(*args).system.size
+        monkeypatch.setattr(constructions, "_PGL_ELEMENT_GUARD", size - 1)
+        with pytest.raises(ValueError, match=f"too many elements: {size} exceeds {size - 1}$"):
+            pgl_cross_ratio_geometry(*args)
+
+    @pytest.mark.parametrize("p,k,size", [(2, 3, 146), (3, 2, 182)])
+    def test_degenerate_planes_over_their_own_base(self, p, k, size):
+        # over GF(q) with base GF(q) there are no cross-ratio classes: the
+        # plane's correlation group is PΓL(3, q) with the duality
+        field = make_field(p, k)
+        geom = pgl_cross_ratio_geometry(3, field, base_degree=k)
+        assert geom.degenerate
+        assert geom.system.size == size
+        assert geom.system.is_geometry()
+        assert geom.system.is_firm()
+        assert geom.system.is_residually_connected()
+        res = correlation_group(geom.system)
+        assert res.aut_i_order == k * pgl_order(field.q, 3)
+        assert res.aut_order == 2 * res.aut_i_order
+
     def test_prime_field_is_degenerate(self):
         geom = pgl_cross_ratio_geometry(3, make_field(2, 1))
         assert geom.degenerate
@@ -288,9 +325,9 @@ class TestCrossRatioGeometry:
             line = space.layers[1][pgl34.quad_line[j] - 21]
             for p in quad:
                 assert line.contains_point(space.points[p])
-            value = cross_ratio(*(space.points[p] for p in quad))
-            assert value.code == pgl34.quad_lambda[j]
-            assert pgl34.lambda_codes[pgl34.quad_block[j]] == value.code
+            value = cross_ratio(field, *(space.points[p] for p in quad))
+            assert value == pgl34.quad_lambda[j]
+            assert pgl34.lambda_codes[pgl34.quad_block[j]] == value
             assert tuple(pgl34.quad_points[j].tolist()) == quad
             element = pgl34.quad_offset + j
             # the quad element is incident to its carrier line

@@ -457,6 +457,27 @@ def test_other_layouts_go_to_one_json_loads(monkeypatch, name):
     assert calls == [(text,)]
 
 
+def test_one_line_pairs_are_declined_within_two_chunks(monkeypatch):
+    """A list of one-line pairs after the layout's head has no row end: the
+    reader declines it once a row's length is buffered, not at the end of a
+    text of some megabytes, and one json.loads reads it."""
+    pairs = np.stack(np.divmod(np.arange(300_000), 600), axis=1)
+    system = _spanning_system(2 * pairs + [0, 1])
+    text = system.to_json()
+    head = text[: text.index(',\n  "incidences": [') + len(',\n  "incidences": [')]
+    rows = ",\n    ".join(f"[{a}, {b}]" for a, b in system.pairs.tolist())
+    text = head + "\n    " + rows + "\n  ]\n}\n"
+    assert len(text) > 3 * geomrep.incidence._READ_CHUNK
+    more = []
+    real_more = geomrep.incidence._ByteStream.more
+    monkeypatch.setattr(geomrep.incidence._ByteStream, "more",
+                        lambda src: more.append(1) or real_more(src))
+    calls = _loads_calls(monkeypatch)
+    assert IncidenceSystem.from_json(text) == system
+    assert len(more) <= 2
+    assert calls == [(text,)]
+
+
 def _traced_peak(call):
     tracemalloc.start()
     try:
