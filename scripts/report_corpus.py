@@ -13,7 +13,9 @@ the other three read), `verify` of each construction but pgl and of
 pgl at q = 2, 3 and 4 (q = 4 also with ``--truncate``), three `free rose`
 (the `ft` check at n = 2 and 3), the `build` of the q = 4 file
 (56 MB) with its `check --properties validate`, default `check` and `aut`,
-and the four commands of each file of MORE_FILES.  It writes the table as JSON
+and the four commands of each file of MORE_FILES.  The coset spec that one of
+them reads, ``tests/coset_spec.json``, is first copied into the working
+directory as ``spec.json``.  It writes the table as JSON
 to FILE (default: tests/report_corpus.json), which ``tests/test_report_corpus.py``
 replays.  Pointing --src at another checkout's src gives that version's table.
 """
@@ -22,6 +24,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import sys
 import tempfile
 
@@ -29,6 +32,8 @@ from bench_verify import SMALL_FILES
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPORT = "report.out"
+# the rotation group of the cube as S4, with vertex, edge and face stabilizers
+COSET_SPEC = os.path.join(ROOT, "tests", "coset_spec.json")
 # each construction with the Aut_I and Aut orders of its default parameters
 VERIFY = (
     (["dihedral"], "10", "20"),
@@ -43,8 +48,9 @@ VERIFY = (
     (["pgl", "--q", "4", "--truncate"], "60480", "120960"),
 )
 # files over 8 KiB, which `aut`, `check` and `export` read by the byte reader
-# rather than one json.loads, the two options of `build` no other file takes,
-# and the plane over GF(8) with base GF(8), which has no cross-ratio types
+# rather than one json.loads, the options of `build` no other file takes, the
+# plane over GF(8) with base GF(8), which has no cross-ratio types, and the
+# coset geometry of a spec file
 MORE_FILES = (
     ("pgl-q7", ["pgl", "--q", "7"]),
     ("complete-20", ["complete", "--n", "20"]),
@@ -53,6 +59,8 @@ MORE_FILES = (
     ("cube-no-vertex-adjacency", ["cube", "--no-vertex-adjacency"]),
     ("hemidodeca-always", ["hemidodeca", "--rule", "always"]),
     ("pgl-q8-base-degree-3", ["pgl", "--q", "8", "--base-degree", "3"]),
+    ("hemidodeca-shared-vertex", ["hemidodeca", "--rule", "shared-vertex"]),
+    ("coset-spec", ["coset", "--group-file", "spec.json"]),
 )
 
 
@@ -93,6 +101,7 @@ def main() -> None:
     rows = []
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
+        shutil.copy(COSET_SPEC, "spec.json")
         for argv in COMMANDS:
             code = geomrep.cli.main(argv)
             with open(argv[-1], "rb") as fh:

@@ -44,7 +44,6 @@ from .constructions import (
     hemidodecahedron_petrie,
     pgl_aut_via_extension,
     pgl_cross_ratio_geometry,
-    point_perm_to_truncation,
     tetrahedron_spec,
     totient_pairs,
 )

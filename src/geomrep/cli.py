@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Iterator
 from . import __version__, incidence
 from .autsearch import correlation_group, verify_representation
 from .constructions import (
+    _HEMI_RULES,
     CosetGeometrySpec,
     complete_graph_geometry,
     coset_geometry,
@@ -172,26 +173,44 @@ def _coset_spec(args: argparse.Namespace) -> CosetGeometrySpec:
 
 
 # each construction's builder and its description in reports, both of the
-# parsed arguments
-_CONSTRUCTIONS: dict[str, tuple[Callable[..., IncidenceSystem], Callable[..., str]]] = {
-    "dihedral": (lambda a: dihedral_geometry(a.n), lambda a: f"dihedral n={a.n}"),
-    "complete": (lambda a: complete_graph_geometry(a.n), lambda a: f"complete n={a.n}"),
-    "gq22": (lambda a: gq22(), lambda a: "gq22"),
+# parsed arguments, and its options: add_argument keywords by flag
+_CONSTRUCTIONS: dict[str, tuple[Callable[..., IncidenceSystem], Callable[..., str], dict]] = {
+    "dihedral": (
+        lambda a: dihedral_geometry(a.n),
+        lambda a: f"dihedral n={a.n}",
+        {"--n": {"type": int, "default": 5, "help": "size parameter"}},
+    ),
+    "complete": (
+        lambda a: complete_graph_geometry(a.n),
+        lambda a: f"complete n={a.n}",
+        {"--n": {"type": int, "default": 5, "help": "size parameter"}},
+    ),
+    "gq22": (lambda a: gq22(), lambda a: "gq22", {}),
     "cube": (
         lambda a: cube_geometry(vertex_adjacency=not a.no_vertex_adjacency),
         lambda a: f"cube vertex_adjacency={not a.no_vertex_adjacency}",
+        {"--no-vertex-adjacency": {"action": "store_true", "help": "drop vertex-vertex pairs"}},
     ),
     "hemidodeca": (
-        lambda a: hemidodecahedron_petrie(a.rule), lambda a: f"hemidodeca rule={a.rule}"
+        lambda a: hemidodecahedron_petrie(a.rule),
+        lambda a: f"hemidodeca rule={a.rule}",
+        {"--rule": {"default": "shared-edge", "choices": _HEMI_RULES, "help": "face-Petrie rule"}},
     ),
     "pgl": (
         lambda a: _pgl_geometry(a).system,
         lambda a: f"pgl n={a.dimension} q={a.q} base_degree={a.base_degree}"
         f" truncated={a.truncate}",
+        {
+            "--q": {"type": int, "default": 4, "help": "field size (prime power)"},
+            "--dimension": {"type": int, "default": 3, "help": "projective dimension + 1"},
+            "--base-degree": {"type": int, "default": 1, "help": "base subfield degree"},
+            "--truncate": {"action": "store_true", "help": "one Galois orbit of quadruple types"},
+        },
     ),
     "coset": (
         lambda a: coset_geometry(_coset_spec(a)).system,
         lambda a: "coset " + (a.group_file or "tetrahedron"),
+        {"--group-file": {"default": None, "help": "coset spec JSON file"}},
     ),
 }
 
@@ -274,7 +293,7 @@ def run_verify(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     extra_checks: list[dict] = []
     result = None
-    build, describe = _CONSTRUCTIONS[args.construction]
+    build, describe, _ = _CONSTRUCTIONS[args.construction]
     if args.construction == "pgl":
         geom = _pgl_geometry(args)
         pipeline = pgl_aut_via_extension(geom)
@@ -401,36 +420,40 @@ def run_export(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_out(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--out", default=None, help="write output to a file instead of stdout")
+
+
+def _add_report(sub: argparse.ArgumentParser) -> None:
+    """The options of a verb that writes a report."""
     sub.add_argument("--seed", type=int, default=0, help="seed echoed into reports")
     sub.add_argument(
         "--timings", action="store_true", help="include wall-clock timings in reports"
     )
-    sub.add_argument("--out", default=None, help="write output to a file instead of stdout")
+    _add_out(sub)
 
 
-def _add_build_params(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=int, default=5, help="size parameter")
-    sub.add_argument(
-        "--rule",
-        default="shared-edge",
-        choices=("shared-edge", "shared-vertex", "always"),
-        help="face-Petrie incidence rule",
-    )
-    sub.add_argument(
-        "--no-vertex-adjacency",
-        action="store_true",
-        help="drop the vertex-vertex adjacency condition on the cube",
-    )
-    sub.add_argument("--q", type=int, default=4, help="field size (prime power)")
-    sub.add_argument("--dimension", type=int, default=3, help="projective dimension + 1")
-    sub.add_argument("--base-degree", type=int, default=1, help="base subfield degree")
-    sub.add_argument(
-        "--truncate",
-        action="store_true",
-        help="restrict quadruple types to one Galois orbit",
-    )
-    sub.add_argument("--group-file", default=None, help="coset spec JSON file")
+def _add_constructions(
+    verb: argparse.ArgumentParser, add_options: Callable[[argparse.ArgumentParser], None]
+) -> None:
+    """One subparser of verb per construction, with that construction's options
+    and those add_options adds.
+
+    Options are not abbreviated: otherwise ``cube --n`` would be read as
+    ``--no-vertex-adjacency`` rather than rejected as another construction's.
+    """
+    subs = verb.add_subparsers(dest="construction", required=True)
+    for name, (_, _, options) in _CONSTRUCTIONS.items():
+        sub = subs.add_parser(name, allow_abbrev=False)
+        for flag, keywords in options.items():
+            sub.add_argument(flag, **keywords)
+        add_options(sub)
+
+
+def _add_verify(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--inn", type=int, required=True, help="expected Aut_I order")
+    sub.add_argument("--aut", type=int, required=True, help="expected Aut order")
+    _add_report(sub)
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -442,9 +465,7 @@ def _make_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="verb", required=True)
 
     build = subs.add_parser("build", help="emit a construction as interchange JSON")
-    build.add_argument("construction", choices=_CONSTRUCTIONS)
-    _add_build_params(build)
-    _add_common(build)
+    _add_constructions(build, _add_out)
     build.set_defaults(func=run_build)
 
     check = subs.add_parser("check", help="evaluate predicates on a geometry file")
@@ -454,20 +475,16 @@ def _make_parser() -> argparse.ArgumentParser:
         default="geometry,firm,rc",
         help="comma list from validate,geometry,firm,rc",
     )
-    _add_common(check)
+    _add_report(check)
     check.set_defaults(func=run_check)
 
     aut = subs.add_parser("aut", help="correlation group of a geometry file")
     aut.add_argument("file")
-    _add_common(aut)
+    _add_report(aut)
     aut.set_defaults(func=run_aut)
 
     verify = subs.add_parser("verify", help="compare computed orders with expected")
-    verify.add_argument("construction", choices=_CONSTRUCTIONS)
-    verify.add_argument("--inn", type=int, required=True, help="expected Aut_I order")
-    verify.add_argument("--aut", type=int, required=True, help="expected Aut order")
-    _add_build_params(verify)
-    _add_common(verify)
+    _add_constructions(verify, _add_verify)
     verify.set_defaults(func=run_verify)
 
     free = subs.add_parser("free", help="free-group subgroup family checks")
@@ -479,12 +496,12 @@ def _make_parser() -> argparse.ArgumentParser:
     free.add_argument(
         "--length-bound", type=int, default=6, help="word length bound for ft checks"
     )
-    _add_common(free)
+    _add_report(free)
     free.set_defaults(func=run_free)
 
     export = subs.add_parser("export", help="export a geometry file to DOT")
     export.add_argument("file")
-    _add_common(export)
+    _add_out(export)
     export.set_defaults(func=run_export)
     return parser
 
@@ -504,7 +521,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.out and os.path.isdir(args.out):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
         return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     except RuntimeError as exc:

@@ -12,7 +12,6 @@ from .autsearch import AutResult, correlation_group, correlation_type_action
 from .galois import (
     FiniteField,
     ProjectiveSpace,
-    ProjectiveSubspace,
     duality_map,
     frobenius_point_map,
     incident,
@@ -36,18 +35,11 @@ def dihedral_geometry(n: int) -> IncidenceSystem:
     if n < 3:
         raise ValueError("n must be >= 3")
     tau = totient_pairs(n)
-    odd = n % 2 == 1
-    if odd:
-        types = ["0"] + [str(i) for i in tau]
-        vertex_code = [0] * n
-        edge_base_code = 1
-    else:
-        types = ["-1", "0"] + [str(i) for i in tau]
-        vertex_code = [1 if v % 2 == 0 else 0 for v in range(n)]
-        edge_base_code = 2
-    codes = list(vertex_code)
-    for ci in range(len(tau)):
-        codes.extend([edge_base_code + ci] * n)
+    # an even polygon's vertices split by parity: odd ones "-1", even ones "0"
+    even = n % 2 == 0
+    types = ["-1"] * even + ["0"] + [str(i) for i in tau]
+    codes = [int(even and v % 2 == 0) for v in range(n)]
+    codes += [c for c in range(1 + even, len(types)) for _ in range(n)]
     pairs: list[list[int]] = []
     for ci, i in enumerate(tau):
         for v in range(n):
@@ -58,7 +50,7 @@ def dihedral_geometry(n: int) -> IncidenceSystem:
         for v1 in range(n):
             for v2 in range(n):
                 pairs.append([n + c1 * n + v1, n + c2 * n + v2])
-    if not odd:
+    if even:
         for a in range(1, n, 2):
             for b in range(0, n, 2):
                 pairs.append([a, b])
@@ -81,18 +73,8 @@ def complete_graph_geometry(n: int) -> IncidenceSystem:
 def gq22() -> IncidenceSystem:
     """GQ(2,2): transpositions of S_6 vs triple transpositions, cycle containment."""
     points = list(itertools.combinations(range(6), 2))
-
-    def matchings(elems: list[int]):
-        if not elems:
-            yield ()
-            return
-        a = elems[0]
-        for b in elems[1:]:
-            rest = [x for x in elems[1:] if x != b]
-            for m in matchings(rest):
-                yield ((a, b), *m)
-
-    lines = sorted(matchings(list(range(6))))
+    # the 15 perfect matchings of 0..5, each as its pairs in order
+    lines = [m for m in itertools.combinations(points, 3) if len(set().union(*m)) == 6]
     codes = [0] * len(points) + [1] * len(lines)
     pairs = []
     for li, line in enumerate(lines):
@@ -155,9 +137,6 @@ def hemidodecahedron_petrie(rule: str = "shared-edge") -> IncidenceSystem:
         raise ValueError(f"rule must be one of {_HEMI_RULES}")
     verts = sorted(itertools.combinations(range(1, 6), 2))
     vid = {v: i for i, v in enumerate(verts)}
-    adj = [
-        {vid[u] for u in verts if not set(u) & set(v)} for v in verts
-    ]
     edges = sorted(
         (vid[u], vid[v])
         for u, v in itertools.combinations(verts, 2)
@@ -165,56 +144,30 @@ def hemidodecahedron_petrie(rule: str = "shared-edge") -> IncidenceSystem:
     )
     eid = {e: i for i, e in enumerate(edges)}
 
-    cycles = set()
-    for seq in itertools.permutations(range(10), 5):
-        if all(seq[(i + 1) % 5] in adj[seq[i]] for i in range(5)):
-            cycles.add(_canonical_cycle(seq))
-    pentagons = sorted(cycles)
+    # the ordering (a, b, c, d, e) of 1..5 traces the pentagon ab, cd, ea, bc,
+    # de; each pentagon comes from the 10 orderings of one parity, and A5
+    # keeps parity, so each class is an orbit of 6. The even class, which
+    # holds the least pentagon, is the faces; the odd one the Petrie polygons.
+    classes: tuple[set, set] = (set(), set())
+    for order in itertools.permutations(range(1, 6)):
+        a, b, c, d, e = order
+        cycle = tuple(vid[tuple(sorted(s))] for s in ((a, b), (c, d), (e, a), (b, c), (d, e)))
+        parity = sum(x > y for x, y in itertools.combinations(order, 2)) % 2
+        classes[parity].add(_canonical_cycle(cycle))
+    faces, petries = sorted(classes[0]), sorted(classes[1])
 
-    def on_subsets(sigma: dict[int, int]) -> Permutation:
-        return Permutation(
-            [vid[tuple(sorted((sigma[a], sigma[b])))] for (a, b) in verts]
-        )
-
-    rho3 = on_subsets({1: 2, 2: 3, 3: 1, 4: 4, 5: 5})
-    rho5 = on_subsets({1: 2, 2: 3, 3: 4, 4: 5, 5: 1})
-    remaining = set(pentagons)
-    orbits = []
-    while remaining:
-        seed = min(remaining)
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            c = frontier.pop()
-            for g in (rho3, rho5):
-                img = _canonical_cycle(tuple(g(x) for x in c))
-                if img not in orbit:
-                    orbit.add(img)
-                    frontier.append(img)
-        orbits.append(sorted(orbit))
-        remaining -= set(orbit)
-    faces, petries = orbits[0], orbits[1] if len(orbits) > 1 else []
-
-    nv, ne = 10, len(edges)
-    base_e, base_f = nv, nv + ne
-    base_p = base_f + len(faces)
-    codes = [0] * nv + [1] * ne + [2] * len(faces) + [3] * len(petries)
+    # 10 vertices, 15 edges, then the faces and the Petrie polygons
+    base_e, base_f, base_p = 10, 25, 31
+    codes = [0] * 10 + [1] * 15 + [2] * 6 + [3] * 6
     pairs = []
-    for (a, b) in edges:
-        pairs.append([a, base_e + eid[(a, b)]])
-        pairs.append([b, base_e + eid[(a, b)]])
+    for ei, (a, b) in enumerate(edges):
+        pairs += [[a, base_e + ei], [b, base_e + ei]]
 
     def cycle_edges(c: tuple[int, ...]) -> set[tuple[int, int]]:
-        return {
-            tuple(sorted((c[i], c[(i + 1) % 5]))) for i in range(5)
-        }
+        return {tuple(sorted((c[i], c[(i + 1) % 5]))) for i in range(5)}
 
-    for kind_base, cycle_list in ((base_f, faces), (base_p, petries)):
-        for ci, c in enumerate(cycle_list):
-            for v in c:
-                pairs.append([v, kind_base + ci])
-            for e in cycle_edges(c):
-                pairs.append([base_e + eid[e], kind_base + ci])
+    for x, c in enumerate(faces + petries, base_f):
+        pairs += [[v, x] for v in c] + [[base_e + eid[e], x] for e in cycle_edges(c)]
     for fi, fc in enumerate(faces):
         for pi, pc in enumerate(petries):
             if rule == "always":
@@ -236,26 +189,21 @@ class PglGeometry:
     """Subspaces of PG(n-1, K) plus cross-ratio-typed quadruple layers.
 
     truncation is the system restricted to the subspace types; in degenerate
-    mode there are no quadruple types, so it covers the whole system.
+    mode there are no quadruple types, so it covers the whole system. Quad j
+    is element quad_offset + j: its points are row j of quad_points, its
+    lambda-block quad_block[j] and its line quad_line[j], all read-only int64.
     """
 
     system: IncidenceSystem
     truncation: IncidenceSystem
     space: ProjectiveSpace
-    field: FiniteField
-    base_degree: int
-    truncated: bool
     degenerate: bool
     subspace_labels: tuple[str, ...]
-    quad_labels: tuple[str, ...]
     lambda_codes: tuple[int, ...]
     quad_offset: int
-    quads: tuple[tuple[int, int, int, int], ...]
-    # quads as a read-only (number of quads, 4) int64 array, in the same order
     quad_points: np.ndarray
-    quad_lambda: tuple[int, ...]
-    quad_block: tuple[int, ...]
-    quad_line: tuple[int, ...]
+    quad_block: np.ndarray
+    quad_line: np.ndarray
 
 
 def pgl_cross_ratio_geometry(
@@ -307,11 +255,11 @@ def pgl_cross_ratio_geometry(
         raise ValueError(f"too many elements: {nelements} exceeds {_PGL_ELEMENT_GUARD}")
 
     subspace_labels = tuple(str(m) for m in included)
-    quad_labels = tuple(f"Q({field.label(c)})" for c in lams)
     lam_block = {c: b for b, c in enumerate(lams)}
 
-    # quads per line, typed by the cross-ratio of their line coordinates
-    per_block: list[list[tuple[tuple[int, int, int, int], int]]] = [[] for _ in lams]
+    # one row (block, p1, p2, p3, p4, line) per quad, typed by the cross-ratio
+    # of its line coordinates
+    rows: list[tuple[int, ...]] = []
     if not degenerate:
         line_off = offsets[1]
         for li, line in enumerate(space.layers[1]):
@@ -330,42 +278,25 @@ def pgl_cross_ratio_geometry(
                 den = field.mul(det(p2, p3), det(p1, p4))
                 lam = field.div(num, den)
                 if lam in lam_block:
-                    per_block[lam_block[lam]].append((quad, line_off + li))
+                    rows.append((lam_block[lam], *quad, line_off + li))
 
-    quads: list[tuple[int, int, int, int]] = []
-    quad_lambda: list[int] = []
-    quad_block: list[int] = []
-    quad_line: list[int] = []
-    block_ranges: list[tuple[int, int]] = []
-    for b, bucket in enumerate(per_block):
-        bucket.sort()
-        start = len(quads)
-        for quad, line_eid in bucket:
-            quads.append(quad)
-            quad_lambda.append(lams[b])
-            quad_block.append(b)
-            quad_line.append(line_eid)
-        block_ranges.append((start, len(quads)))
-    nq = len(quads)
-    quad_points = np.asarray(quads, dtype=np.int64).reshape(nq, 4)
-    quad_points.flags.writeable = False
+    # the quads block by block, each block in order of its points
+    table = np.array(sorted(rows), dtype=np.int64).reshape(-1, 6)
+    table.flags.writeable = False
+    quad_block, quad_points, quad_line = table[:, 0], table[:, 1:5], table[:, 5]
+    nq = len(table)
+    sizes = np.bincount(quad_block, minlength=len(lams)).tolist()
+    ends = list(itertools.accumulate(sizes))
+    block_ranges = [(e - s, e) for s, e in zip(sizes, ends)]
     quad_offset = nsub
-    total_cross = sum(
-        (block_ranges[b1][1] - block_ranges[b1][0])
-        * (block_ranges[b2][1] - block_ranges[b2][0])
-        for b1, b2 in itertools.combinations(range(len(lams)), 2)
-    )
+    total_cross = sum(s1 * s2 for s1, s2 in itertools.combinations(sizes, 2))
     if total_cross > _PGL_PAIR_GUARD:
         raise ValueError(
             f"too many incidences: {total_cross} quad pairs exceed {_PGL_PAIR_GUARD}"
         )
 
-    types = list(subspace_labels) + list(quad_labels)
-    codes = []
-    for i, m in enumerate(included):
-        codes.extend([i] * layer_sizes[i])
-    for b in range(len(lams)):
-        codes.extend([len(included) + b] * (block_ranges[b][1] - block_ranges[b][0]))
+    types = list(subspace_labels) + [f"Q({field.label(c)})" for c in lams]
+    codes = np.repeat(np.arange(len(types)), layer_sizes + sizes)
 
     # subspace-subspace incidence by symmetrized containment
     sub_pairs = []
@@ -387,9 +318,7 @@ def pgl_cross_ratio_geometry(
             np.stack([quad_points.astype(np.int32).reshape(-1), np.repeat(qids, 4)], axis=1)
         )
         # line-quad: the common line of the quadruple
-        chunks.append(
-            np.stack([np.asarray(quad_line, dtype=np.int32), qids], axis=1)
-        )
+        chunks.append(np.stack([quad_line.astype(np.int32), qids], axis=1))
         # higher-subspace-quad: {p1..p4} inside x, i.e. the quad's line inside x
         for i2 in range(2, len(included)):
             contains_line: dict[int, list[int]] = {}
@@ -401,8 +330,8 @@ def pgl_cross_ratio_geometry(
                         )
             hs_pairs = [
                 [x, quad_offset + j]
-                for j in range(nq)
-                for x in contains_line.get(quad_line[j], ())
+                for j, line_eid in enumerate(quad_line.tolist())
+                for x in contains_line.get(line_eid, ())
             ]
             if hs_pairs:
                 chunks.append(np.asarray(hs_pairs, dtype=np.int32))
@@ -415,19 +344,13 @@ def pgl_cross_ratio_geometry(
         system=system,
         truncation=truncation,
         space=space,
-        field=field,
-        base_degree=base_degree,
-        truncated=truncate_to_min_poly,
         degenerate=degenerate,
         subspace_labels=subspace_labels,
-        quad_labels=quad_labels,
         lambda_codes=tuple(lams),
         quad_offset=quad_offset,
-        quads=tuple(quads),
         quad_points=quad_points,
-        quad_lambda=tuple(quad_lambda),
-        quad_block=tuple(quad_block),
-        quad_line=tuple(quad_line),
+        quad_block=quad_block,
+        quad_line=quad_line,
     )
 
 
@@ -456,31 +379,6 @@ def _pair_array(
         rows[:, :, 1] = np.arange(e, end, dtype=np.int32) + quad_offset
         at += (e - s) * (end - e)
     return pairs
-
-
-def point_perm_to_truncation(geom: PglGeometry, point_perm: Permutation) -> Permutation:
-    """Extend a collineation given on points to all included subspace layers."""
-    space = geom.space
-    included = [int(lab) for lab in geom.subspace_labels]
-    npts = len(space.points)
-    if point_perm.degree != npts:
-        raise ValueError("permutation degree does not match the point count")
-    images: list[int] = list(point_perm.to_list())
-    offset = npts
-    for m in included[1:]:
-        layer = space.layers[m]
-        index = {s.basis: i for i, s in enumerate(layer)}
-        for s in layer:
-            rows = [space.points[point_perm(p)] for p in space.points_in(s)]
-            img = ProjectiveSubspace.from_rows(space.field, rows)
-            if img.basis not in index:
-                raise ValueError("point permutation does not preserve the space")
-            images.append(offset + index[img.basis])
-        offset += len(layer)
-    result = Permutation(images)
-    if correlation_type_action(geom.truncation, result) is None:
-        raise ValueError("point permutation does not preserve the space")
-    return result
 
 
 def duality_truncation_perm(geom: PglGeometry) -> Permutation:
@@ -535,13 +433,13 @@ def extend_truncation_correlation(
     # verify: constant injective block map, and image quads sit on the image
     # lines; the first quad to fail either decides the error
     nb = len(geom.lambda_codes)
-    src = np.asarray(geom.quad_block, dtype=np.int64)
+    src = geom.quad_block
     dst = src[targets]
     blocks, first = np.unique(src, return_index=True)
     bmap = np.full(nb, -1, dtype=np.int64)
     bmap[blocks] = dst[first]
     mixed = dst != bmap[src]
-    lines = np.asarray(geom.quad_line, dtype=np.int64)
+    lines = geom.quad_line
     broken = lines[targets] != f.images[lines]
     bad = mixed | broken
     if bad.any():
@@ -750,8 +648,6 @@ class CosetGeometry:
 
     system: IncidenceSystem
     action: PermGroup
-    cosets: tuple[frozenset[Permutation], ...]
-    reps: tuple[Permutation, ...]
 
 
 def coset_geometry(spec: CosetGeometrySpec) -> CosetGeometry:
@@ -763,27 +659,16 @@ def coset_geometry(spec: CosetGeometrySpec) -> CosetGeometry:
     pairs = [np.stack([a, b], axis=1) for a, b in itertools.combinations(ids, 2)]
     codes = np.repeat(np.arange(len(sizes)), sizes)
     system = IncidenceSystem(spec.type_labels(), codes, np.concatenate(pairs) if pairs else [])
-    n = len(table.rows)
-    # the members of each coset, ascending, cosets in id order; a type-i
-    # coset has n / sizes[i] members
-    members = (np.argsort(ids, axis=None, kind="stable") % n).tolist()
-    ends = np.cumsum(np.repeat(n // sizes, sizes)).tolist()
-    firsts = [0, *ends[:-1]]
-    rep_rows = table.rows[[members[a] for a in firsts]]
+    # cosets are numbered by their least element, so each coset's least
+    # element, its representative, is the first element that carries its label
+    reps = np.concatenate([np.unique(label, return_index=True)[1] for label in labels])
+    rep_rows = table.rows[reps]
     # right multiplication by g maps the coset of rep to the coset of rep * g,
     # whose images are g.images[rep.images]
     action_gens = [
         Permutation(ids[codes, table.index(g.images[rep_rows])]) for g in spec.group.generators
     ]
-    elements = [Permutation._from_bijection(row) for row in table.rows]
-    return CosetGeometry(
-        system=system,
-        action=PermGroup(len(firsts), action_gens),
-        cosets=tuple(
-            frozenset(map(elements.__getitem__, members[a:b])) for a, b in zip(firsts, ends)
-        ),
-        reps=tuple(elements[members[a]] for a in firsts),
-    )
+    return CosetGeometry(system=system, action=PermGroup(len(reps), action_gens))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -860,20 +745,11 @@ def check_rc_condition(spec: CosetGeometrySpec) -> RcReport:
 
 def tetrahedron_spec() -> CosetGeometrySpec:
     """S_4 with vertex, edge, and face stabilizers of the tetrahedron."""
-    group = PermGroup(
-        4,
-        [Permutation.from_cycles(4, [(0, 1)]), Permutation.from_cycles(4, [(0, 1, 2, 3)])],
-    )
-    vertex = PermGroup(
-        4,
-        [Permutation.from_cycles(4, [(1, 2)]), Permutation.from_cycles(4, [(1, 2, 3)])],
-    )
-    edge = PermGroup(
-        4,
-        [Permutation.from_cycles(4, [(0, 1)]), Permutation.from_cycles(4, [(2, 3)])],
-    )
-    face = PermGroup(
-        4,
-        [Permutation.from_cycles(4, [(0, 1)]), Permutation.from_cycles(4, [(0, 1, 2)])],
-    )
-    return CosetGeometrySpec(group=group, subgroups=(vertex, edge, face))
+
+    def generated(*cycles: tuple[int, ...]) -> PermGroup:
+        return PermGroup(4, [Permutation.from_cycles(4, [c]) for c in cycles])
+
+    vertex = generated((1, 2), (1, 2, 3))
+    edge = generated((0, 1), (2, 3))
+    face = generated((0, 1), (0, 1, 2))
+    return CosetGeometrySpec(group=generated((0, 1), (0, 1, 2, 3)), subgroups=(vertex, edge, face))

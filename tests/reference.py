@@ -3,7 +3,9 @@
 They read a system only from its ``types``, ``type_codes`` and ``pairs``, so
 they share no neighbour index, bit rows or search code with the library.
 ``cross_ratio`` reads points as code tuples and checks the builder's
-cross-ratio classes with the field's tables alone.
+cross-ratio classes with the field's tables alone, and
+``point_perm_to_truncation`` lifts a collineation from the points to every
+subspace layer of a ``PglGeometry`` by spanning the image points.
 """
 
 from __future__ import annotations
@@ -13,7 +15,15 @@ from typing import Sequence
 
 import networkx as nx
 
-from geomrep import FiniteField, IncidenceSystem, PermGroup, Permutation, ProjectiveSubspace
+from geomrep import (
+    FiniteField,
+    IncidenceSystem,
+    PermGroup,
+    Permutation,
+    PglGeometry,
+    ProjectiveSubspace,
+    correlation_type_action,
+)
 
 
 def incidence_graph(sys: IncidenceSystem) -> nx.Graph:
@@ -122,3 +132,28 @@ def cross_ratio(
         return field.sub(field.mul(a1, b2), field.mul(a2, b1))
 
     return field.div(field.mul(det(0, 2), det(1, 3)), field.mul(det(1, 2), det(0, 3)))
+
+
+def point_perm_to_truncation(geom: PglGeometry, point_perm: Permutation) -> Permutation:
+    """Extend a collineation given on points to all included subspace layers."""
+    space = geom.space
+    included = [int(lab) for lab in geom.subspace_labels]
+    npts = len(space.points)
+    if point_perm.degree != npts:
+        raise ValueError("permutation degree does not match the point count")
+    images: list[int] = list(point_perm.to_list())
+    offset = npts
+    for m in included[1:]:
+        layer = space.layers[m]
+        index = {s.basis: i for i, s in enumerate(layer)}
+        for s in layer:
+            rows = [space.points[point_perm(p)] for p in space.points_in(s)]
+            img = ProjectiveSubspace.from_rows(space.field, rows)
+            if img.basis not in index:
+                raise ValueError("point permutation does not preserve the space")
+            images.append(offset + index[img.basis])
+        offset += len(layer)
+    result = Permutation(images)
+    if correlation_type_action(geom.truncation, result) is None:
+        raise ValueError("point permutation does not preserve the space")
+    return result

@@ -143,6 +143,16 @@ class TestBuild:
         assert out == ""
         assert err == "error: subgroup 1: label must be a JSON str\n"
 
+    def test_coset_deeply_nested_group_file(self, capsys, tmp_path):
+        # json's recursion limit is a malformed file, not a failed check
+        spec = tmp_path / "spec.json"
+        spec.write_text("[" * 200_000)
+        for verb in (["build", "coset"], ["verify", "coset", "--inn", "1", "--aut", "1"]):
+            code, out, err = run(capsys, *verb, "--group-file", str(spec))
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: maximum recursion depth exceeded")
+
     def test_out_directory_exits_usage(self, capsys, tmp_path):
         code, out, err = run(capsys, "build", "gq22", "--out", str(tmp_path))
         assert code == 2
@@ -185,6 +195,59 @@ def test_one_parser_serves_every_call(capsys, monkeypatch, triangle_file):
     assert [outcome(capsys, argv) for argv in argvs] == fresh
     assert [code for code, _, _ in fresh] == [0, 2, 0, 0]
     assert len(built) == 1
+
+
+def option_argv(flag: str, keywords: dict) -> list[str]:
+    """flag with a value it accepts."""
+    if keywords.get("action") == "store_true":
+        return [flag]
+    return [flag, keywords["choices"][0] if "choices" in keywords else "5"]
+
+
+class TestOptionsWhereRead:
+    """Each construction takes only its own options, and only verbs that write
+    a report take --seed and --timings."""
+
+    VERBS = [["build"], ["verify", "--inn", "1", "--aut", "1"]]
+
+    @pytest.mark.parametrize("construction", list(geomrep.cli._CONSTRUCTIONS))
+    def test_foreign_option_exits_usage(self, capsys, construction):
+        own = geomrep.cli._CONSTRUCTIONS[construction][2]
+        foreign = {
+            flag: keywords
+            for _, _, options in geomrep.cli._CONSTRUCTIONS.values()
+            for flag, keywords in options.items()
+            if flag not in own
+        }
+        assert foreign
+        parser = geomrep.cli._make_parser()
+        for verb in self.VERBS:
+            for flag, keywords in own.items():
+                argv = [verb[0], construction, *verb[1:], *option_argv(flag, keywords)]
+                assert parser.parse_args(argv).construction == construction
+            for flag, keywords in foreign.items():
+                argv = [verb[0], construction, *verb[1:], *option_argv(flag, keywords)]
+                code, out, err = outcome(capsys, argv)
+                assert code == 2
+                assert out == ""
+                # not abbreviated: cube would read --n as --no-vertex-adjacency
+                # and reject only the value
+                assert f"unrecognized arguments: {flag}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", "gq22", "--seed", "1"],
+            ["build", "pgl", "--timings"],
+            ["export", "g.json", "--seed", "1"],
+            ["export", "g.json", "--timings"],
+        ],
+    )
+    def test_verbs_without_a_report_take_no_report_options(self, capsys, argv):
+        code, out, err = outcome(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: {argv[2]}" in err
 
 
 @pytest.fixture()
@@ -331,6 +394,15 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(bad))
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("verb", ["check", "aut", "export"])
+    def test_deeply_nested_file_exits_usage(self, capsys, tmp_path, verb):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        code, out, err = run(capsys, verb, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: maximum recursion depth exceeded")
 
     def test_validation_violations_reported(self, capsys, tmp_path):
         data = {

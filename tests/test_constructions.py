@@ -39,13 +39,18 @@ from geomrep import (
     pgl_cross_ratio_geometry,
     pgl_group,
     pgl_order,
-    point_perm_to_truncation,
     tetrahedron_spec,
     totient_pairs,
 )
 from geomrep import constructions
 from geomrep.constructions import _coset_labels, _pair_array
-from reference import brute_force_automorphisms, cross_ratio, incidence_graph, is_transitive_on
+from reference import (
+    brute_force_automorphisms,
+    cross_ratio,
+    incidence_graph,
+    is_transitive_on,
+    point_perm_to_truncation,
+)
 
 
 class TestTotientPairs:
@@ -205,6 +210,41 @@ class TestHemidodecahedron:
                 assert len(sys.neighbors(face) & vertices) == 5
                 assert len(sys.neighbors(face) & edges) == 5
 
+    def test_pentagons_are_the_petersen_five_cycles(self):
+        sys = hemidodecahedron_petrie()
+        vertices, edges = set(sys.fiber("0")), set(sys.fiber("1"))
+        # vertex i is the i-th 2-subset of {1..5}; two are adjacent when disjoint
+        subsets = list(itertools.combinations(range(1, 6), 2))
+        adjacent = {frozenset(sys.neighbors(e) & vertices) for e in edges}
+        assert adjacent == {
+            frozenset((i, j))
+            for i, j in itertools.combinations(range(10), 2)
+            if not set(subsets[i]) & set(subsets[j])
+        }
+        # each pentagon as its set of edges, each edge as its two vertices
+        cycles = set()
+        for c in itertools.permutations(range(10), 5):
+            steps = frozenset(frozenset((c[k], c[(k + 1) % 5])) for k in range(5))
+            if steps <= adjacent:
+                cycles.add(steps)
+
+        def pentagon(x: int) -> frozenset:
+            around = sys.neighbors(x) & edges
+            return frozenset(frozenset(sys.neighbors(e) & vertices) for e in around)
+
+        faces = {pentagon(x) for x in sys.fiber("2")}
+        petries = {pentagon(x) for x in sys.fiber("3")}
+        assert len(cycles) == 12
+        assert len(faces) == len(petries) == 6
+        assert faces | petries == cycles
+        # (1 2 3) and (1 2 3 4 5) generate A5, which keeps the faces
+        for sigma in ({1: 2, 2: 3, 3: 1, 4: 4, 5: 5}, {1: 2, 2: 3, 3: 4, 4: 5, 5: 1}):
+            move = [subsets.index(tuple(sorted(sigma[a] for a in s))) for s in subsets]
+            moved = {
+                frozenset(frozenset(move[v] for v in edge) for edge in face) for face in faces
+            }
+            assert moved == faces
+
     def test_rule_grows_face_incidences(self):
         by_rule = {
             rule: hemidodecahedron_petrie(rule).pairs.shape[0]
@@ -281,7 +321,7 @@ class TestCrossRatioGeometry:
     def test_prime_field_is_degenerate(self):
         geom = pgl_cross_ratio_geometry(3, make_field(2, 1))
         assert geom.degenerate
-        assert geom.quads == ()
+        assert geom.quad_points.shape == (0, 4)
         assert geom.subspace_labels == ("0", "1")
         assert [len(f) for f in geom.system.fibers()] == [7, 7]
 
@@ -308,7 +348,10 @@ class TestCrossRatioGeometry:
         assert pgl34.system.types == ("0", "1", "Q(w)", "Q(w+1)")
         assert pgl34.lambda_codes == (2, 3)
         assert pgl34.quad_offset == 42
-        assert len(pgl34.quads) == 2520
+        assert pgl34.quad_points.shape == (2520, 4)
+        for column in (pgl34.quad_points, pgl34.quad_block, pgl34.quad_line):
+            assert column.dtype == np.int64 and not column.flags.writeable
+        assert pgl34.quad_block.tolist() == [0] * 1260 + [1] * 1260
 
     def test_gf4_serialization_digest(self, pgl34):
         # the bytes of `geomrep build pgl --q 4`
@@ -319,23 +362,19 @@ class TestCrossRatioGeometry:
 
     def test_gf4_quads_live_on_their_lines(self, pgl34):
         space = pgl34.space
-        field = pgl34.field
-        for j in range(0, len(pgl34.quads), 97):
-            quad = pgl34.quads[j]
+        for j in range(0, len(pgl34.quad_points), 97):
+            quad = pgl34.quad_points[j].tolist()
             line = space.layers[1][pgl34.quad_line[j] - 21]
             for p in quad:
                 assert line.contains_point(space.points[p])
-            value = cross_ratio(field, *(space.points[p] for p in quad))
-            assert value == pgl34.quad_lambda[j]
+            value = cross_ratio(space.field, *(space.points[p] for p in quad))
             assert pgl34.lambda_codes[pgl34.quad_block[j]] == value
-            assert tuple(pgl34.quad_points[j].tolist()) == quad
             element = pgl34.quad_offset + j
             # the quad element is incident to its carrier line
             assert pgl34.quad_line[j] in pgl34.system.neighbors(element)
 
     def test_gf4_truncated_mode_keeps_full_orbit(self, pgl34):
         trunc = pgl_cross_ratio_geometry(3, make_field(2, 2), truncate_to_min_poly=True)
-        assert trunc.truncated
         assert trunc.lambda_codes == pgl34.lambda_codes
         assert trunc.system == pgl34.system
 
@@ -510,7 +549,7 @@ class TestRestrictionExtension:
 
     def test_collineations_extend_type_preservingly(self, pgl34):
         trunc = pgl34.system.truncation(pgl34.subspace_labels)
-        for g in pgl_group(pgl34.field, 3).generators:
+        for g in pgl_group(pgl34.space.field, 3).generators:
             lifted = point_perm_to_truncation(pgl34, g)
             assert correlation_type_action(trunc, lifted) == [0, 1]
             extension = extend_truncation_correlation(pgl34, lifted)
@@ -554,15 +593,16 @@ class TestRestrictionExtension:
 
     def test_extension_of_corrupted_geometry_matches_per_quad_loop(self, pgl34):
         frob = frobenius_truncation_perm(pgl34)
-        lines, blocks = list(pgl34.quad_line), list(pgl34.quad_block)
-        swapped_lines = lines[:]
+        lines, blocks = pgl34.quad_line, pgl34.quad_block
+        swapped_lines = lines.copy()
         swapped_lines[0], swapped_lines[-1] = lines[-1], lines[0]
-        moved_block = blocks[:]
+        moved_block = blocks.copy()
         moved_block[5] = 1 - blocks[5]
         # quad 5 fails both checks at once: its image changes block, and its
         # own line changes
-        image5 = pgl34.quads.index(tuple(frob(x) for x in pgl34.quads[5]))
-        both_blocks, both_lines = blocks[:], lines[:]
+        quads = [tuple(quad) for quad in pgl34.quad_points.tolist()]
+        image5 = quads.index(tuple(frob(x) for x in quads[5]))
+        both_blocks, both_lines = blocks.copy(), lines.copy()
         both_blocks[image5] = 1 - blocks[image5]
         both_lines[5] = next(line for line in lines if line != lines[5])
         # quad 0 replaced by a quadruple that no collineation maps to a quad
@@ -572,21 +612,13 @@ class TestRestrictionExtension:
             pgl34.system.types, pgl34.system.type_codes, pgl34.system.pairs[:-1]
         )
         corrupted = [
-            dataclasses.replace(pgl34, quad_line=tuple(swapped_lines)),
-            dataclasses.replace(pgl34, quad_block=tuple(moved_block)),
-            dataclasses.replace(
-                pgl34, quad_block=tuple(moved_block), quad_line=tuple(swapped_lines)
-            ),
-            dataclasses.replace(
-                pgl34, quad_block=tuple(both_blocks), quad_line=tuple(both_lines)
-            ),
-            dataclasses.replace(pgl34, quad_block=(0,) * len(blocks)),
+            dataclasses.replace(pgl34, quad_line=swapped_lines),
+            dataclasses.replace(pgl34, quad_block=moved_block),
+            dataclasses.replace(pgl34, quad_block=moved_block, quad_line=swapped_lines),
+            dataclasses.replace(pgl34, quad_block=both_blocks, quad_line=both_lines),
+            dataclasses.replace(pgl34, quad_block=np.zeros_like(blocks)),
             dataclasses.replace(pgl34, system=fewer),
-            dataclasses.replace(
-                pgl34,
-                quads=(tuple(lost[0].tolist()),) + pgl34.quads[1:],
-                quad_points=lost,
-            ),
+            dataclasses.replace(pgl34, quad_points=lost),
         ]
         maps = [frob, *correlation_group(pgl34.truncation).type_preserving_gens]
         messages = set()
@@ -628,9 +660,11 @@ def reference_extension(geom, f):
     images = list(range(geom.system.size))
     for x in range(geom.truncation.size):
         images[x] = f(x)
-    index = {quad: j for j, quad in enumerate(geom.quads)}
+    quads = [tuple(quad) for quad in geom.quad_points.tolist()]
+    blocks, lines = geom.quad_block.tolist(), geom.quad_line.tolist()
+    index = {quad: j for j, quad in enumerate(quads)}
     targets = []
-    for quad in geom.quads:
+    for quad in quads:
         target = index.get(tuple(f(x) for x in quad))
         if target is None:
             return None
@@ -639,11 +673,9 @@ def reference_extension(geom, f):
         images[geom.quad_offset + j] = geom.quad_offset + target
     bmap = {}
     for j, target in enumerate(targets):
-        if bmap.setdefault(geom.quad_block[j], geom.quad_block[target]) != geom.quad_block[
-            target
-        ]:
+        if bmap.setdefault(blocks[j], blocks[target]) != blocks[target]:
             raise RuntimeError("extension mixes cross-ratio blocks")
-        if geom.quad_line[target] != f(geom.quad_line[j]):
+        if lines[target] != f(lines[j]):
             raise RuntimeError("extension breaks line incidence")
     if sorted(bmap.values()) != list(range(len(geom.lambda_codes))):
         raise RuntimeError("extension block map is not a bijection")
@@ -690,10 +722,7 @@ class TestCosetGeometries:
         cg = coset_geometry(tetrahedron_spec())
         assert [len(f) for f in cg.system.fibers()] == [4, 6, 4]
         assert cg.action.order() == 24
-        assert len(cg.cosets) == 14
-        for coset, rep in zip(cg.cosets, cg.reps):
-            assert rep in coset
-            assert rep == min(coset)
+        assert cg.action.degree == cg.system.size == 14
 
     def test_tetrahedron_matches_simplex_system(self):
         cg = coset_geometry(tetrahedron_spec())
@@ -893,8 +922,8 @@ class CosetReference:
 
 
 def assert_matches_reference(spec: CosetGeometrySpec) -> CosetReference:
-    """Labels, cosets, reps, incidences and action against the element-set
-    reference, which is returned."""
+    """Labels, incidences and action against the element-set reference, which
+    is returned."""
     ref = CosetReference(spec)
     table, labels = _coset_labels(spec)
     rows = [tuple(row) for row in table.rows.tolist()]
@@ -906,8 +935,6 @@ def assert_matches_reference(spec: CosetGeometrySpec) -> CosetReference:
     cg = coset_geometry(spec)
     assert cg.system.type_codes.tolist() == ref.codes
     assert cg.system.pairs.tolist() == ref.pairs()
-    assert [frozenset(tuple(g.to_list()) for g in c) for c in cg.cosets] == ref.cosets
-    assert [tuple(g.to_list()) for g in cg.reps] == [min(c) for c in ref.cosets]
     assert [g.to_list() for g in cg.action.generators] == ref.action()
     return ref
 
